@@ -17,7 +17,7 @@ Usage:  PYTHONPATH=src python examples/traces/regenerate.py
 import json
 from pathlib import Path
 
-from repro.net import FaultPlan, LocalCluster, attach_standard_stack
+from repro.net import LocalCluster, attach_standard_stack
 from repro.sim import FixedDelay
 
 HERE = Path(__file__).parent
@@ -27,10 +27,9 @@ EPOCHS = {0: 1000.0, 1: 1000.35, 2: 999.8}
 
 def main():
     cluster = LocalCluster(
-        n=3, transport="loopback", clock="virtual", seed=0,
-        fault_plan=FaultPlan(3, delay=FixedDelay(1.0)),
-        trace_out=HERE,
+        n=3, transport="loopback", clock="virtual", seed=0, trace_out=HERE,
     )
+    cluster.plan.storm(0.0, delay=FixedDelay(1.0))
     stacks = attach_standard_stack(
         cluster, period=5.0, initial_timeout=12.0, timeout_increment=5.0,
         metrics_interval=10.0,

@@ -34,7 +34,13 @@ from .metrics import (
     rounds_after_system,
     steady_state_message_rate,
 )
-from .qos import Mistake, QoSReport, qos_report, transformation_bound
+from .qos import (
+    IncrementalQoS,
+    Mistake,
+    QoSReport,
+    qos_report,
+    transformation_bound,
+)
 from .report import collect_results, render_report
 from .stats import Summary, geometric_mean, summarize
 from .timeline import leader_timeline, round_timeline, suspicion_timeline
@@ -67,6 +73,7 @@ __all__ = [
     "rounds_after",
     "rounds_after_system",
     "steady_state_message_rate",
+    "IncrementalQoS",
     "Mistake",
     "QoSReport",
     "qos_report",

@@ -11,7 +11,7 @@ into the standard quality-of-service numbers of Chen, Toueg & Aguilera
 ("On the quality of service of failure detectors"):
 
 * **detection time** ``T_D`` — crash until every correct process suspects
-  the victim permanently (:func:`repro.analysis.metrics.detection_latency`);
+  the victim permanently;
 * **mistakes** — wrongful suspicions of processes that were alive, with
   their correction times: count, rate ``λ_M`` (mistakes per time unit) and
   mean duration ``T_M``;
@@ -22,22 +22,34 @@ into the standard quality-of-service numbers of Chen, Toueg & Aguilera
   post-stabilization window, checked against the paper's 2(n−1) bound for
   the transformation channel (Section 4).
 
-``repro trace qos`` is the CLI front end; ``benchmarks/bench_n2_live_qos.py``
-uses the same report to compare live wall latencies against simulator
-predictions.
+There is one implementation: :class:`IncrementalQoS`, an event-at-a-time
+state machine.  :class:`~repro.obs.live.LiveCollector` feeds it while a
+run is still going (``repro watch``); :func:`qos_report` is the offline
+front end and nothing but a fold of the same machine over a recorded
+trace (``repro trace qos``, ``repro scenario run``,
+``benchmarks/bench_n2_live_qos.py``) — so a scoring rule is written once
+and a live report equals the postmortem one over the same events.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
+from ..obs.events import TraceEvent
 from ..obs.reader import TraceSource, as_trace
 from ..types import ProcessId, Time
-from .fd_properties import _stabilization, build_histories, crash_times
-from .metrics import detection_latency, steady_state_message_rate
 
-__all__ = ["Mistake", "QoSReport", "qos_report", "transformation_bound"]
+__all__ = [
+    "IncrementalQoS",
+    "Mistake",
+    "QoSReport",
+    "qos_report",
+    "transformation_bound",
+]
 
 #: Fractional slack on the 2(n−1) message-cost bound: one extra in-flight
 #: period's worth of messages may straddle the measurement window edges.
@@ -70,7 +82,7 @@ class Mistake:
 
 @dataclass
 class QoSReport:
-    """Everything :func:`qos_report` measured about one run."""
+    """Everything :meth:`IncrementalQoS.report` measured about one run."""
 
     n: int
     channel: str
@@ -185,68 +197,284 @@ class QoSReport:
         return "\n".join(lines)
 
 
-def _find_mistakes(
-    histories: Dict[ProcessId, List],
-    crashes: Dict[ProcessId, Time],
-) -> List[Mistake]:
-    """Wrongful-suspicion intervals from per-observer output histories.
+class IncrementalQoS:
+    """The QoS state machine: one event at a time in, a report at any instant.
 
-    A mistake opens when an observer adds a then-alive process to its
-    suspected set; it closes when the suspicion is retracted.  If the
-    suspect crashes while wrongly suspected, the mistake closes at the
-    crash (from then on the suspicion is correct)."""
-    mistakes: List[Mistake] = []
-    for observer in sorted(histories):
-        previous: FrozenSet[ProcessId] = frozenset()
-        open_since: Dict[ProcessId, Time] = {}
-        for time, suspected, _ in histories[observer]:
-            if suspected is None:  # pragma: no cover - malformed event
-                continue
-            for q in suspected - previous:
+    Feed events with :meth:`observe_event` — per-node order must be kept,
+    cross-node interleaving is free (merged live streams arrive that way);
+    call :meth:`report` at any instant for a full :class:`QoSReport` over
+    everything seen so far, or :meth:`snapshot` for the cheap dict the
+    watch UI renders.  State is O(n²): per-observer suspicion sets, open
+    mistakes, leader runs, per-channel send times.
+
+    Whole-run knowledge is applied at report time, not at ingestion: a
+    suspicion interval is opened *tentatively* (the crash event that makes
+    it correct may arrive later in the stream than the ``fd`` event that
+    opened it) and screened against the crashes known when the report is
+    taken — intervals whose suspect had already crashed are discarded,
+    intervals whose suspect crashed mid-mistake end at the crash.
+    """
+
+    def __init__(self, channel: str = "fd") -> None:
+        self.channel = channel
+        self._end_time: Time = 0.0
+        self._event_count = 0
+        self._kind_counts: Dict[str, int] = {}
+        self._pids: Set[ProcessId] = set()
+        self._crashes: Dict[ProcessId, Time] = {}
+        #: channel -> times of non-loopback sends (sorted lazily at report).
+        self._sends: Dict[Any, List[Time]] = {}
+        # Per-observer detector state for `channel`:
+        self._previous: Dict[ProcessId, FrozenSet[ProcessId]] = {}
+        #: observer -> {suspect: open time} — tentatively open mistakes.
+        self._open_since: Dict[ProcessId, Dict[ProcessId, Time]] = {}
+        #: observer -> [(suspect, start, retraction time)] — closed ones.
+        self._closed: Dict[ProcessId, List[Tuple[ProcessId, Time, Time]]] = {}
+        #: observer -> {suspect: start of its current suspicion stretch}.
+        self._suspect_since: Dict[ProcessId, Dict[ProcessId, Time]] = {}
+        #: observer -> last trusted output / start of that constant run.
+        self._trusted: Dict[ProcessId, Optional[ProcessId]] = {}
+        self._run_start: Dict[ProcessId, Time] = {}
+        self._span_replies = 0
+
+    # ------------------------------------------------------------ ingestion
+    def observe_event(self, event: TraceEvent) -> None:
+        """Fold one event into the running state."""
+        t = event.time
+        if t > self._end_time:
+            self._end_time = t
+        self._event_count += 1
+        kind = event.kind
+        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
+        if event.pid is not None:
+            self._pids.add(event.pid)
+        if kind in ("send", "deliver"):
+            src = event.get("src")
+            dst = event.get("dst")
+            if src is not None:
+                self._pids.add(src)
+            if dst is not None:
+                self._pids.add(dst)
+            if kind == "send" and not event.get("loopback"):
+                self._sends.setdefault(event.get("channel"), []).append(t)
+        elif kind == "crash":
+            self._crashes[event.pid] = t
+        elif kind == "fd" and event.get("channel") == self.channel:
+            self._observe_fd(
+                event.pid, t, event.get("suspected"), event.get("trusted")
+            )
+        elif kind == "span.reply":
+            self._span_replies += 1
+
+    def observe(
+        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
+    ) -> None:
+        """Convenience wrapper building the :class:`TraceEvent` inline."""
+        self.observe_event(TraceEvent(time=time, kind=kind, pid=pid, data=data))
+
+    def _observe_fd(
+        self,
+        observer: Optional[ProcessId],
+        t: Time,
+        suspected: Optional[Iterable[ProcessId]],
+        trusted: Optional[ProcessId],
+    ) -> None:
+        # Leader-run tracking (suspected-less records still carry trusted).
+        if observer not in self._trusted or self._trusted[observer] != trusted:
+            self._trusted[observer] = trusted
+            self._run_start[observer] = t
+        if suspected is None:
+            return
+        suspected = frozenset(suspected)
+        previous = self._previous.get(observer, frozenset())
+        open_since = self._open_since.setdefault(observer, {})
+        stretch = self._suspect_since.setdefault(observer, {})
+        for q in suspected - previous:
+            open_since[q] = t  # tentative; crash screening at report time
+            stretch[q] = t
+        for q in previous - suspected:
+            start = open_since.pop(q, None)
+            if start is not None:
+                self._closed.setdefault(observer, []).append((q, start, t))
+            stretch.pop(q, None)
+        self._previous[observer] = suspected
+
+    # ------------------------------------------------------------ reporting
+    @property
+    def end_time(self) -> Time:
+        """Timestamp of the latest event seen."""
+        return self._end_time
+
+    @property
+    def event_count(self) -> int:
+        return self._event_count
+
+    def report(
+        self,
+        correct: Optional[FrozenSet[ProcessId]] = None,
+        period: Optional[Time] = None,
+        cost_channels: Optional[Sequence[str]] = None,
+        bound_channel: str = "fdp",
+        n: Optional[int] = None,
+        bound_tolerance: float = BOUND_TOLERANCE,
+    ) -> QoSReport:
+        """A :class:`QoSReport` over everything seen so far (parameters as
+        documented on :func:`qos_report`)."""
+        end_time = self._end_time
+        if n is None:
+            n = max(self._pids) + 1 if self._pids else 0
+        crashes = dict(sorted(self._crashes.items()))
+        if correct is None:
+            correct = frozenset(range(n)) - frozenset(crashes)
+        correct = frozenset(correct)
+
+        detection = {
+            victim: self._detection(victim, at, correct)
+            for victim, at in crashes.items()
+        }
+        mistakes = self._mistakes(correct, crashes)
+        mistake_rate = len(mistakes) / end_time if end_time > 0 else None
+        durations = [m.duration for m in mistakes if m.duration is not None]
+        mean_duration = sum(durations) / len(durations) if durations else None
+        stabilized_at, leader = self._leader(correct)
+
+        report = QoSReport(
+            n=n, channel=self.channel, end_time=end_time, correct=correct,
+            crashes=crashes, detection=detection,
+            mistakes=mistakes, mistake_rate=mistake_rate,
+            mean_mistake_duration=mean_duration,
+            leader_stabilized_at=stabilized_at, stable_leader=leader,
+        )
+        if period is None or period <= 0:
+            return report
+
+        # ----- post-stabilization message cost -----
+        report.period = period
+        settle_points = [stabilized_at if stabilized_at is not None else 0.0]
+        for victim, at in crashes.items():
+            latency = detection.get(victim)
+            if latency is not None:
+                settle_points.append(at + latency)
+        window_start = max(settle_points) + period
+        if end_time - window_start < 2 * period:
+            # Too little stable suffix to measure a rate meaningfully.
+            return report
+        report.cost_window = (window_start, end_time)
+        counts = self._channel_counts(window_start, end_time)
+        if cost_channels is None:
+            cost_channels = sorted(
+                ch for ch, count in counts.items() if ch and count > 0
+            )
+        spans = (end_time - window_start) / period
+        report.message_cost = {
+            ch: (counts.get(ch, 0) / spans if spans > 0 else 0.0)
+            for ch in cost_channels
+        }
+        report.bound_channel = bound_channel
+        report.bound_value = float(transformation_bound(n))
+        if bound_channel in report.message_cost:
+            cost = report.message_cost[bound_channel]
+            if cost > 0:
+                report.bound_ok = (
+                    cost <= report.bound_value * (1.0 + bound_tolerance)
+                )
+        return report
+
+    def _detection(
+        self,
+        victim: ProcessId,
+        crash_time: Time,
+        correct: FrozenSet[ProcessId],
+    ) -> Optional[Time]:
+        """T_D: crash until the last correct observer's final (permanent)
+        suspicion stretch of *victim* began; ``None`` if one never did."""
+        worst = crash_time
+        for pid in correct:
+            since = self._suspect_since.get(pid, {}).get(victim)
+            if since is None:
+                return None
+            if since > worst:
+                worst = since
+        return worst - crash_time
+
+    def _mistakes(
+        self,
+        correct: FrozenSet[ProcessId],
+        crashes: Dict[ProcessId, Time],
+    ) -> List[Mistake]:
+        """Wrongful-suspicion intervals at correct observers.
+
+        A mistake opens when an observer adds a then-alive process to its
+        suspected set and closes when the suspicion is retracted — or at
+        the suspect's crash if that comes first (from then on the
+        suspicion is correct)."""
+        mistakes: List[Mistake] = []
+        # Every observer with suspicion history has an _open_since entry.
+        for observer in sorted(correct & self._open_since.keys()):
+            still_open = self._open_since[observer]
+            intervals: List[Tuple[ProcessId, Time, Optional[Time]]] = [
+                *self._closed.get(observer, []),
+                *((q, start, None) for q, start in still_open.items()),
+            ]
+            for q, start, end in intervals:
                 crash_at = crashes.get(q)
-                if crash_at is None or crash_at > time:
-                    open_since[q] = time
-            for q in previous - suspected:
-                start = open_since.pop(q, None)
-                if start is not None:
-                    end = time
-                    crash_at = crashes.get(q)
-                    if crash_at is not None and crash_at < end:
-                        end = max(start, crash_at)
-                    mistakes.append(Mistake(observer, q, start, end))
-            previous = suspected
-        for q, start in open_since.items():
-            crash_at = crashes.get(q)
-            if crash_at is not None and crash_at >= start:
-                # The suspect eventually did crash: the mistake lasted
-                # until the crash made the suspicion true.
-                mistakes.append(Mistake(observer, q, start, crash_at))
-            else:
-                mistakes.append(Mistake(observer, q, start, None))
-    mistakes.sort(key=lambda m: (m.start, m.observer, m.suspect))
-    return mistakes
+                if crash_at is not None:
+                    if crash_at <= start:
+                        continue  # the suspicion was already correct at open
+                    if end is None or crash_at < end:
+                        end = crash_at
+                mistakes.append(Mistake(observer, q, start, end))
+        mistakes.sort(key=lambda m: (m.start, m.observer, m.suspect))
+        return mistakes
 
+    def _leader(
+        self, correct: FrozenSet[ProcessId]
+    ) -> Tuple[Optional[Time], Optional[ProcessId]]:
+        """Earliest time from which all correct trusted outputs permanently
+        agree on one correct leader; ``(None, None)`` if they never do."""
+        if not correct or not all(pid in self._trusted for pid in correct):
+            return None, None
+        finals = {self._trusted[pid] for pid in correct}
+        if len(finals) != 1:
+            return None, None
+        leader = next(iter(finals))
+        if leader is None or leader not in correct:
+            return None, None
+        # Every observer's final trusted equals `leader`, so its trailing
+        # clean stretch is exactly its trailing constant-trusted run.
+        return max(0.0, *(self._run_start[pid] for pid in correct)), leader
 
-def _leader_stabilization(
-    histories: Dict[ProcessId, List],
-    correct: FrozenSet[ProcessId],
-) -> Tuple[Optional[Time], Optional[ProcessId]]:
-    """Earliest time from which all correct trusted outputs permanently
-    agree on one correct leader; ``(None, None)`` if they never do."""
-    observers = frozenset(pid for pid in correct if histories.get(pid))
-    if not observers or observers != correct:
-        return None, None
-    finals = {histories[pid][-1][2] for pid in observers}
-    if len(finals) != 1:
-        return None, None
-    leader = next(iter(finals))
-    if leader is None or leader not in correct:
-        return None, None
-    stabilized = _stabilization(
-        histories, observers,
-        lambda pid, suspected, trusted: trusted != leader,
-    )
-    return stabilized, leader
+    def _channel_counts(self, after: Time, before: Time) -> Dict[Any, int]:
+        counts: Dict[Any, int] = {}
+        for ch, times in self._sends.items():
+            times.sort()  # merged node streams may interleave out of order
+            counts[ch] = bisect_right(times, before) - bisect_left(times, after)
+        return counts
+
+    # -------------------------------------------------------------- watch UI
+    def snapshot(self) -> Dict[str, Any]:
+        """Cheap running-state dict for the ``repro watch`` table."""
+        return {
+            "n": max(self._pids) + 1 if self._pids else 0,
+            "end_time": self._end_time,
+            "events": self._event_count,
+            "crashes": dict(sorted(self._crashes.items())),
+            "trusted": {
+                pid: self._trusted[pid] for pid in sorted(self._trusted)
+            },
+            "suspected": {
+                pid: sorted(self._previous[pid])
+                for pid in sorted(self._previous)
+            },
+            "open_mistakes": sum(len(v) for v in self._open_since.values()),
+            "closed_mistakes": sum(len(v) for v in self._closed.values()),
+            "span_replies": self._span_replies,
+            "sends": {
+                ch: len(self._sends[ch])
+                for ch in sorted(k for k in self._sends if k)
+            },
+            "kinds": dict(sorted(self._kind_counts.items())),
+        }
 
 
 def qos_report(
@@ -259,7 +487,8 @@ def qos_report(
     n: Optional[int] = None,
     bound_tolerance: float = BOUND_TOLERANCE,
 ) -> QoSReport:
-    """Measure the QoS of one recorded run (see module docstring).
+    """Measure the QoS of one recorded run: fold every event of *trace*
+    into an :class:`IncrementalQoS` and take its report.
 
     Parameters:
         trace: anything :func:`repro.obs.as_trace` accepts — a live
@@ -275,77 +504,10 @@ def qos_report(
             network sends in the window).
         n: system size; inferred from the highest pid seen when omitted.
     """
-    trace = as_trace(trace)
-    events = trace.events
-    end_time = max((ev.time for ev in events), default=0.0)
-    if n is None:
-        pids = {ev.pid for ev in events if ev.pid is not None}
-        for ev in events:
-            if ev.kind in ("send", "deliver"):
-                pids.add(ev.get("src"))
-                pids.add(ev.get("dst"))
-        pids.discard(None)
-        n = max(pids) + 1 if pids else 0
-    crashes = crash_times(trace)
-    if correct is None:
-        correct = frozenset(range(n)) - frozenset(crashes)
-    correct = frozenset(correct)
-
-    histories = build_histories(trace, channel=channel)
-    detection = {
-        victim: detection_latency(trace, victim, at, correct, channel=channel)
-        for victim, at in sorted(crashes.items())
-    }
-    mistakes = _find_mistakes(
-        {pid: histories[pid] for pid in histories if pid in correct}, crashes
+    engine = IncrementalQoS(channel=channel)
+    for event in as_trace(trace).events:
+        engine.observe_event(event)
+    return engine.report(
+        correct=correct, period=period, cost_channels=cost_channels,
+        bound_channel=bound_channel, n=n, bound_tolerance=bound_tolerance,
     )
-    mistake_rate = len(mistakes) / end_time if end_time > 0 else None
-    durations = [m.duration for m in mistakes if m.duration is not None]
-    mean_duration = sum(durations) / len(durations) if durations else None
-    stabilized_at, leader = _leader_stabilization(histories, correct)
-
-    report = QoSReport(
-        n=n, channel=channel, end_time=end_time, correct=correct,
-        crashes=dict(sorted(crashes.items())), detection=detection,
-        mistakes=mistakes, mistake_rate=mistake_rate,
-        mean_mistake_duration=mean_duration,
-        leader_stabilized_at=stabilized_at, stable_leader=leader,
-    )
-    if period is None or period <= 0:
-        return report
-
-    # ----- post-stabilization message cost -----
-    report.period = period
-    settle_points = [stabilized_at if stabilized_at is not None else 0.0]
-    for victim, at in crashes.items():
-        latency = detection.get(victim)
-        if latency is not None:
-            settle_points.append(at + latency)
-    window_start = max(settle_points) + period
-    if end_time - window_start < 2 * period:
-        # Too little stable suffix to measure a rate meaningfully.
-        report.cost_window = None
-        return report
-    report.cost_window = (window_start, end_time)
-    if cost_channels is None:
-        seen = {
-            ev.get("channel") for ev in events
-            if ev.kind == "send" and not ev.get("loopback")
-            and window_start <= ev.time <= end_time
-        }
-        cost_channels = sorted(ch for ch in seen if ch)
-    report.message_cost = {
-        ch: steady_state_message_rate(
-            trace, (ch,), (window_start, end_time), period
-        )
-        for ch in cost_channels
-    }
-    report.bound_channel = bound_channel
-    report.bound_value = float(transformation_bound(n))
-    if bound_channel in report.message_cost:
-        cost = report.message_cost[bound_channel]
-        if cost > 0:
-            report.bound_ok = (
-                cost <= report.bound_value * (1.0 + bound_tolerance)
-            )
-    return report

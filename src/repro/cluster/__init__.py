@@ -8,11 +8,9 @@ some of them, and judges the run:
   verdicts``) and :func:`standard_verdicts`, the shared postmortem;
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`, *n*
   :class:`~repro.net.host.NodeHost`\\ s in one OS process (wall or
-  virtual clock), moved here from ``repro.net.cluster``;
+  virtual clock);
 * :class:`~repro.proc.ProcessCluster` (re-exported lazily) — one OS
   process per node with real ``kill -9`` crashes, from :mod:`repro.proc`.
-
-``repro.net.cluster`` remains as a deprecation shim.
 """
 
 from __future__ import annotations

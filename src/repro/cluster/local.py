@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import warnings
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
@@ -107,7 +106,6 @@ class LocalCluster:
         clock: str = "wall",
         seed: int = 0,
         codec: Optional[Codec] = None,
-        fault_plan: Optional[FaultPlan] = None,
         bind_host: str = "127.0.0.1",
         trace_kinds: Optional[Iterable[str]] = None,
         trace_out: Optional[Union[str, Path]] = None,
@@ -183,21 +181,10 @@ class LocalCluster:
         # same object node 0 traces into, so combined/per-node JSONL
         # shipping sees the fault events too (not just the MemorySink).
         self._cluster_sink: TraceSink = host_traces[0]
-        if fault_plan is not None:
-            warnings.warn(
-                "the fault_plan= constructor kwarg is deprecated; every "
-                "LocalCluster now carries a fault plan — use the ClusterAPI "
-                "fault verbs (partition/degrade/storm/stall/...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.plan = fault_plan
-        else:
-            #: The always-on fault surface; idle plans cost one flag read
-            #: per send (see FaultPlan.active), so every transport is
-            #: wrapped unconditionally and the ClusterAPI fault verbs are
-            #: always live.
-            self.plan = FaultPlan(n, seed=seed)
+        #: The always-on fault surface; idle plans cost one flag read per
+        #: send (see FaultPlan.active), so every transport is wrapped
+        #: unconditionally and the ClusterAPI fault verbs are always live.
+        self.plan = FaultPlan(n, seed=seed)
         self._hub = LoopbackHub(self.clock) if transport == "loopback" else None
         self._started = False
         # Crash-stop schedule accepted before start; flushed onto the clock

@@ -73,8 +73,7 @@ _MOVED_TO_CLUSTER = ("LocalCluster", "TRANSPORTS", "attach_standard_stack")
 def __getattr__(name: str):
     # Re-exported lazily from their new home: repro.cluster imports this
     # package (clocks, transports, NodeHost), so an eager import here
-    # would be circular.  Unlike repro.net.cluster, this path does not
-    # warn — `from repro.net import LocalCluster` stays first-class.
+    # would be circular.
     if name in _MOVED_TO_CLUSTER:
         from .. import cluster as _cluster
 

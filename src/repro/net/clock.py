@@ -159,7 +159,7 @@ class VirtualClock(Scheduler):
     "a clock suitable for NodeHost" without importing the sim layer, and so
     isinstance checks can distinguish deterministic from wall-clock hosts
     (async transports refuse to run on a virtual clock; see
-    :mod:`repro.net.cluster`).
+    :mod:`repro.cluster.local`).
     """
 
     @property

@@ -21,7 +21,7 @@ frames, and their trace events land in a recorder the analysis layer reads
 exactly as it reads simulated traces.
 
 One host serves one process id.  Multi-node single-machine runs are
-orchestrated by :class:`~repro.net.cluster.LocalCluster`; a multi-machine
+orchestrated by :class:`~repro.cluster.LocalCluster`; a multi-machine
 deployment would create one host per box and share the address book
 out of band.
 """

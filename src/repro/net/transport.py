@@ -8,7 +8,7 @@ callback into processes — just frames out, frames in.  The
 semantics on top, and :class:`~repro.net.faults.FaultyTransport` wraps any
 transport with loss/delay/partition injection.
 
-Lifecycle (driven by :class:`~repro.net.cluster.LocalCluster` or by user
+Lifecycle (driven by :class:`~repro.cluster.LocalCluster` or by user
 code for multi-process deployments)::
 
     transport.set_receiver(on_bytes)     # wiring

@@ -11,8 +11,8 @@ that stream end to end:
   validate against it, and ``docs/traces.md`` is generated from it.
 * :mod:`repro.obs.sinks` — the :class:`TraceSink` protocol with three
   implementations: :class:`MemorySink` (the in-memory, query-friendly log
-  that :mod:`repro.analysis` consumes; re-exported as
-  :class:`repro.sim.trace.Trace` for compatibility), :class:`JsonlSink`
+  that :mod:`repro.analysis` consumes; :class:`repro.sim.Trace` is the
+  same class), :class:`JsonlSink`
   (line-buffered streaming JSONL writer with per-node clock provenance),
   and :class:`TeeSink` (fan-out to several sinks).
 * :mod:`repro.obs.reader` — the JSONL reader and :func:`as_trace`, the
@@ -26,9 +26,9 @@ that stream end to end:
   sentinel all round-trip exactly).
 * :mod:`repro.obs.live` — the live telemetry plane: a
   :class:`StreamingSink` shipping trace events to a TCP collector as the
-  run happens, the :class:`LiveCollector` ingesting several node streams
-  onto one time base, and :class:`IncrementalQoS`, the online
-  event-at-a-time twin of :func:`repro.analysis.qos.qos_report`.
+  run happens, and the :class:`LiveCollector` ingesting several node
+  streams onto one time base and folding them into the QoS engine
+  (:class:`repro.analysis.qos.IncrementalQoS`, re-exported here).
 * :mod:`repro.obs.spans` — per-command causal spans: groups the
   ``span.*`` stage events one client command leaves across the service
   path (queue → propose → decide → apply → reply) into per-stage
@@ -69,12 +69,11 @@ from .metrics import (
     render_prometheus,
 )
 
-# .live and .spans are exposed lazily: repro.net.host imports repro.obs,
-# and .live needs repro.net.frame — an eager import here would close the
-# cycle during `import repro.net`.  Same pattern as repro.net's moved-name
-# shims: resolve on first attribute access, when both packages exist.
+# .live, .spans and the QoS engine are exposed lazily: repro.net.host
+# imports repro.obs, .live needs repro.net.frame, and repro.analysis
+# imports repro.obs.reader — an eager import here would close either
+# cycle.  Resolve on first attribute access, when all packages exist.
 _LIVE_NAMES = (
-    "IncrementalQoS",
     "LiveCollector",
     "StreamingSink",
     "parse_ship_address",
@@ -90,6 +89,10 @@ _SPAN_NAMES = (
 
 
 def __getattr__(name: str):
+    if name == "IncrementalQoS":
+        from ..analysis.qos import IncrementalQoS
+
+        return IncrementalQoS
     if name in _LIVE_NAMES:
         from . import live
 
@@ -133,6 +136,7 @@ __all__ = [
     "metric_schema_for",
     "register_metric",
     "render_prometheus",
+    "IncrementalQoS",
     *_LIVE_NAMES,
     *_SPAN_NAMES,
 ]

@@ -18,15 +18,10 @@ replays them offline.  This module makes the same event stream visible
 * :class:`LiveCollector` — the receiving TCP server: accepts any number
   of node streams, rebases their clocks onto a common epoch (base = the
   first ``epoch_wall`` seen, mirroring :mod:`repro.obs.merge`), and
-  feeds every event into an :class:`IncrementalQoS`.
-* :class:`IncrementalQoS` — a streaming re-implementation of
-  :func:`repro.analysis.qos.qos_report`: it ingests events one at a
-  time, keeps O(n²) state (per-observer suspicion sets, open mistakes,
-  leader runs, per-channel send times), and produces a
-  :class:`~repro.analysis.qos.QoSReport` at any instant that is
-  field-for-field **equal** to what the offline analyzer computes over
-  the same events (the parity contract ``tests/obs/test_live.py``
-  enforces on the committed example traces).
+  feeds every event into an
+  :class:`~repro.analysis.qos.IncrementalQoS` — the same state machine
+  the offline ``repro trace qos`` folds a recorded trace through, so
+  the live report *is* the postmortem one taken early.
 
 ``repro watch`` is the CLI front end (see :mod:`repro.cli`); ``docs/
 live.md`` documents the wire format and the watch UI.
@@ -37,13 +32,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time as _time
-from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import (
-    Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-    Tuple, Union,
+    Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union,
 )
 
+from ..analysis.qos import IncrementalQoS
 from ..errors import ConfigurationError
 from ..types import ProcessId, Time
 from .encode import EncodeError, from_jsonable, to_jsonable
@@ -53,7 +47,6 @@ from .sinks import MemorySink, TraceSink
 __all__ = [
     "LIVE_STREAM_MAGIC",
     "LIVE_STREAM_VERSION",
-    "IncrementalQoS",
     "LiveCollector",
     "StreamingSink",
     "parse_ship_address",
@@ -313,317 +306,12 @@ class StreamingSink(TraceSink):
 
 
 # ---------------------------------------------------------------------------
-# Incremental QoS
-# ---------------------------------------------------------------------------
-
-_UNSET = object()
-
-
-class IncrementalQoS:
-    """Streaming equivalent of :func:`repro.analysis.qos.qos_report`.
-
-    Feed events in stream order with :meth:`observe_event`; call
-    :meth:`report` at any instant for a full
-    :class:`~repro.analysis.qos.QoSReport` over everything seen so far,
-    or :meth:`snapshot` for the cheap dict the watch UI renders.
-
-    Parity with the offline analyzer is exact, including the
-    crash-truncation rules: a suspicion interval is opened *tentatively*
-    (the crash event that makes it correct may arrive later in the
-    stream than the ``fd`` event that opened it), and the offline
-    analyzer's whole-trace crash knowledge is applied at report time —
-    intervals whose suspect had already crashed are discarded, intervals
-    whose suspect crashed mid-mistake are truncated at the crash.
-    """
-
-    def __init__(self, channel: str = "fd") -> None:
-        self.channel = channel
-        self._end_time: Time = 0.0
-        self._event_count = 0
-        self._kind_counts: Dict[str, int] = {}
-        self._pids: Set[ProcessId] = set()
-        self._crashes: Dict[ProcessId, Time] = {}
-        #: channel -> times of non-loopback sends (sorted lazily at report).
-        self._sends: Dict[Any, List[Time]] = {}
-        # Per-observer detector state for `channel`:
-        self._has_records: Set[ProcessId] = set()
-        self._previous: Dict[ProcessId, FrozenSet[ProcessId]] = {}
-        #: observer -> {suspect: open time} — tentatively open mistakes.
-        self._open_since: Dict[ProcessId, Dict[ProcessId, Time]] = {}
-        #: observer -> [(suspect, start, retraction time)] — closed ones.
-        self._closed: Dict[ProcessId, List[Tuple[ProcessId, Time, Time]]] = {}
-        #: observer -> {suspect: start of its current suspicion stretch}.
-        self._suspect_since: Dict[ProcessId, Dict[ProcessId, Time]] = {}
-        #: observer -> last trusted output / start of that constant run.
-        self._trusted: Dict[ProcessId, Optional[ProcessId]] = {}
-        self._run_start: Dict[ProcessId, Time] = {}
-        self._span_replies = 0
-
-    # ------------------------------------------------------------ ingestion
-    def observe_event(self, event: TraceEvent) -> None:
-        """Fold one event into the running state (events in stream order)."""
-        t = event.time
-        if t > self._end_time:
-            self._end_time = t
-        self._event_count += 1
-        kind = event.kind
-        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        if event.pid is not None:
-            self._pids.add(event.pid)
-        if kind in ("send", "deliver"):
-            src = event.get("src")
-            dst = event.get("dst")
-            if src is not None:
-                self._pids.add(src)
-            if dst is not None:
-                self._pids.add(dst)
-            if kind == "send" and not event.get("loopback"):
-                self._sends.setdefault(event.get("channel"), []).append(t)
-        elif kind == "crash":
-            self._crashes[event.pid] = t
-        elif kind == "fd" and event.get("channel") == self.channel:
-            self._observe_fd(
-                event.pid, t, event.get("suspected"), event.get("trusted")
-            )
-        elif kind == "span.reply":
-            self._span_replies += 1
-
-    def observe(
-        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
-    ) -> None:
-        """Convenience wrapper building the :class:`TraceEvent` inline."""
-        self.observe_event(TraceEvent(time=time, kind=kind, pid=pid, data=data))
-
-    def _observe_fd(
-        self,
-        observer: Optional[ProcessId],
-        t: Time,
-        suspected: Optional[Iterable[ProcessId]],
-        trusted: Optional[ProcessId],
-    ) -> None:
-        self._has_records.add(observer)
-        # Leader-run tracking (suspected-less records still carry trusted).
-        if self._trusted.get(observer, _UNSET) is _UNSET or (
-            self._trusted[observer] != trusted
-        ):
-            self._trusted[observer] = trusted
-            self._run_start[observer] = t
-        if suspected is None:
-            return
-        suspected = frozenset(suspected)
-        previous = self._previous.get(observer, frozenset())
-        open_since = self._open_since.setdefault(observer, {})
-        stretch = self._suspect_since.setdefault(observer, {})
-        for q in suspected - previous:
-            open_since[q] = t  # tentative; crash screening at report time
-            stretch[q] = t
-        for q in previous - suspected:
-            start = open_since.pop(q, None)
-            if start is not None:
-                self._closed.setdefault(observer, []).append((q, start, t))
-            stretch.pop(q, None)
-        self._previous[observer] = suspected
-
-    # ------------------------------------------------------------ reporting
-    @property
-    def end_time(self) -> Time:
-        """Timestamp of the latest event seen."""
-        return self._end_time
-
-    @property
-    def event_count(self) -> int:
-        return self._event_count
-
-    def report(
-        self,
-        correct: Optional[FrozenSet[ProcessId]] = None,
-        period: Optional[Time] = None,
-        cost_channels: Optional[Sequence[str]] = None,
-        bound_channel: str = "fdp",
-        n: Optional[int] = None,
-        bound_tolerance: Optional[float] = None,
-    ):
-        """A :class:`~repro.analysis.qos.QoSReport` over everything seen.
-
-        Same signature and semantics as
-        :func:`repro.analysis.qos.qos_report` — the parity test asserts
-        the two reports are ``==``.
-        """
-        # Deferred: repro.analysis.qos imports repro.obs.reader.
-        from ..analysis.qos import (
-            BOUND_TOLERANCE, QoSReport, transformation_bound,
-        )
-
-        if bound_tolerance is None:
-            bound_tolerance = BOUND_TOLERANCE
-        end_time = self._end_time
-        if n is None:
-            n = max(self._pids) + 1 if self._pids else 0
-        crashes = dict(self._crashes)
-        if correct is None:
-            correct = frozenset(range(n)) - frozenset(crashes)
-        correct = frozenset(correct)
-
-        detection = {
-            victim: self._detection(victim, at, correct)
-            for victim, at in sorted(crashes.items())
-        }
-        mistakes = self._mistakes(correct, crashes)
-        mistake_rate = len(mistakes) / end_time if end_time > 0 else None
-        durations = [m.duration for m in mistakes if m.duration is not None]
-        mean_duration = sum(durations) / len(durations) if durations else None
-        stabilized_at, leader = self._leader(correct)
-
-        report = QoSReport(
-            n=n, channel=self.channel, end_time=end_time, correct=correct,
-            crashes=dict(sorted(crashes.items())), detection=detection,
-            mistakes=mistakes, mistake_rate=mistake_rate,
-            mean_mistake_duration=mean_duration,
-            leader_stabilized_at=stabilized_at, stable_leader=leader,
-        )
-        if period is None or period <= 0:
-            return report
-
-        report.period = period
-        settle_points = [stabilized_at if stabilized_at is not None else 0.0]
-        for victim, at in crashes.items():
-            latency = detection.get(victim)
-            if latency is not None:
-                settle_points.append(at + latency)
-        window_start = max(settle_points) + period
-        if end_time - window_start < 2 * period:
-            report.cost_window = None
-            return report
-        report.cost_window = (window_start, end_time)
-        counts = self._channel_counts(window_start, end_time)
-        if cost_channels is None:
-            cost_channels = sorted(
-                ch for ch, count in counts.items() if ch and count > 0
-            )
-        spans = (end_time - window_start) / period
-        report.message_cost = {
-            ch: (counts.get(ch, 0) / spans if spans > 0 else 0.0)
-            for ch in cost_channels
-        }
-        report.bound_channel = bound_channel
-        report.bound_value = float(transformation_bound(n))
-        if bound_channel in report.message_cost:
-            cost = report.message_cost[bound_channel]
-            if cost > 0:
-                report.bound_ok = (
-                    cost <= report.bound_value * (1.0 + bound_tolerance)
-                )
-        return report
-
-    def _detection(
-        self,
-        victim: ProcessId,
-        crash_time: Time,
-        correct: FrozenSet[ProcessId],
-    ) -> Optional[Time]:
-        worst = crash_time
-        for pid in correct:
-            since = self._suspect_since.get(pid, {}).get(victim)
-            if since is None:
-                return None
-            if since > worst:
-                worst = since
-        return worst - crash_time
-
-    def _mistakes(
-        self,
-        correct: FrozenSet[ProcessId],
-        crashes: Dict[ProcessId, Time],
-    ) -> List:
-        from ..analysis.qos import Mistake
-
-        mistakes: List = []
-        observers = set(self._closed) | set(self._open_since)
-        for observer in sorted(obs for obs in observers if obs in correct):
-            for q, start, raw_end in self._closed.get(observer, []):
-                crash_at = crashes.get(q)
-                if crash_at is not None and crash_at <= start:
-                    continue  # the suspicion was already correct at open
-                end = raw_end
-                if crash_at is not None and crash_at < end:
-                    end = max(start, crash_at)
-                mistakes.append(Mistake(observer, q, start, end))
-            for q, start in self._open_since.get(observer, {}).items():
-                crash_at = crashes.get(q)
-                if crash_at is not None and crash_at <= start:
-                    continue
-                if crash_at is not None:
-                    # The suspect eventually did crash: the mistake lasted
-                    # until the crash made the suspicion true.
-                    mistakes.append(Mistake(observer, q, start, crash_at))
-                else:
-                    mistakes.append(Mistake(observer, q, start, None))
-        mistakes.sort(key=lambda m: (m.start, m.observer, m.suspect))
-        return mistakes
-
-    def _leader(
-        self, correct: FrozenSet[ProcessId]
-    ) -> Tuple[Optional[Time], Optional[ProcessId]]:
-        observers = frozenset(
-            pid for pid in correct if pid in self._has_records
-        )
-        if not observers or observers != correct:
-            return None, None
-        finals = {self._trusted[pid] for pid in observers}
-        if len(finals) != 1:
-            return None, None
-        leader = next(iter(finals))
-        if leader is None or leader not in correct:
-            return None, None
-        # Every observer's final trusted equals `leader`, so its trailing
-        # clean stretch is exactly its trailing constant-trusted run.
-        worst = 0.0
-        for pid in observers:
-            since = self._run_start[pid]
-            if since > worst:
-                worst = since
-        return worst, leader
-
-    def _channel_counts(self, after: Time, before: Time) -> Dict[Any, int]:
-        counts: Dict[Any, int] = {}
-        for ch, times in self._sends.items():
-            times.sort()  # merged node streams may interleave out of order
-            counts[ch] = bisect_right(times, before) - bisect_left(times, after)
-        return counts
-
-    # -------------------------------------------------------------- watch UI
-    def snapshot(self) -> Dict[str, Any]:
-        """Cheap running-state dict for the ``repro watch`` table."""
-        return {
-            "n": max(self._pids) + 1 if self._pids else 0,
-            "end_time": self._end_time,
-            "events": self._event_count,
-            "crashes": dict(sorted(self._crashes.items())),
-            "trusted": {
-                pid: self._trusted[pid] for pid in sorted(self._trusted)
-            },
-            "suspected": {
-                pid: sorted(self._previous[pid])
-                for pid in sorted(self._previous)
-            },
-            "open_mistakes": sum(len(v) for v in self._open_since.values()),
-            "closed_mistakes": sum(len(v) for v in self._closed.values()),
-            "span_replies": self._span_replies,
-            "sends": {
-                ch: len(self._sends[ch])
-                for ch in sorted(k for k in self._sends if k)
-            },
-            "kinds": dict(sorted(self._kind_counts.items())),
-        }
-
-
-# ---------------------------------------------------------------------------
 # Collector
 # ---------------------------------------------------------------------------
 
 class LiveCollector:
     """TCP server ingesting :class:`StreamingSink` streams into an
-    :class:`IncrementalQoS`.
+    :class:`~repro.analysis.qos.IncrementalQoS`.
 
     Clock rebasing mirrors :mod:`repro.obs.merge`: the first hello's
     ``epoch_wall`` becomes the common base, and every stream's events are

@@ -8,9 +8,8 @@ which one:
 
 * :class:`MemorySink` — the append-only in-memory log with the query
   helpers (:meth:`~MemorySink.select`, :meth:`~MemorySink.count`,
-  :meth:`~MemorySink.last`) that :mod:`repro.analysis` consumes.  This is
-  the class historically known as ``repro.sim.trace.Trace`` and is still
-  re-exported there (and here, as :data:`Trace`) under that name.
+  :meth:`~MemorySink.last`) that :mod:`repro.analysis` consumes; the
+  simulator's name for it, :data:`Trace`, is an alias (``repro.sim.Trace``).
 * :class:`JsonlSink` — a line-buffered streaming writer: one JSON object
   per event, preceded by a header carrying the node id and wall/monotonic
   clock provenance, which the offline merger uses to rebase per-node
@@ -173,7 +172,7 @@ class MemorySink(TraceSink):
         return self._events[-1].time if self._events else 0.0
 
 
-#: Historical name — ``repro.sim.trace.Trace`` re-exports this alias.
+#: The simulator's name for the in-memory log (``repro.sim.Trace``).
 Trace = MemorySink
 
 

@@ -13,6 +13,8 @@ protocols in :mod:`repro.sim.api`; anything implementing them can host a
 second implementation.
 """
 
+from ..obs.events import TraceEvent
+from ..obs.sinks import Trace
 from .api import NetworkAPI, ProcessAPI, SchedulerAPI, WorldAPI, stream_for
 from .component import Component, Periodic
 from .delays import (
@@ -44,7 +46,6 @@ from .process import Process
 from .rng import RandomSource
 from .scheduler import Scheduler
 from .tasks import Sleep, Task, TaskRuntime, WaitUntil
-from .trace import Trace, TraceEvent
 from .world import World
 
 __all__ = [

@@ -9,7 +9,7 @@ narrow surface:
   callbacks (:class:`SchedulerAPI`);
 * a **message fabric** (``world.network``) with a fire-and-forget ``send``
   (:class:`NetworkAPI`);
-* a **world** exposing ``n``, a :class:`~repro.sim.trace.Trace`, and named
+* a **world** exposing ``n``, a :class:`~repro.sim.Trace`, and named
   RNG streams (:class:`WorldAPI`);
 * a **process** container with ``pid`` / ``crashed`` / FD-change fan-out
   (:class:`ProcessAPI`).
@@ -107,7 +107,7 @@ class NetworkAPI(Protocol):
 class WorldAPI(Protocol):
     """What a component sees as ``self.world``.
 
-    ``trace`` must quack like :class:`repro.sim.trace.Trace` and ``rng``
+    ``trace`` must quack like :class:`repro.sim.Trace` and ``rng``
     like :class:`repro.sim.rng.RandomSource`; both are substrate-independent
     classes reused verbatim by the live runtime, so they appear here as
     attribute declarations rather than re-modelled protocols.

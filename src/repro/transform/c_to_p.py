@@ -26,7 +26,10 @@ Engineering notes kept faithful to the proof:
 * a leader never suspects itself;
 * when a process *becomes* leader its freshness clocks restart (it was not
   collecting ``I-AM-ALIVE`` messages before), which only delays suspicions —
-  harmless for the eventual properties;
+  harmless for the eventual properties — and it publishes its own list at
+  once: Fig. 2's output *is* the leader's local list, so a list adopted
+  under the previous leader must not outlive the takeover (it would stay
+  forever if the own list never changed afterwards);
 * a process that stops being leader keeps its last adopted/ built list until
   it adopts from the new leader.
 """
@@ -99,6 +102,10 @@ class CToPTransformation(FailureDetector):
             now = self.now
             for q in self._last_alive:
                 self._last_alive[q] = now
+            # ... and the output becomes the own list again: Tasks 3/4
+            # publish only when that list changes, so without this the
+            # list adopted under the previous leader could stay forever.
+            self._publish()
         self._was_leader = leader_now
 
     # --------------------------------------------------------------- Task 1

@@ -17,7 +17,6 @@ from repro.cluster import (
     verdicts_ok,
 )
 from repro.errors import ConfigurationError
-from repro.net import FaultPlan
 from repro.obs.sinks import MemorySink
 
 SIM_SCALE = dict(period=5.0, initial_timeout=12.0, timeout_increment=5.0)
@@ -76,14 +75,6 @@ def test_fault_verb_surface_is_identical_across_substrates(verb):
     proc = shape(ProcessCluster(n=2))
     assert local == proc
     assert local[-1] == ("at", None)
-
-
-def test_fault_plan_ctor_kwarg_is_deprecated():
-    plan = FaultPlan(2)
-    with pytest.warns(DeprecationWarning, match="fault_plan"):
-        cluster = LocalCluster(n=2, clock="virtual", fault_plan=plan)
-    # The legacy path still works while deprecated.
-    assert cluster.plan is plan
 
 
 # ------------------------------------------ LocalCluster under the harness

@@ -6,13 +6,14 @@ Three layers under test:
 * :class:`StreamingSink` — never blocks the node it observes: bounded
   buffer with counted drops, kind filtering, reconnect-with-backoff, and
   at-most-once accounting across torn connections.
-* :class:`IncrementalQoS` — the online twin of
-  :func:`repro.analysis.qos.qos_report`.  The headline contract is exact
-  report equality (``==`` on the dataclass) against the offline analyzer
-  over the committed example traces *and* over synthetic streams that
-  exercise the crash-truncation rules, where live ingestion is hardest:
-  the crash that reclassifies a suspicion can arrive later in the stream
-  than the ``fd`` event that opened it.
+* :class:`~repro.analysis.qos.IncrementalQoS` — the one QoS engine, as a
+  collector drives it: literal (golden) report fields over the committed
+  example traces, independence from cross-node arrival order, and
+  synthetic streams that exercise the crash-truncation rules where live
+  ingestion is hardest — the crash that reclassifies a suspicion can
+  arrive later in the stream than the ``fd`` event that opened it.
+  (``tests/analysis/test_qos.py`` holds the hand-computed behavioural
+  spec, through the offline front end.)
 * :class:`LiveCollector` — multi-stream ingestion: epoch rebasing onto
   the first stream's clock, payload round-tripping, and torn-stream
   accounting for garbage and truncated frames.
@@ -27,9 +28,8 @@ from repro.analysis import qos_report
 from repro.analysis.qos import Mistake
 from repro.errors import ConfigurationError
 from repro.net.frame import write_frame
-from repro.obs import MemorySink, merge_traces
+from repro.obs import IncrementalQoS, merge_traces
 from repro.obs.live import (
-    IncrementalQoS,
     LiveCollector,
     StreamingSink,
     parse_ship_address,
@@ -135,38 +135,82 @@ def test_shipper_reconnects_after_a_torn_stream():
         == recorded
 
 
-# ------------------------------------------------- online QoS: parity
+# ----------------------------------- the QoS engine on recorded streams
 
 @pytest.fixture(scope="module")
 def example_merge():
     return merge_traces(EXAMPLE_TRACES)
 
 
-@pytest.mark.parametrize("period", [None, 5.0, 0.5])
-def test_incremental_qos_matches_offline_on_example_traces(
-    example_merge, period
-):
-    """Field-for-field report equality with the offline analyzer over the
-    committed multi-node example traces (which include a crash)."""
+def test_example_traces_report_the_committed_numbers(example_merge):
+    """Golden report over the committed multi-node example traces (n=3,
+    p0 crashes at 2.2): literal values captured from the multi-pass
+    offline analyzer this engine replaced."""
     online = IncrementalQoS()
     for event in example_merge.trace:
         online.observe_event(event)
-    offline = qos_report(example_merge.trace, period=period)
-    assert online.report(period=period) == offline
-    assert online.event_count == len(example_merge.trace.events)
+    assert online.event_count == len(example_merge.trace.events) == 333
+
+    report = online.report()
+    assert report.n == 3 and report.correct == frozenset({1, 2})
+    assert report.end_time == pytest.approx(80.55)
+    assert report.crashes == {0: pytest.approx(2.2)}
+    assert report.detection == {0: pytest.approx(13.8)}
+    assert report.mistakes == [] and report.mistake_rate == 0.0
+    assert report.mean_mistake_duration is None
+    assert report.leader_stabilized_at == pytest.approx(15.55)
+    assert report.stable_leader == 1
+    assert report.period is None and report.cost_window is None
+    assert report.message_cost == {} and report.bound_ok is None
+
+    costed = online.report(period=5.0)
+    # Window opens one period after the later of T_D (2.2 + 13.8) and
+    # leader stabilization (15.55).
+    assert costed.cost_window == (pytest.approx(21.0), pytest.approx(80.55))
+    assert costed.message_cost == {
+        "fd.omega": pytest.approx(2.015, abs=5e-4),
+        "fd.suspects": pytest.approx(4.030, abs=5e-4),
+        "fdp": pytest.approx(3.023, abs=5e-4),
+    }
+    assert costed.bound_channel == "fdp" and costed.bound_value == 4.0
+    assert costed.bound_ok is True
+
+    fine = online.report(period=0.5)
+    assert fine.cost_window == (pytest.approx(16.5), pytest.approx(80.55))
+    assert fine.message_cost == {
+        "consensus": pytest.approx(0.02342, abs=5e-6),
+        "consensus.rb": pytest.approx(0.03123, abs=5e-6),
+        "fd.omega": pytest.approx(0.20297, abs=5e-6),
+        "fd.suspects": pytest.approx(0.39813, abs=5e-6),
+        "fdp": pytest.approx(0.30445, abs=5e-6),
+    }
+    assert fine.bound_ok is True
+    # The offline front end is a fold of the same engine.
+    assert qos_report(example_merge.trace, period=0.5) == fine
 
 
-def _both(rows, period=None):
-    """Feed identical synthetic streams to both analyzers; assert parity
-    and hand back the (shared) report."""
+@pytest.mark.parametrize("period", [None, 5.0, 0.5])
+def test_report_is_independent_of_cross_node_interleaving(
+    example_merge, period
+):
+    """What the streaming design promises a collector: only per-node
+    order matters.  Feeding the events node by node, concatenated — the
+    most reordered arrival that keeps each node's own order — yields a
+    report equal to the time-merged one."""
+    merged = list(example_merge.trace)
+    # Node k's file holds exactly the pid-k events, so a stable sort by
+    # pid *is* the three rebased files back to back.
+    by_node = sorted(merged, key=lambda event: event.pid)
+    assert [e.time for e in by_node] != [e.time for e in merged]
+    assert qos_report(by_node, period=period) \
+        == qos_report(merged, period=period)
+
+
+def _report(rows, period=None):
     online = IncrementalQoS()
-    offline = MemorySink()
     for t, kind, pid, data in rows:
         online.observe(t, kind, pid, **data)
-        offline.record(t, kind, pid, **data)
-    report = online.report(period=period)
-    assert report == qos_report(offline, period=period)
-    return report
+    return online.report(period=period)
 
 
 _FD = "fd"
@@ -184,7 +228,7 @@ def test_crash_arriving_later_in_the_stream_voids_the_mistake():
     # Observer 1 suspects 2 at t=2.0; the crash record (t=1.0, from
     # another stream) only arrives afterwards.  The suspicion was
     # correct all along: no mistake may survive report-time screening.
-    report = _both([
+    report = _report([
         _fd(0.5, 1, (), 0),
         _fd(2.0, 1, (2,), 0),
         (1.0, "crash", 2, {}),
@@ -198,7 +242,7 @@ def test_crash_mid_mistake_truncates_it_at_the_crash():
     # Suspecting a live process is a mistake from t=1.0 — but once the
     # suspect dies at t=3.0 the suspicion becomes correct, so the
     # mistake ends there, not at the t=5.0 retraction.
-    report = _both([
+    report = _report([
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         (3.0, "crash", 2, {}),
@@ -209,7 +253,7 @@ def test_crash_mid_mistake_truncates_it_at_the_crash():
 
 
 def test_never_retracted_mistake_closes_at_the_crash():
-    report = _both([
+    report = _report([
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         (3.0, "crash", 2, {}),
@@ -220,7 +264,7 @@ def test_never_retracted_mistake_closes_at_the_crash():
 
 
 def test_never_retracted_mistake_without_a_crash_stays_open():
-    report = _both([
+    report = _report([
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         _fd(6.0, 1, (2,), 0),
@@ -237,7 +281,7 @@ def test_message_cost_counts_match_with_interleaved_sends():
             "channel": "fdp", "src": i % 3, "dst": (i + 1) % 3,
         }))
     rows.append(_fd(4.2, 1, (), 0))
-    report = _both(rows, period=0.5)
+    report = _report(rows, period=0.5)
     assert report.message_cost["fdp"] is not None
     assert report.bound_ok is not None
 

@@ -1,4 +1,4 @@
-"""Sinks: MemorySink back-compat, JSONL writer mechanics, tee fan-out."""
+"""Sinks: MemorySink queries, JSONL writer mechanics, tee fan-out."""
 
 import json
 
@@ -9,17 +9,14 @@ from repro.obs import JsonlSink, MemorySink, TeeSink, TraceEvent
 
 
 # ---------------------------------------------------------------------------
-# MemorySink — the class historically known as repro.sim.trace.Trace
+# MemorySink — the class the simulator calls Trace
 # ---------------------------------------------------------------------------
 
-def test_sim_trace_shim_still_exports_the_old_names():
-    from repro.sim.trace import Trace, TraceEvent as ShimEvent
+def test_sim_package_exports_the_obs_classes_under_its_own_names():
+    from repro.sim import Trace, TraceEvent as SimEvent
 
     assert Trace is MemorySink
-    assert ShimEvent is TraceEvent
-    from repro.sim import Trace as PackageTrace
-
-    assert PackageTrace is MemorySink
+    assert SimEvent is TraceEvent
 
 
 def test_memory_sink_record_select_last_count():

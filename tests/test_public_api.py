@@ -88,20 +88,6 @@ class TestPublicAPI:
         assert callable(standard_verdicts) and callable(verdicts_ok)
         assert isinstance(ClusterAPI, type)
 
-    def test_local_cluster_old_home_warns(self):
-        """repro.net.cluster still works but carries a DeprecationWarning."""
-        import warnings
-
-        from repro.cluster import LocalCluster as canonical
-        from repro.net import cluster as old_home
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert old_home.LocalCluster is canonical
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
     def test_local_cluster_net_reexport_does_not_warn(self):
         """`from repro.net import LocalCluster` stays first-class."""
         import warnings

@@ -18,6 +18,7 @@ from repro.fd import (
     OMEGA,
     OracleConfig,
     OracleFailureDetector,
+    attach_ec_stack,
 )
 from repro.sim import (
     FairLossyLink,
@@ -142,6 +143,31 @@ class TestTheorem1:
         failure detector into a ◇P failure detector"."""
         world, dets = build(seed=4, source_class=OMEGA, crash=(2, 60.0))
         world.run(until=800.0)
+        results = check_fd_class_on_world(world, EVENTUALLY_PERFECT,
+                                          channel="fdp")
+        assert all(results.values()), results
+
+    @pytest.mark.parametrize("seed", [135, 268])
+    def test_new_leader_drops_the_list_adopted_under_the_old_one(self, seed):
+        """Regression: on a real ◇C source (ring + Ω) whose leadership
+        moves after the first leader crashes before GST, a process taking
+        over must publish its own list; it used to keep the list it had
+        adopted from its predecessor forever when its own never changed
+        again, which broke ◇P on exactly these two seeds of 0–299."""
+        world = World(
+            n=16, seed=seed,
+            default_link=partially_synchronous_link(gst=50, pre_max=30.0),
+        )
+        sources = attach_ec_stack(
+            world, suspects="ring", period=5.0, initial_timeout=12.0
+        )
+        for pid in world.pids:
+            world.attach(pid, CToPTransformation(
+                sources[pid], send_period=5.0, alive_period=5.0,
+                initial_timeout=12.0, channel="fdp",
+            ))
+        world.schedule_crash(0, 25.0)
+        world.run(until=600.0)
         results = check_fd_class_on_world(world, EVENTUALLY_PERFECT,
                                           channel="fdp")
         assert all(results.values()), results
