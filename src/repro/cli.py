@@ -266,29 +266,26 @@ def _parse_degrade_specs(specs) -> list:
     """Parse repeated ``--degrade SRC:DST:LOSS[:DELAY]`` flags into
     ``(src, dst, loss, delay)`` tuples (``delay`` may be ``None``)."""
     from .errors import ConfigurationError
+    from .net.faults import check_fault
 
     links = []
     for spec in specs:
         parts = spec.split(":")
         try:
             if len(parts) not in (3, 4):
-                raise ValueError(spec)
+                raise ValueError(f"{len(parts)} fields")
             src, dst = int(parts[0]), int(parts[1])
             loss = float(parts[2])
             delay = float(parts[3]) if len(parts) == 4 else None
-        except ValueError:
-            raise ConfigurationError(
-                f"bad --degrade spec {spec!r}; expected SRC:DST:LOSS[:DELAY]"
-                ", e.g. 0:1:0.3 or 0:1:0.3:0.02"
+            check_fault(
+                "degrade",
+                {"src": src, "dst": dst, "loss": loss, "delay": delay},
             )
-        if not 0.0 <= loss <= 1.0:
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
-                f"--degrade loss {loss} outside [0, 1] (spec {spec!r})"
-            )
-        if delay is not None and delay < 0:
-            raise ConfigurationError(
-                f"--degrade delay {delay} must be >= 0 (spec {spec!r})"
-            )
+                f"bad --degrade spec {spec!r} ({exc}); expected "
+                "SRC:DST:LOSS[:DELAY], e.g. 0:1:0.3 or 0:1:0.3:0.02"
+            ) from None
         links.append((src, dst, loss, delay))
     return links
 

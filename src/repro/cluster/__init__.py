@@ -4,8 +4,10 @@ This package is the home of everything that boots *n* nodes, crashes
 some of them, and judges the run:
 
 * :mod:`~repro.cluster.api` — the :class:`ClusterAPI` structural
-  protocol (``start / stop / crash / wait_quiescent / traces /
-  verdicts``) and :func:`standard_verdicts`, the shared postmortem;
+  protocol (``start / stop / fault / crash / wait_quiescent / traces /
+  verdicts``), :class:`FaultVerbs` — the fault half of it, written once
+  for every substrate — and :func:`standard_verdicts`, the shared
+  postmortem;
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`, *n*
   :class:`~repro.net.host.NodeHost`\\ s in one OS process (wall or
   virtual clock);
@@ -18,6 +20,7 @@ from __future__ import annotations
 from .api import (
     FAULT_VERBS,
     ClusterAPI,
+    FaultVerbs,
     rsm_verdicts,
     standard_verdicts,
     verdicts_ok,
@@ -33,6 +36,7 @@ from .local import (
 __all__ = [
     "ClusterAPI",
     "FAULT_VERBS",
+    "FaultVerbs",
     "rsm_verdicts",
     "standard_verdicts",
     "verdicts_ok",

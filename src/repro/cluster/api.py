@@ -23,8 +23,11 @@ the whole crash-recovery experiment is expressible against it::
 
 Beyond ``crash``, the protocol carries the full fault surface in
 :data:`FAULT_VERBS` — stalls, partitions, link degradation, loss storms,
-clock skew — every verb schedulable via ``at=`` exactly like ``crash``,
-which is what the declarative :mod:`repro.scenario` layer compiles to.
+clock skew — every verb schedulable via ``at=`` exactly like ``crash``.
+The verbs are sugar: each is one call of ``fault(op, args, at=None)``, the
+single entry point over the :data:`~repro.net.faults.FAULT_OPS`
+vocabulary, written once in :class:`FaultVerbs` — which is what the
+declarative :mod:`repro.scenario` layer compiles to.
 
 Crashes follow the paper's **crash-stop** model: a crashed process never
 recovers and is excluded from the correct set (no restart semantics).
@@ -40,12 +43,14 @@ are judged by exactly the same code.
 from __future__ import annotations
 
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Optional, Protocol, Sequence, Tuple,
-    runtime_checkable,
+    Any, Dict, FrozenSet, Iterable, List, Optional, Protocol, Sequence,
+    Tuple, runtime_checkable,
 )
 
 from ..analysis import check_consensus, check_fd_class, extract_outcome
+from ..errors import ConfigurationError
 from ..fd.classes import EVENTUALLY_CONSISTENT, FDClass
+from ..net.faults import FAULT_OPS, check_fault
 from ..obs.reader import TraceSource, as_trace
 from ..obs.sinks import MemorySink
 from ..types import ProcessId, Time
@@ -53,18 +58,15 @@ from ..types import ProcessId, Time
 __all__ = [
     "ClusterAPI",
     "FAULT_VERBS",
+    "FaultVerbs",
     "standard_verdicts",
     "rsm_verdicts",
     "verdicts_ok",
 ]
 
-#: Every fault verb a :class:`ClusterAPI` implementation must carry — the
-#: conformance tests iterate this tuple and compare signatures across
-#: substrates, so the scenario layer can drive either one blindly.
-FAULT_VERBS = (
-    "crash", "stall", "resume", "partition", "heal", "isolate",
-    "degrade", "restore", "storm", "calm", "skew",
-)
+#: Every fault verb a :class:`ClusterAPI` implementation must carry: one
+#: per op of the shared vocabulary.
+FAULT_VERBS = tuple(FAULT_OPS)
 
 
 @runtime_checkable
@@ -103,6 +105,15 @@ class ClusterAPI(Protocol):
     # Every verb takes ``at`` — cluster time to fire at (``None`` = now),
     # schedulable before start() like crash() — so a declarative scenario
     # compiles to the same calls on either substrate.
+
+    def fault(
+        self, op: str, args: Dict[str, Any], at: Optional[Time] = None
+    ) -> None:
+        """Inject one fault of the :data:`~repro.net.faults.FAULT_OPS`
+        vocabulary — the entry point every named verb below is sugar
+        over.  Validates eagerly (a bad fault raises here, not inside a
+        timer callback), queues before :meth:`start`, arms after it."""
+        ...
 
     def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
         """Freeze node *pid*: it stops executing (process cluster:
@@ -182,6 +193,103 @@ class ClusterAPI(Protocol):
     def verdicts(self, channel: str = "fd", algo: str = "ec") -> Dict[str, Any]:
         """Machine-checked FD + consensus properties of the run."""
         ...
+
+
+class FaultVerbs:
+    """The fault half of :class:`ClusterAPI`, written once for every substrate.
+
+    :meth:`fault` validates, queues before start and arms after it; the
+    eleven named verbs are one-liners over it (contracts documented on
+    :class:`ClusterAPI`).  A substrate supplies only what is genuinely its
+    own: ``_call_at(at, callback, *args)`` — run a callback at cluster time
+    *at* — and ``_deliver(op, args)`` — make one validated fault happen now.
+    """
+
+    n: int
+
+    def __init__(self) -> None:
+        self._started = False
+        self._pending_faults: List[
+            Tuple[str, Dict[str, Any], Optional[Time]]
+        ] = []
+
+    def fault(
+        self, op: str, args: Dict[str, Any], at: Optional[Time] = None
+    ) -> None:
+        check_fault(op, args, self.n)
+        if not self._started:
+            self._pending_faults.append((op, args, at))
+        else:
+            self._arm(op, args, at)
+
+    def _arm(self, op: str, args: Dict[str, Any], at: Optional[Time]) -> None:
+        if at is None:
+            self._deliver(op, args)
+        else:
+            self._call_at(at, self._deliver, op, args)
+
+    def _mark_started(self) -> None:
+        if self._started:
+            raise ConfigurationError("cluster already started")
+        self._started = True
+
+    def _arm_pending_faults(self) -> None:
+        """Move the pre-start schedule onto the clock, in call order (call
+        once the substrate's time zero is fixed)."""
+        for op, args, at in self._pending_faults:
+            self._arm(op, args, at)
+        self._pending_faults.clear()
+
+    def crash(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        self.fault("crash", {"pid": pid}, at)
+
+    def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        self.fault("stall", {"pid": pid}, at)
+
+    def resume(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        self.fault("resume", {"pid": pid}, at)
+
+    def partition(
+        self,
+        groups: Sequence[Iterable[ProcessId]],
+        at: Optional[Time] = None,
+    ) -> None:
+        self.fault("partition", {"groups": [list(g) for g in groups]}, at)
+
+    def heal(self, at: Optional[Time] = None) -> None:
+        self.fault("heal", {}, at)
+
+    def isolate(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        self.fault("isolate", {"pid": pid}, at)
+
+    def degrade(
+        self,
+        src: ProcessId,
+        dst: ProcessId,
+        loss: Optional[float] = None,
+        delay: Optional[Time] = None,
+        at: Optional[Time] = None,
+    ) -> None:
+        self.fault(
+            "degrade",
+            {"src": src, "dst": dst, "loss": loss, "delay": delay}, at,
+        )
+
+    def restore(
+        self, src: ProcessId, dst: ProcessId, at: Optional[Time] = None
+    ) -> None:
+        self.fault("restore", {"src": src, "dst": dst}, at)
+
+    def storm(self, loss: float, at: Optional[Time] = None) -> None:
+        self.fault("storm", {"loss": loss}, at)
+
+    def calm(self, at: Optional[Time] = None) -> None:
+        self.fault("calm", {}, at)
+
+    def skew(
+        self, pid: ProcessId, offset: Time, at: Optional[Time] = None
+    ) -> None:
+        self.fault("skew", {"pid": pid, "offset": offset}, at)
 
 
 def standard_verdicts(

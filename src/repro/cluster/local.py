@@ -43,9 +43,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..broadcast.reliable import ReliableBroadcast
 from ..consensus.ec_consensus import ECConsensus
@@ -66,10 +64,9 @@ from ..obs.live import StreamingSink
 from ..obs.metrics import MetricsReporter
 from ..obs.sinks import JsonlSink, MemorySink, TeeSink, TraceSink
 from ..sim.component import Component
-from ..sim.delays import FixedDelay
 from ..transform.c_to_p import CToPTransformation
 from ..types import ProcessId, Time
-from .api import rsm_verdicts, standard_verdicts
+from .api import FaultVerbs, rsm_verdicts, standard_verdicts
 
 __all__ = [
     "LocalCluster",
@@ -96,7 +93,7 @@ async def _maybe(value: Any) -> Any:
     return value
 
 
-class LocalCluster:
+class LocalCluster(FaultVerbs):
     """*n* live nodes in one OS process (see module docstring)."""
 
     def __init__(
@@ -130,6 +127,7 @@ class LocalCluster:
                 "ship_to needs a wall clock: live shipping runs on the "
                 "event loop and a virtual run has no wall epoch to rebase"
             )
+        super().__init__()  # the pre-start fault queue (ClusterAPI.fault)
         self.n = n
         self.transport_kind = transport
         self.clock = VirtualClock() if clock == "virtual" else AsyncioClock()
@@ -186,13 +184,6 @@ class LocalCluster:
         #: unconditionally and the ClusterAPI fault verbs are always live.
         self.plan = FaultPlan(n, seed=seed)
         self._hub = LoopbackHub(self.clock) if transport == "loopback" else None
-        self._started = False
-        # Crash-stop schedule accepted before start; flushed onto the clock
-        # the moment components start (ClusterAPI.crash contract).
-        self._pending_crashes: List[Tuple[ProcessId, Optional[Time]]] = []
-        # Fault-verb schedule accepted before start, same contract: a list
-        # of (at, fire-closure) pairs flushed by _flush_pending().
-        self._pending_faults: List[Tuple[Optional[Time], Callable[[], None]]] = []
         # (time, value-factory) proposal rounds from deploy_standard_stack.
         self._pending_proposals: List[Time] = []
         #: Components per role when `deploy_standard_stack` was used.
@@ -203,10 +194,6 @@ class LocalCluster:
         # the tasks cannot be garbage-collected mid-close, reaped in stop().
         self._closing: set = set()
         self.hosts: List[NodeHost] = []
-        # Per-node clock proxies: zero-offset (exact) until the skew verb
-        # steps one — every host keeps its *own* notion of time over the
-        # one shared timeline.
-        self._host_clocks: List[SkewedClock] = []
         for pid in range(n):
             real: Transport
             if transport == "loopback":
@@ -216,8 +203,10 @@ class LocalCluster:
             else:
                 real = TCPTransport(pid, host=bind_host)
             wire = FaultyTransport(real, self.plan, self.clock)
-            host_clock = SkewedClock(self.clock)
-            self._host_clocks.append(host_clock)
+            # Per-node clock proxy: zero-offset (exact) until the skew verb
+            # steps it — every host keeps its *own* notion of time over
+            # the one shared timeline.
+            host_clock = self.plan.clocks[pid] = SkewedClock(self.clock)
             self.hosts.append(
                 NodeHost(
                     pid, n, wire,
@@ -317,7 +306,7 @@ class LocalCluster:
         if self.virtual:
             self.start_virtual()
             return
-        self._check_started()
+        self._mark_started()
         for h in self.hosts:
             await _maybe(h.transport.bind())
         addresses = {h.pid: h.transport.local_address for h in self.hosts}
@@ -413,7 +402,7 @@ class LocalCluster:
             raise ConfigurationError(
                 "start_virtual() needs clock='virtual'; use `await start()`"
             )
-        self._check_started()
+        self._mark_started()
         for h in self.hosts:
             h.transport.bind()
         addresses = {h.pid: h.transport.local_address for h in self.hosts}
@@ -438,24 +427,6 @@ class LocalCluster:
         self.clock.schedule_at(time, self.kill, pid)
 
     # ----------------------------------------------------------------- kills
-    def crash(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Crash-stop node *pid* at cluster time *at* (ClusterAPI contract).
-
-        ``at=None`` means "now" (immediately if running, at time zero if
-        the cluster has not started yet).  Before :meth:`start` the kill
-        is queued and flushed onto the clock at start, so whole failure
-        patterns can be scripted up front.  Crashed nodes never restart.
-        """
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        if not self._started:
-            self._pending_crashes.append((pid, at))
-            return
-        if at is None:
-            self.kill(pid)
-        else:
-            self.schedule_kill(pid, at)
-
     def kill(self, pid: ProcessId) -> None:
         """Kill node *pid*: crash its process and tear down its transport.
 
@@ -472,29 +443,24 @@ class LocalCluster:
             self._closing.add(task)
             task.add_done_callback(self._closing.discard)
 
-    # ----------------------------------------------------------- fault verbs
-    # Every verb shares crash()'s scheduling contract: `at=None` fires now,
-    # a time fires at that cluster instant, and calls before start() are
-    # queued and flushed the moment components start.  Arguments are
-    # validated eagerly (at call time) so a bad scenario fails before the
-    # run, not inside a clock callback.
+    # ---------------------------------------------------------------- faults
+    # The verbs themselves (crash ... skew, and fault(op, args, at=None)
+    # under them) are FaultVerbs'; this is the substrate half.
 
-    def _check_pid(self, pid: ProcessId) -> ProcessId:
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        return pid
-
-    def _fault(self, at: Optional[Time], fire: Callable[[], None]) -> None:
-        if not self._started:
-            self._pending_faults.append((at, fire))
-        elif at is None:
-            fire()
-        else:
-            self.clock.schedule_at(at, fire)
-
-    def _record_fault(
-        self, kind: str, pid: Optional[ProcessId] = None, **data: Any
+    def _call_at(
+        self, at: Time, callback: Callable[..., None], *args: Any
     ) -> None:
+        self.clock.schedule_at(at, callback, *args)
+
+    def _deliver(self, op: str, args: Dict[str, Any]) -> None:
+        """Make one fault happen now: a crash is a :meth:`kill`; everything
+        else mutates the shared plan (a stall is full send/receive silence,
+        the in-process stand-in for ``SIGSTOP``; a skew steps the node's
+        clock proxy) and is narrated as one ``scenario.*`` event."""
+        if op == "crash":
+            self.kill(args["pid"])
+            return
+        kind, pid, data = self.plan.apply(op, args)
         self._cluster_sink.record(self.clock.now, kind, pid, **data)
 
     def note_scenario(
@@ -502,140 +468,10 @@ class LocalCluster:
     ) -> None:
         """Record that a scenario schedule was armed (``scenario.run``)."""
         extra = {} if seed is None else {"seed": seed}
-        self._record_fault("scenario.run", name=name, events=events, **extra)
-
-    def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Freeze node *pid*: every message from or to it is dropped until
-        :meth:`resume` — the in-process stand-in for ``SIGSTOP`` (peers
-        observe the same silence; the node stays in the correct set)."""
-        self._check_pid(pid)
-
-        def fire() -> None:
-            self.plan.stall(pid)
-            self._record_fault("scenario.stall", target=pid, signal="silence")
-
-        self._fault(at, fire)
-
-    def resume(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Unfreeze a stalled node (see :meth:`stall`)."""
-        self._check_pid(pid)
-
-        def fire() -> None:
-            self.plan.resume(pid)
-            self._record_fault("scenario.resume", target=pid, signal="silence")
-
-        self._fault(at, fire)
-
-    def partition(
-        self,
-        groups: Sequence[Iterable[ProcessId]],
-        at: Optional[Time] = None,
-    ) -> None:
-        """Split the network into *groups* (pids in no group form an
-        implicit final group); cross-group traffic is dropped both ways."""
-        frozen = [list(group) for group in groups]
-        seen: set = set()
-        for group in frozen:
-            for pid in group:
-                self._check_pid(pid)
-                if pid in seen:
-                    raise ConfigurationError(f"pid {pid} in two groups")
-                seen.add(pid)
-
-        def fire() -> None:
-            applied = self.plan.partition(*frozen)
-            self._record_fault("scenario.partition", groups=applied)
-
-        self._fault(at, fire)
-
-    def heal(self, at: Optional[Time] = None) -> None:
-        """Remove the active network partition."""
-
-        def fire() -> None:
-            self.plan.heal()
-            self._record_fault("scenario.heal")
-
-        self._fault(at, fire)
-
-    def isolate(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Partition node *pid* away from everyone else."""
-        self._check_pid(pid)
-        self.partition([[pid]], at=at)
-
-    def degrade(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        loss: Optional[float] = None,
-        delay: Optional[Time] = None,
-        at: Optional[Time] = None,
-    ) -> None:
-        """Make the directed link ``src -> dst`` lossy and/or slow."""
-        self._check_pid(src)
-        self._check_pid(dst)
-        if loss is not None and not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-        if delay is not None and delay < 0:
-            raise ConfigurationError(f"negative delay {delay}")
-
-        def fire() -> None:
-            self.plan.degrade(
-                src, dst,
-                loss_prob=loss,
-                delay=None if delay is None else FixedDelay(delay),
-            )
-            self._record_fault(
-                "scenario.degrade", src=src, dst=dst, loss=loss, delay=delay
-            )
-
-        self._fault(at, fire)
-
-    def restore(
-        self, src: ProcessId, dst: ProcessId, at: Optional[Time] = None
-    ) -> None:
-        """Undo :meth:`degrade` for the directed link ``src -> dst``."""
-        self._check_pid(src)
-        self._check_pid(dst)
-
-        def fire() -> None:
-            self.plan.restore(src, dst)
-            self._record_fault("scenario.restore", src=src, dst=dst)
-
-        self._fault(at, fire)
-
-    def storm(self, loss: float, at: Optional[Time] = None) -> None:
-        """Start a cluster-wide message-loss storm (until :meth:`calm`)."""
-        if not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-
-        def fire() -> None:
-            self.plan.storm(loss)
-            self._record_fault("scenario.storm", loss=loss)
-
-        self._fault(at, fire)
-
-    def calm(self, at: Optional[Time] = None) -> None:
-        """End the active message-loss storm."""
-
-        def fire() -> None:
-            self.plan.calm()
-            self._record_fault("scenario.calm")
-
-        self._fault(at, fire)
-
-    def skew(
-        self, pid: ProcessId, offset: Time, at: Optional[Time] = None
-    ) -> None:
-        """Step node *pid*'s clock by *offset* seconds (cumulative)."""
-        self._check_pid(pid)
-
-        def fire() -> None:
-            self._host_clocks[pid].skew(offset)
-            self._record_fault(
-                "scenario.skew", pid=pid, target=pid, offset=offset
-            )
-
-        self._fault(at, fire)
+        self._cluster_sink.record(
+            self.clock.now, "scenario.run", None,
+            name=name, events=events, **extra,
+        )
 
     # ------------------------------------------------------------ postmortem
     def traces(self) -> MemorySink:
@@ -661,27 +497,11 @@ class LocalCluster:
 
     # -------------------------------------------------------------- internals
     def _flush_pending(self) -> None:
-        """Move pre-start crash/fault/proposal schedules onto the clock."""
-        for pid, at in self._pending_crashes:
-            if at is None:
-                self.kill(pid)
-            else:
-                self.schedule_kill(pid, at)
-        self._pending_crashes.clear()
-        for at, fire in self._pending_faults:
-            if at is None:
-                fire()
-            else:
-                self.clock.schedule_at(at, fire)
-        self._pending_faults.clear()
+        """Move pre-start fault/proposal schedules onto the clock."""
+        self._arm_pending_faults()
         for at in self._pending_proposals:
             self.clock.schedule_at(at, self._propose_all)
         self._pending_proposals.clear()
-
-    def _check_started(self) -> None:
-        if self._started:
-            raise ConfigurationError("cluster already started")
-        self._started = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "virtual" if self.virtual else "wall"

@@ -8,22 +8,23 @@ binds a :class:`FaultControlEndpoint`: a tiny UDP request/reply service
 fault command per datagram to the node's own fault plan and clock, records
 the matching ``scenario.*`` trace event, and acks.
 
-Commands are the network subset of the :class:`~repro.cluster.ClusterAPI`
-fault verbs — ``partition`` / ``heal`` / ``isolate`` / ``degrade`` /
-``restore`` / ``storm`` / ``calm`` / ``skew``:
+A command is one fault of the shared vocabulary
+(:data:`~repro.net.faults.FAULT_OPS`) spelled as a JSON object — ``op``
+plus that op's args, exactly the shape of a scenario-document event:
 
 .. code-block:: json
 
     {"op": "partition", "groups": [[0], [1, 2]]}
     {"op": "degrade", "src": 0, "dst": 1, "loss": 0.3, "delay": 0.02}
-    {"op": "skew", "offset": 0.5}
+    {"op": "skew", "pid": 2, "offset": 0.5}
 
 The launcher broadcasts each network command to *every* node (each node's
 plan only governs its own sends, so a partition must be installed on both
-sides), while ``skew`` targets the one node whose clock steps.  Process
-verbs (``crash``/``stall``/``resume``) never touch this channel — they are
-OS signals, delivered by the launcher, precisely so a frozen or dead node
-cannot be asked to cooperate in its own failure.
+sides), while ``degrade``/``restore`` target the sending side and ``skew``
+the one node whose clock steps.  ``crash``/``stall``/``resume`` never
+touch this channel on a process cluster — they are OS signals, delivered
+by the launcher, precisely so a frozen or dead node cannot be asked to
+cooperate in its own failure.
 
 One logical fault should appear once in the merged trace, so a command
 carries an optional ``"record": true`` flag and only the flagged copy's
@@ -38,16 +39,9 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.delays import FixedDelay
-from .faults import FaultPlan
+from .faults import FaultPlan, check_fault
 
 __all__ = ["FaultControlEndpoint", "send_fault_command"]
-
-#: Ops a fault-control endpoint accepts (the network fault verbs).
-CONTROL_OPS = (
-    "partition", "heal", "isolate", "degrade", "restore",
-    "storm", "calm", "skew",
-)
 
 
 class FaultControlEndpoint:
@@ -73,7 +67,6 @@ class FaultControlEndpoint:
         self.listen_host = listen_host
         self.port = port
         self.commands_applied = 0
-        self._narrate = False
         self.address: Optional[Tuple[str, int]] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
 
@@ -87,67 +80,17 @@ class FaultControlEndpoint:
         op = command.get("op")
         if op == "ping":  # readiness probe: no plan mutation, no event
             return
-        if op not in CONTROL_OPS:
-            raise ConfigurationError(f"unknown fault op {op!r}")
-        try:
-            self._dispatch(op, command)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed fault command {command!r}: {exc}"
-            ) from exc
+        args = {
+            name: value for name, value in command.items()
+            if name not in ("op", "record")
+        }
+        check_fault(op, args, self.plan.n)
+        kind, pid, data = self.plan.apply(op, args)
         self.commands_applied += 1
-
-    def _dispatch(self, op: str, command: Dict[str, Any]) -> None:
-        plan = self.plan
-        self._narrate = bool(command.get("record", False))
-        if op == "partition":
-            groups = plan.partition(*command["groups"])
-            self._record("scenario.partition", groups=groups)
-        elif op == "isolate":
-            groups = plan.isolate(int(command["pid"]))
-            self._record("scenario.partition", groups=groups)
-        elif op == "heal":
-            plan.heal()
-            self._record("scenario.heal")
-        elif op == "degrade":
-            loss = command.get("loss")
-            delay = command.get("delay")
-            plan.degrade(
-                int(command["src"]), int(command["dst"]),
-                loss_prob=None if loss is None else float(loss),
-                delay=None if delay is None else FixedDelay(float(delay)),
-            )
-            self._record(
-                "scenario.degrade",
-                src=int(command["src"]), dst=int(command["dst"]),
-                loss=loss, delay=delay,
-            )
-        elif op == "restore":
-            plan.restore(int(command["src"]), int(command["dst"]))
-            self._record(
-                "scenario.restore",
-                src=int(command["src"]), dst=int(command["dst"]),
-            )
-        elif op == "storm":
-            plan.storm(float(command["loss"]))
-            self._record("scenario.storm", loss=float(command["loss"]))
-        elif op == "calm":
-            plan.calm()
-            self._record("scenario.calm")
-        elif op == "skew":  # the one verb that is inherently per-node
-            offset = float(command["offset"])
-            self.host.clock.skew(offset)
-            self._record(
-                "scenario.skew", target=self.host.pid, offset=offset,
-            )
-
-    def _record(self, kind: str, **data: Any) -> None:
         # One logical fault, one trace event: only the copy the launcher
         # flagged with "record" narrates (broadcasts reach every node).
-        if self._narrate:
-            self.host.trace.record(
-                self.host.clock.now, kind, self.host.pid, **data
-            )
+        if command.get("record"):
+            self.host.trace.record(self.host.clock.now, kind, pid, **data)
 
     # -------------------------------------------------------------- lifecycle
     async def bind(self) -> Tuple[str, int]:

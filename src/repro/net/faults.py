@@ -15,6 +15,14 @@ decides a message's fate at send time; it also means a partition is
 symmetric only if the plan says so — directed pairs are first-class, as in
 :mod:`repro.sim.links`.
 
+The fault *vocabulary* is defined here too, once: :data:`FAULT_OPS` names
+every op and its argument shape, :func:`check_fault` is the only validator
+of those arguments, and :meth:`FaultPlan.apply` is the only op → plan
+dispatch — it also returns the ``scenario.*`` trace payload, so the event
+a fault records is defined once as well.  Every substrate (the cluster
+verbs, the scenario layer, the per-node control endpoint, the CLI) is a
+thin driver of these three.
+
 An idle plan (no partition, no stalls, no loss, no delay) costs one
 attribute read per send: :attr:`FaultPlan.active` is maintained by the
 mutating verbs, and :meth:`FaultyTransport.send` forwards straight to the
@@ -25,25 +33,99 @@ reachable, and the no-fault hot path stays as fast as a bare transport.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.delays import DelayModel
+from ..sim.delays import DelayModel, FixedDelay
+from ..sim.partition import resolve_groups
 from ..types import ProcessId, Time
 from .transport import Transport
 
-__all__ = ["FaultPlan", "FaultyTransport"]
+__all__ = [
+    "FAULT_OPS", "PID_ARGS", "check_fault", "FaultPlan", "FaultyTransport",
+]
 
 Pair = Tuple[ProcessId, ProcessId]
 
+#: The fault vocabulary: op -> (required arg names, optional arg names).
+#: An optional arg may also be passed as ``None``.  A new fault family is
+#: one row here plus one branch in :meth:`FaultPlan.apply`.
+FAULT_OPS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "crash": (("pid",), ()),
+    "stall": (("pid",), ()),
+    "resume": (("pid",), ()),
+    "partition": (("groups",), ()),
+    "heal": ((), ()),
+    "isolate": (("pid",), ()),
+    "degrade": (("src", "dst"), ("loss", "delay")),
+    "restore": (("src", "dst"), ()),
+    "storm": (("loss",), ()),
+    "calm": ((), ()),
+    "skew": (("pid", "offset"), ()),
+}
 
-def _check_loss(loss_prob: float) -> float:
+#: Arg names holding one process id (``groups`` holds lists of them); every
+#: other arg is a number.
+PID_ARGS = ("pid", "src", "dst")
+
+
+def _check_pid(pid: Any, n: Optional[int]) -> None:
+    if not isinstance(pid, int) or isinstance(pid, bool):
+        raise ConfigurationError(f"pid must be an int, got {pid!r}")
+    if n is not None and not 0 <= pid < n:
+        raise ConfigurationError(f"pid {pid} out of range for n={n}")
+
+
+def _check_loss(loss: float) -> float:
     """Validate a loss probability: the full closed interval is legal
     (1.0 = drop everything, the blackhole link)."""
-    if not 0.0 <= loss_prob <= 1.0:
-        raise ConfigurationError(f"loss_prob {loss_prob} outside [0, 1]")
-    return loss_prob
+    if not 0.0 <= loss <= 1.0:
+        raise ConfigurationError(f"loss {loss} outside [0, 1]")
+    return loss
+
+
+def check_fault(op: Any, args: Dict[str, Any], n: Optional[int] = None) -> None:
+    """Validate one ``(op, args)`` fault against :data:`FAULT_OPS`.
+
+    The single place arg shapes, pid ranges (when the cluster size *n* is
+    known), ``loss`` in [0, 1], ``delay`` >= 0 and partition-group
+    disjointness are checked; raises :class:`ConfigurationError`.
+    """
+    if not isinstance(op, str) or op not in FAULT_OPS:
+        raise ConfigurationError(
+            f"unknown fault op {op!r}; known ops: " + ", ".join(FAULT_OPS)
+        )
+    required, optional = FAULT_OPS[op]
+    missing = [name for name in required if name not in args]
+    if missing:
+        raise ConfigurationError(f"fault op {op!r} missing arg(s): {missing}")
+    unknown = sorted(set(args) - set(required) - set(optional))
+    if unknown:
+        raise ConfigurationError(
+            f"fault op {op!r} got unknown arg(s): {unknown}"
+        )
+    for name, value in args.items():
+        if name in PID_ARGS:
+            _check_pid(value, n)
+        elif name == "groups":
+            resolve_groups(value, n)
+        elif value is None and name in optional:
+            continue
+        elif (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not math.isfinite(value)
+        ):
+            raise ConfigurationError(
+                f"fault op {op!r}: {name} must be a finite number, "
+                f"got {value!r}"
+            )
+        elif name == "loss":
+            _check_loss(value)
+        elif name == "delay" and value < 0:
+            raise ConfigurationError(f"negative delay {value}")
 
 
 class FaultPlan:
@@ -63,10 +145,13 @@ class FaultPlan:
         self._pair_loss: Dict[Pair, float] = {}
         self._pair_delay: Dict[Pair, Optional[DelayModel]] = {}
         self._cut: Dict[Pair, bool] = {}
-        self._partition_groups: Optional[List[frozenset]] = None
+        self._partition_groups: Optional[List[List[ProcessId]]] = None
         self._stalled: Set[ProcessId] = set()
         self._storm_loss: Optional[float] = None
         self._storm_delay: Optional[DelayModel] = None
+        #: pid -> that node's steppable clock (anything with ``skew(offset)``),
+        #: registered by whoever owns the node; the ``skew`` op steps it.
+        self.clocks: Dict[ProcessId, Any] = {}
         self.dropped = 0
         self.delayed = 0
         self._refresh_active()
@@ -90,10 +175,54 @@ class FaultPlan:
             or self.default_delay is not None
         )
 
-    def _check_pid(self, pid: ProcessId) -> ProcessId:
-        if pid not in range(self.n):
-            raise ConfigurationError(f"unknown pid {pid}")
-        return pid
+    # ------------------------------------------------------------ one entry
+    def apply(
+        self, op: str, args: Dict[str, Any]
+    ) -> Tuple[str, Optional[ProcessId], Dict[str, Any]]:
+        """Apply one fault that :func:`check_fault` accepted.
+
+        Returns the ``(kind, pid, data)`` of the ``scenario.*`` trace event
+        narrating it; recording it is the caller's business.  ``crash`` is
+        not a plan fault — tearing a node down is each substrate's own.
+        """
+        pid = args.get("pid")
+        if op == "partition":
+            groups = self.partition(*args["groups"])
+            return "scenario.partition", None, {"groups": groups}
+        if op == "isolate":
+            return "scenario.partition", None, {"groups": self.isolate(pid)}
+        if op in ("stall", "resume"):
+            getattr(self, op)(pid)
+            return f"scenario.{op}", pid, {"target": pid, "signal": "silence"}
+        if op == "degrade":
+            loss, delay = args.get("loss"), args.get("delay")
+            self.degrade(
+                args["src"], args["dst"], loss_prob=loss,
+                delay=None if delay is None else FixedDelay(delay),
+            )
+            return "scenario.degrade", None, {
+                "src": args["src"], "dst": args["dst"],
+                "loss": loss, "delay": delay,
+            }
+        if op == "restore":
+            self.restore(args["src"], args["dst"])
+            return "scenario.restore", None, {
+                "src": args["src"], "dst": args["dst"],
+            }
+        if op == "storm":
+            self.storm(args["loss"])
+            return "scenario.storm", None, {"loss": args["loss"]}
+        if op in ("heal", "calm"):
+            getattr(self, op)()
+            return f"scenario.{op}", None, {}
+        if op == "skew" and pid in self.clocks:
+            self.clocks[pid].skew(args["offset"])
+            return "scenario.skew", pid, {
+                "target": pid, "offset": args["offset"],
+            }
+        raise ConfigurationError(
+            f"fault {op!r} with {args!r} cannot be applied to this plan"
+        )
 
     # ------------------------------------------------------------ partitions
     def partition(self, *groups: Iterable[ProcessId]) -> List[List[ProcessId]]:
@@ -105,25 +234,17 @@ class FaultPlan:
         the full, explicit group list (implicit rest group included) so
         callers can record exactly what was applied.
         """
-        named = [frozenset(g) for g in groups]
-        seen = frozenset().union(*named) if named else frozenset()
-        for pid in seen:
-            self._check_pid(pid)
-        rest = frozenset(range(self.n)) - seen
-        all_groups = named + ([rest] if rest else [])
-        membership: Dict[ProcessId, int] = {}
-        for idx, group in enumerate(all_groups):
-            for pid in group:
-                if pid in membership:
-                    raise ConfigurationError(f"pid {pid} in two groups")
-                membership[pid] = idx
+        all_groups = resolve_groups(groups, self.n)
+        membership = {
+            pid: idx for idx, group in enumerate(all_groups) for pid in group
+        }
         for src in range(self.n):
             for dst in range(self.n):
                 if src != dst:
                     self._cut[(src, dst)] = membership[src] != membership[dst]
         self._partition_groups = all_groups
         self._refresh_active()
-        return [sorted(group) for group in all_groups]
+        return all_groups
 
     def isolate(self, pid: ProcessId) -> List[List[ProcessId]]:
         """Partition *pid* away from everyone else."""
@@ -151,12 +272,14 @@ class FaultPlan:
         for loss-tolerant protocols the observable difference is resumed
         duplicates, which the stacks already absorb.)  Idempotent.
         """
-        self._stalled.add(self._check_pid(pid))
+        _check_pid(pid, self.n)
+        self._stalled.add(pid)
         self._refresh_active()
 
     def resume(self, pid: ProcessId) -> None:
         """Undo :meth:`stall` for *pid*.  Idempotent."""
-        self._stalled.discard(self._check_pid(pid))
+        _check_pid(pid, self.n)
+        self._stalled.discard(pid)
         self._refresh_active()
 
     @property
@@ -199,8 +322,8 @@ class FaultPlan:
         delay: Optional[DelayModel] = None,
     ) -> None:
         """Override loss and/or delay for the directed pair ``src -> dst``."""
-        self._check_pid(src)
-        self._check_pid(dst)
+        _check_pid(src, self.n)
+        _check_pid(dst, self.n)
         if loss_prob is not None:
             self._pair_loss[(src, dst)] = _check_loss(loss_prob)
         if delay is not None:

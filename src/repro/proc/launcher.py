@@ -7,15 +7,15 @@ The launcher is the multi-process implementation of the unified
    writes it to the working directory, and spawns one ``python -m repro
    node`` subprocess per pid, each shipping its trace to
    ``node-<pid>.jsonl`` and logging to ``node-<pid>.log``;
-2. **crash** — :meth:`crash` delivers ``SIGKILL`` at the scheduled wall
+2. **crash** — ``crash`` delivers ``SIGKILL`` at the scheduled wall
    offset.  Nothing cooperative happens on the victim: no signal handler,
    no flush, no goodbye message — the OS enforces the paper's crash-stop
-   model and the launcher remembers the wall time of the kill.  The other
-   fault verbs ride the same scheduling machinery: ``stall``/``resume``
-   deliver real ``SIGSTOP``/``SIGCONT`` (equally uncooperative), while the
-   network verbs (``partition``/``heal``/``isolate``/``degrade``/
-   ``restore``/``storm``/``calm``/``skew``) become JSON commands sent to
-   each node's :class:`~repro.net.control.FaultControlEndpoint`;
+   model and the launcher remembers the wall time of the kill.  Every
+   fault rides the one ``fault(op, args, at=None)`` queue of
+   :class:`~repro.cluster.api.FaultVerbs`: ``stall``/``resume`` deliver
+   real ``SIGSTOP``/``SIGCONT`` (equally uncooperative), while the network
+   faults become ``{"op": ..., **args}`` JSON commands sent to each
+   concerned node's :class:`~repro.net.control.FaultControlEndpoint`;
 3. **postmortem** — after :meth:`wait_quiescent` and :meth:`stop`,
    :meth:`traces` reads the shipped JSONL files (tolerating a torn final
    line on killed nodes), merges them on a common time base via
@@ -39,12 +39,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..cluster.api import rsm_verdicts, standard_verdicts
+from ..cluster.api import FaultVerbs, rsm_verdicts, standard_verdicts
 from ..net.control import send_fault_command
 from ..obs.events import TraceEvent
 from ..obs.merge import MergeReport, merge_traces
@@ -54,6 +52,24 @@ from ..types import ProcessId, Time
 from .book import AddressBook
 
 __all__ = ["ProcessCluster"]
+
+#: The faults that are OS signals — the victim is never asked to cooperate.
+_SIGNALS = {
+    "crash": signal.SIGKILL, "stall": signal.SIGSTOP, "resume": signal.SIGCONT,
+}
+
+
+def pick_recorder(
+    targets: Sequence[ProcessId], stalled: frozenset
+) -> Optional[ProcessId]:
+    """The one target of a broadcast that narrates its ``scenario.*`` event.
+
+    The first awake one: a ``SIGSTOP``ped node would only stamp the event
+    when (if ever) it resumes.  A stalled target is the fallback when no
+    target is awake; ``None`` when there is no target at all.
+    """
+    awake = [pid for pid in targets if pid not in stalled]
+    return next(iter(awake or targets), None)
 
 
 def _read_trace_lenient(path: Path) -> TraceFile:
@@ -81,7 +97,7 @@ def _read_trace_lenient(path: Path) -> TraceFile:
     )
 
 
-class ProcessCluster:
+class ProcessCluster(FaultVerbs):
     """*n* ``repro node`` subprocesses under the unified cluster API.
 
     Parameters mirror :class:`~repro.cluster.local.LocalCluster` where
@@ -143,6 +159,7 @@ class ProcessCluster:
                 "serve=True needs stack='rsm' (the KV frontend submits "
                 "into the replicated log)"
             )
+        super().__init__()  # the pre-start fault queue (ClusterAPI.fault)
         self.serve = serve
         self.n = n
         self.transport = transport
@@ -170,11 +187,7 @@ class ProcessCluster:
         self._logs: Dict[ProcessId, Any] = {}
         self._killed: set = set()
         self._kill_walls: Dict[ProcessId, float] = {}
-        self._pending_crashes: List[tuple] = []
-        self._crash_timers: List[asyncio.TimerHandle] = []
-        # Fault-verb machinery, mirroring the crash machinery: pre-start
-        # verbs queue as (at, fire) pairs, live ones arm loop timers.
-        self._pending_faults: List[Tuple[Optional[Time], Callable[[], None]]] = []
+        # Loop timers of faults armed for a later wall offset.
         self._fault_timers: List[asyncio.TimerHandle] = []
         # In-flight control-command broadcasts (referenced so the tasks
         # survive GC; reaped in stop()) and their terminal failures.
@@ -188,7 +201,6 @@ class ProcessCluster:
         # synthetically, like the crash events.
         self._signal_walls: List[Tuple[ProcessId, str, float]] = []
         self._scenario_meta: Optional[Tuple[str, int, Optional[int]]] = None
-        self._started = False
         self._stopped = False
         self._t0: Optional[float] = None
         self._postmortem: Optional[MergeReport] = None
@@ -213,10 +225,8 @@ class ProcessCluster:
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Write the book, spawn every node, arm the crash schedule."""
-        if self._started:
-            raise ConfigurationError("cluster already started")
-        self._started = True
+        """Write the book, spawn every node, arm the fault schedule."""
+        self._mark_started()
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.book = AddressBook.allocate(
             self.n,
@@ -260,13 +270,7 @@ class ProcessCluster:
             )
         await self._wait_control_ready()
         self._t0 = time.monotonic()
-        loop = asyncio.get_running_loop()
-        for pid, at in self._pending_crashes:
-            self._arm_crash(loop, pid, at)
-        self._pending_crashes.clear()
-        for at, fire in self._pending_faults:
-            self._arm_fault(loop, at, fire)
-        self._pending_faults.clear()
+        self._arm_pending_faults()
 
     async def _wait_control_ready(self, budget: float = 10.0) -> None:
         """Block until every node's fault-control endpoint answers a ping
@@ -313,222 +317,100 @@ class ProcessCluster:
         """Wall seconds since the nodes were spawned (0 before start)."""
         return 0.0 if self._t0 is None else time.monotonic() - self._t0
 
-    def crash(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """``kill -9`` node *pid* at wall offset *at* from cluster start.
+    # ---------------------------------------------------------------- faults
+    # The verbs themselves (crash ... skew, and fault(op, args, at=None)
+    # under them) are FaultVerbs'; this is the substrate half.  `at` is a
+    # wall offset from cluster start.
 
-        ``at=None`` means now.  Callable before :meth:`start` (the whole
-        failure pattern is usually scripted up front) or while running.
-        Killed nodes never restart.
-        """
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        if not self._started:
-            self._pending_crashes.append((pid, at))
-            return
-        self._arm_crash(asyncio.get_running_loop(), pid, at)
-
-    def _arm_crash(
-        self, loop: asyncio.AbstractEventLoop, pid: ProcessId, at: Optional[Time]
+    def _call_at(
+        self, at: Time, callback: Callable[..., None], *args: Any
     ) -> None:
-        delay = 0.0 if at is None else max(0.0, at - self.elapsed)
+        delay = at - self.elapsed
         if delay <= 0.0:
-            self._kill_now(pid)
+            callback(*args)
         else:
-            self._crash_timers.append(loop.call_later(delay, self._kill_now, pid))
+            self._fault_timers.append(
+                asyncio.get_running_loop().call_later(delay, callback, *args)
+            )
 
-    def _kill_now(self, pid: ProcessId) -> None:
-        """The actual ``kill -9``: no warning, no cleanup on the victim."""
+    def _deliver(self, op: str, args: Dict[str, Any]) -> None:
+        """Make one fault happen now: an OS signal for the process faults,
+        a fault-control broadcast for everything else."""
+        if op in _SIGNALS:
+            self._signal(op, args["pid"])
+        else:
+            task = asyncio.ensure_future(self._broadcast_control(op, args))
+            self._control_tasks.add(task)
+            task.add_done_callback(self._control_tasks.discard)
+
+    def _signal(self, op: str, pid: ProcessId) -> None:
+        """The actual ``kill -9`` / ``SIGSTOP`` / ``SIGCONT`` on a
+        still-living node: no warning, no cleanup on the victim, and a
+        killed node never restarts.  The wall time is remembered because a
+        dead or frozen process cannot trace its own fate — :meth:`traces`
+        injects those events."""
         proc = self.procs.get(pid)
         if proc is None or proc.poll() is not None or pid in self._killed:
             return
-        os.kill(proc.pid, signal.SIGKILL)
-        self._killed.add(pid)
-        self._kill_walls[pid] = time.time()
-
-    # ----------------------------------------------------------- fault verbs
-    # Same scheduling contract as crash(): `at` is a wall offset from
-    # cluster start (None = now), callable before start.  Process verbs
-    # (stall/resume) are OS signals — the victim does not cooperate;
-    # network verbs are JSON commands broadcast to every node's
-    # fault-control endpoint (each node's plan only governs its own
-    # sends, so both sides of a partition must install it).
-
-    def _check_pid(self, pid: ProcessId) -> ProcessId:
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        return pid
-
-    def _fault(self, at: Optional[Time], fire: Callable[[], None]) -> None:
-        if not self._started:
-            self._pending_faults.append((at, fire))
+        os.kill(proc.pid, _SIGNALS[op])
+        if op == "crash":
+            self._killed.add(pid)
+            self._kill_walls[pid] = time.time()
             return
-        self._arm_fault(asyncio.get_running_loop(), at, fire)
-
-    def _arm_fault(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        at: Optional[Time],
-        fire: Callable[[], None],
-    ) -> None:
-        delay = 0.0 if at is None else max(0.0, at - self.elapsed)
-        if delay <= 0.0:
-            fire()
-        else:
-            self._fault_timers.append(loop.call_later(delay, fire))
-
-    def _signal_now(self, pid: ProcessId, sig: int, verb: str) -> None:
-        """Deliver SIGSTOP/SIGCONT to a still-living node."""
-        proc = self.procs.get(pid)
-        if proc is None or proc.poll() is not None or pid in self._killed:
-            return
-        os.kill(proc.pid, sig)
-        if verb == "stall":
+        if op == "stall":
             self._stalled.add(pid)
         else:
             self._stalled.discard(pid)
-        self._signal_walls.append((pid, verb, time.time()))
+        self._signal_walls.append((pid, op, time.time()))
 
-    def _send_control(
-        self, command: Dict[str, Any], targets: Iterable[ProcessId]
-    ) -> None:
-        task = asyncio.ensure_future(
-            self._broadcast_control(command, list(targets))
-        )
-        self._control_tasks.add(task)
-        task.add_done_callback(self._control_tasks.discard)
-
-    async def _broadcast_control(
-        self, command: Dict[str, Any], targets: List[ProcessId]
-    ) -> None:
+    async def _broadcast_control(self, op: str, args: Dict[str, Any]) -> None:
+        """Send one network fault to the control endpoint of every node it
+        concerns.  Each node's plan governs only its own sends, so a
+        directed link is its sender's business, a clock its owner's, and
+        everything else is installed everywhere (both sides of a partition
+        must cut)."""
         assert self.book is not None
+        if "src" in args:
+            targets: Sequence[ProcessId] = [args["src"]]
+        elif op == "skew":
+            targets = [args["pid"]]
+        else:
+            targets = self.pids
         live = []
         for pid in targets:
             if pid in self._killed:
                 continue
             if self.book.control_address(pid) is None:
                 self.control_errors.append(
-                    f"{command.get('op')}: node {pid} has no control port "
+                    f"{op}: node {pid} has no control port "
                     "(book written without control=True?)"
                 )
                 continue
             live.append(pid)
-        sends = []
-        for idx, pid in enumerate(live):
-            # Exactly one copy is flagged to narrate the scenario.* trace
-            # event — one logical fault, one event in the merged trace.
-            per_node = dict(command, record=(idx == 0))
-            address = self.book.control_address(pid)
-            assert address is not None
-            sends.append(send_fault_command(address, per_node))
-        results = await asyncio.gather(*sends, return_exceptions=True)
+        # Exactly one copy is flagged to narrate the scenario.* trace
+        # event — one logical fault, one event in the merged trace.
+        recorder = pick_recorder(live, self.stalled_pids)
+        results = await asyncio.gather(
+            *(
+                send_fault_command(
+                    self.book.control_address(pid),
+                    {"op": op, **args, "record": pid == recorder},
+                )
+                for pid in live
+            ),
+            return_exceptions=True,
+        )
         for pid, result in zip(live, results):
             if isinstance(result, BaseException):
                 # A dead or frozen target cannot ack — expected under
                 # overlapping faults; recorded, not raised.
-                self.control_errors.append(
-                    f"{command.get('op')} -> node {pid}: {result!r}"
-                )
+                self.control_errors.append(f"{op} -> node {pid}: {result!r}")
 
     def note_scenario(
         self, name: str, events: int, seed: Optional[int] = None
     ) -> None:
         """Record that a scenario schedule was armed (``scenario.run``)."""
         self._scenario_meta = (name, events, seed)
-
-    def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Freeze node *pid* with a real ``SIGSTOP`` until :meth:`resume`.
-
-        The process stops executing mid-instruction — timers, sockets and
-        all — which is the crash-recovery-adjacent fault the paper's
-        detectors must eventually forgive: peers see silence, then the
-        node comes back with its state intact (it stays in the correct
-        set, unlike a :meth:`crash`)."""
-        self._check_pid(pid)
-        self._fault(at, lambda: self._signal_now(pid, signal.SIGSTOP, "stall"))
-
-    def resume(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Unfreeze a stalled node with ``SIGCONT``."""
-        self._check_pid(pid)
-        self._fault(at, lambda: self._signal_now(pid, signal.SIGCONT, "resume"))
-
-    def partition(
-        self,
-        groups: Sequence[Iterable[ProcessId]],
-        at: Optional[Time] = None,
-    ) -> None:
-        """Split the network into *groups* (pids in no group form an
-        implicit final group); cross-group traffic is dropped both ways."""
-        frozen = [list(group) for group in groups]
-        seen: set = set()
-        for group in frozen:
-            for pid in group:
-                self._check_pid(pid)
-                if pid in seen:
-                    raise ConfigurationError(f"pid {pid} in two groups")
-                seen.add(pid)
-        command = {"op": "partition", "groups": frozen}
-        self._fault(at, lambda: self._send_control(command, self.pids))
-
-    def heal(self, at: Optional[Time] = None) -> None:
-        """Remove the active network partition."""
-        self._fault(at, lambda: self._send_control({"op": "heal"}, self.pids))
-
-    def isolate(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Partition node *pid* away from everyone else."""
-        self._check_pid(pid)
-        command = {"op": "isolate", "pid": pid}
-        self._fault(at, lambda: self._send_control(command, self.pids))
-
-    def degrade(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        loss: Optional[float] = None,
-        delay: Optional[Time] = None,
-        at: Optional[Time] = None,
-    ) -> None:
-        """Make the directed link ``src -> dst`` lossy and/or slow."""
-        self._check_pid(src)
-        self._check_pid(dst)
-        if loss is not None and not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-        if delay is not None and delay < 0:
-            raise ConfigurationError(f"negative delay {delay}")
-        command = {
-            "op": "degrade", "src": src, "dst": dst,
-            "loss": loss, "delay": delay,
-        }
-        # A directed link is the sender's business alone: faults inject at
-        # send time, so only src's plan needs the override.
-        self._fault(at, lambda: self._send_control(command, [src]))
-
-    def restore(
-        self, src: ProcessId, dst: ProcessId, at: Optional[Time] = None
-    ) -> None:
-        """Undo :meth:`degrade` for the directed link ``src -> dst``."""
-        self._check_pid(src)
-        self._check_pid(dst)
-        command = {"op": "restore", "src": src, "dst": dst}
-        self._fault(at, lambda: self._send_control(command, [src]))
-
-    def storm(self, loss: float, at: Optional[Time] = None) -> None:
-        """Start a cluster-wide message-loss storm (until :meth:`calm`)."""
-        if not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-        command = {"op": "storm", "loss": loss}
-        self._fault(at, lambda: self._send_control(command, self.pids))
-
-    def calm(self, at: Optional[Time] = None) -> None:
-        """End the active message-loss storm."""
-        self._fault(at, lambda: self._send_control({"op": "calm"}, self.pids))
-
-    def skew(
-        self, pid: ProcessId, offset: Time, at: Optional[Time] = None
-    ) -> None:
-        """Step node *pid*'s clock by *offset* seconds (cumulative)."""
-        self._check_pid(pid)
-        command = {"op": "skew", "offset": offset}
-        self._fault(at, lambda: self._send_control(command, [pid]))
 
     @property
     def stalled_pids(self) -> frozenset:
@@ -563,9 +445,6 @@ class ProcessCluster:
         if self._stopped:
             return
         self._stopped = True
-        for timer in self._crash_timers:
-            timer.cancel()
-        self._crash_timers.clear()
         for timer in self._fault_timers:
             timer.cancel()
         self._fault_timers.clear()

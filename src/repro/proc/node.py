@@ -70,7 +70,7 @@ def build_node(
     # mutates both on command from the launcher.  Decorrelate the plan's
     # rng from peers so "30% loss everywhere" is not 3 identical streams.
     plan = FaultPlan(book.n, seed=book.seed * 1009 + pid)
-    clock = SkewedClock(AsyncioClock())
+    clock = plan.clocks[pid] = SkewedClock(AsyncioClock())
     host = NodeHost(
         pid, book.n, FaultyTransport(real, plan, clock),
         clock=clock,

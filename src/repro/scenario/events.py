@@ -1,11 +1,11 @@
 """The scenario DSL: timed fault events and the :class:`Scenario` document.
 
 A scenario is a *compiled schedule*: a list of ``(time, op, args)``
-triples over the :data:`~repro.cluster.api.FAULT_VERBS` surface, plus the
+triples over the :data:`~repro.net.faults.FAULT_OPS` vocabulary, plus the
 run parameters the schedule was built for (``n``, ``period``,
 ``duration``, ``propose_after``).  It is declarative — nothing executes
 here; :func:`repro.scenario.runner.apply_scenario` turns each event into
-one ``ClusterAPI`` verb call with ``at=time``, on either substrate.
+one ``cluster.fault(op, args, at=time)`` call, on either substrate.
 
 Scenarios serialize to a small canonical JSON document (sorted keys,
 events time-ordered), so "same seed ⇒ byte-identical schedule" is a
@@ -28,10 +28,10 @@ testable statement about :meth:`Scenario.to_json`:
       "seed": null
     }
 
-Validation is eager and structural: unknown ops, missing/unknown args,
-out-of-range pids (when ``n`` is set), and out-of-bounds probabilities
-are all :class:`~repro.errors.ConfigurationError` at construction, not
-mid-run.
+Validation is eager and structural (:func:`~repro.net.faults.check_fault`):
+unknown ops, missing/unknown args, out-of-range pids (when ``n`` is set),
+and out-of-bounds probabilities are all
+:class:`~repro.errors.ConfigurationError` at construction, not mid-run.
 """
 
 from __future__ import annotations
@@ -39,36 +39,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import ConfigurationError
+from ..net.faults import FAULT_OPS as OP_SPECS, check_fault
 from ..types import Time
 
 __all__ = ["ScenarioEvent", "Scenario", "OP_SPECS"]
-
-#: op -> (required arg names, optional arg names).  The args mirror the
-#: matching ClusterAPI verb's parameters (minus ``at``, which is the
-#: event's ``t``).
-OP_SPECS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "crash": (("pid",), ()),
-    "stall": (("pid",), ()),
-    "resume": (("pid",), ()),
-    "isolate": (("pid",), ()),
-    "partition": (("groups",), ()),
-    "heal": ((), ()),
-    "degrade": (("src", "dst"), ("loss", "delay")),
-    "restore": (("src", "dst"), ()),
-    "storm": (("loss",), ()),
-    "calm": ((), ()),
-    "skew": (("pid", "offset"), ()),
-}
-
-
-def _check_loss(value: Any, what: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{what} {value} outside [0, 1]")
-    return value
 
 
 @dataclass(frozen=True)
@@ -80,55 +57,12 @@ class ScenarioEvent:
     args: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.op not in OP_SPECS:
-            raise ConfigurationError(
-                f"unknown scenario op {self.op!r}; known ops: "
-                + ", ".join(sorted(OP_SPECS))
-            )
+        # Pid ranges are checked by Scenario, which knows the cluster size.
+        check_fault(self.op, self.args)
         if self.time < 0:
             raise ConfigurationError(
                 f"scenario event time {self.time} must be >= 0"
             )
-        required, optional = OP_SPECS[self.op]
-        missing = [key for key in required if key not in self.args]
-        if missing:
-            raise ConfigurationError(
-                f"scenario op {self.op!r} missing arg(s): {missing}"
-            )
-        unknown = sorted(set(self.args) - set(required) - set(optional))
-        if unknown:
-            raise ConfigurationError(
-                f"scenario op {self.op!r} got unknown arg(s): {unknown}"
-            )
-        # Value-level checks that do not need n (pid ranges are checked by
-        # Scenario, which knows the cluster size).
-        if "loss" in self.args and self.args["loss"] is not None:
-            _check_loss(self.args["loss"], "loss")
-        if "delay" in self.args and self.args["delay"] is not None:
-            if float(self.args["delay"]) < 0:
-                raise ConfigurationError(
-                    f"negative delay {self.args['delay']}"
-                )
-        if self.op == "partition":
-            groups = self.args["groups"]
-            if not isinstance(groups, (list, tuple)) or not all(
-                isinstance(group, (list, tuple)) for group in groups
-            ):
-                raise ConfigurationError(
-                    "partition groups must be a list of pid lists, got "
-                    f"{groups!r}"
-                )
-
-    def pids(self) -> List[int]:
-        """Every pid the event names (for range validation)."""
-        out: List[int] = []
-        for key in ("pid", "src", "dst"):
-            if key in self.args:
-                out.append(self.args[key])
-        if self.op == "partition":
-            for group in self.args["groups"]:
-                out.extend(group)
-        return out
 
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.time, "op": self.op, **self.args}
@@ -184,12 +118,12 @@ class Scenario:
         self.events.sort(key=lambda event: event.time)
         if self.n is not None:
             for event in self.events:
-                for pid in event.pids():
-                    if not 0 <= pid < self.n:
-                        raise ConfigurationError(
-                            f"scenario op {event.op!r} at t={event.time} "
-                            f"names pid {pid}, out of range for n={self.n}"
-                        )
+                try:
+                    check_fault(event.op, event.args, self.n)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(
+                        f"scenario op {event.op!r} at t={event.time}: {exc}"
+                    ) from None
         if self.duration is not None:
             late = [e for e in self.events if e.time > self.duration]
             if late:

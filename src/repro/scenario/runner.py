@@ -1,12 +1,11 @@
 """Drive a :class:`~repro.scenario.events.Scenario` against any cluster.
 
 The runner is deliberately thin: a scenario is already a compiled
-schedule over the :class:`~repro.cluster.ClusterAPI` fault verbs, so
-:func:`apply_scenario` is one verb call per event (with ``at=`` the
-event's time) and nothing more.  Called before ``start()``, the verbs
-queue; the cluster flushes them onto its clock at start — which is
-exactly how scripted crashes have always worked, now for every fault
-family.  The same function therefore arms a deterministic virtual-clock
+schedule over the shared fault vocabulary, so :func:`apply_scenario` is
+one ``cluster.fault(op, args, at=time)`` call per event and nothing more.
+Called before ``start()``, the faults queue; the cluster flushes them
+onto its clock at start — which is exactly how scripted crashes have
+always worked, now for every fault family.  The same function therefore arms a deterministic virtual-clock
 :class:`~repro.cluster.LocalCluster` and a live multi-process
 :class:`~repro.proc.ProcessCluster`, through the same calls.
 
@@ -22,35 +21,13 @@ from typing import Any, Dict, Optional
 from ..cluster.api import ClusterAPI, verdicts_ok
 from ..errors import ConfigurationError
 from ..types import Time
-from .events import Scenario, ScenarioEvent
+from .events import Scenario
 
 __all__ = ["apply_scenario", "run_scenario"]
 
 
-def _apply_event(cluster: ClusterAPI, event: ScenarioEvent) -> None:
-    args = event.args
-    at = event.time
-    if event.op in ("crash", "stall", "resume", "isolate"):
-        getattr(cluster, event.op)(args["pid"], at=at)
-    elif event.op == "partition":
-        cluster.partition(args["groups"], at=at)
-    elif event.op in ("heal", "calm"):
-        getattr(cluster, event.op)(at=at)
-    elif event.op == "degrade":
-        cluster.degrade(
-            args["src"], args["dst"],
-            loss=args.get("loss"), delay=args.get("delay"), at=at,
-        )
-    elif event.op == "restore":
-        cluster.restore(args["src"], args["dst"], at=at)
-    elif event.op == "storm":
-        cluster.storm(args["loss"], at=at)
-    else:  # skew (OP_SPECS is closed; ScenarioEvent validated the op)
-        cluster.skew(args["pid"], args["offset"], at=at)
-
-
 def apply_scenario(cluster: ClusterAPI, scenario: Scenario) -> None:
-    """Arm every event of *scenario* on *cluster* (one fault verb each).
+    """Arm every event of *scenario* on *cluster* (one fault each).
 
     Checks that the scenario fits the cluster first: matching ``n`` (when
     the scenario declares one) and a run long enough to play the whole
@@ -74,7 +51,7 @@ def apply_scenario(cluster: ClusterAPI, scenario: Scenario) -> None:
     if note is not None:
         note(scenario.name, len(scenario.events), seed=scenario.seed)
     for event in scenario.events:
-        _apply_event(cluster, event)
+        cluster.fault(event.op, event.args, at=event.time)
 
 
 async def run_scenario(

@@ -27,7 +27,39 @@ from .links import Link
 from .message import Message
 from .world import World
 
-__all__ = ["NetworkController"]
+__all__ = ["NetworkController", "resolve_groups"]
+
+
+def resolve_groups(
+    groups: Iterable[Iterable[ProcessId]], n: Optional[int] = None
+) -> List[List[ProcessId]]:
+    """The explicit, sorted group list a partition over *n* processes names.
+
+    Pids named in no group form an implicit final group (only computable —
+    and pid ranges only checkable — when *n* is known).  This is the one
+    definition of what a ``groups`` argument means, shared by the
+    simulator's :class:`NetworkController` and the runtime's
+    :class:`~repro.net.faults.FaultPlan`.
+    """
+    try:
+        named = [sorted(set(group)) for group in groups]
+    except TypeError:
+        named = None
+    if named is None or not all(
+        isinstance(pid, int) for group in named for pid in group
+    ):
+        raise ConfigurationError(
+            f"partition groups must be a list of pid lists, got {groups!r}"
+        )
+    seen: set = set()
+    for pid in (pid for group in named for pid in group):
+        if pid in seen:
+            raise ConfigurationError(f"pid {pid} in two groups")
+        if n is not None and pid not in range(n):
+            raise ConfigurationError(f"pid {pid} out of range for n={n}")
+        seen.add(pid)
+    rest = [] if n is None else [pid for pid in range(n) if pid not in seen]
+    return named + ([rest] if rest else [])
 
 
 class _SwitchableLink(Link):
@@ -58,7 +90,7 @@ class NetworkController:
                 shim = _SwitchableLink(world.network.link(src, dst))
                 world.network.set_link(src, dst, shim)
                 self._shims[(src, dst)] = shim
-        self._partition_groups: Optional[List[frozenset]] = None
+        self._partition_groups: Optional[List[List[ProcessId]]] = None
 
     # ------------------------------------------------------------ partitions
     def partition(self, *groups: Iterable[ProcessId]) -> None:
@@ -66,25 +98,15 @@ class NetworkController:
 
         Processes not named in any group form an implicit final group.
         """
-        named = [frozenset(g) for g in groups]
-        seen = frozenset().union(*named) if named else frozenset()
-        for pid in seen:
-            if pid not in range(self.world.n):
-                raise ConfigurationError(f"unknown pid {pid}")
-        rest = frozenset(self.world.pids) - seen
-        all_groups = named + ([rest] if rest else [])
-        membership = {}
-        for idx, group in enumerate(all_groups):
-            for pid in group:
-                if pid in membership:
-                    raise ConfigurationError(f"pid {pid} in two groups")
-                membership[pid] = idx
+        all_groups = resolve_groups(groups, self.world.n)
+        membership = {
+            pid: idx for idx, group in enumerate(all_groups) for pid in group
+        }
         for (src, dst), shim in self._shims.items():
             shim.cut = membership[src] != membership[dst]
         self._partition_groups = all_groups
         self.world.trace.record(
-            self.world.now, "partition", None,
-            groups=[sorted(g) for g in all_groups],
+            self.world.now, "partition", None, groups=all_groups
         )
 
     def isolate(self, pid: ProcessId) -> None:

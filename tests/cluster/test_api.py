@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import (
     FAULT_VERBS,
     ClusterAPI,
+    FaultVerbs,
     LocalCluster,
     ProcessCluster,
     rsm_verdicts,
@@ -17,6 +18,7 @@ from repro.cluster import (
     verdicts_ok,
 )
 from repro.errors import ConfigurationError
+from repro.net.faults import FAULT_OPS
 from repro.obs.sinks import MemorySink
 
 SIM_SCALE = dict(period=5.0, initial_timeout=12.0, timeout_increment=5.0)
@@ -57,24 +59,78 @@ def test_cluster_api_rejects_partial_implementations():
     assert not isinstance(NotACluster(), ClusterAPI)
 
 
+#: One legal value per arg name of the vocabulary.
+SAMPLE = {
+    "pid": 1, "src": 0, "dst": 1, "groups": [[0]], "loss": 0.5,
+    "delay": 0.01, "offset": 0.25,
+}
+
+
+class RecordingCluster(FaultVerbs):
+    """FaultVerbs over a substrate that just logs what it is asked to do."""
+
+    n = 2
+
+    def __init__(self):
+        super().__init__()
+        self.delivered = []
+        self.timers = []
+
+    def _deliver(self, op, args):
+        self.delivered.append((op, args))
+
+    def _call_at(self, at, callback, *args):
+        self.timers.append((at, callback, args))
+
+
 @pytest.mark.parametrize("verb", FAULT_VERBS)
-def test_fault_verb_surface_is_identical_across_substrates(verb):
-    """The scenario layer drives either substrate blindly, so every fault
-    verb must exist on both with the same parameter list — including the
-    trailing ``at=None`` that makes each one schedulable."""
+def test_each_verb_is_sugar_over_fault(verb):
+    """The scenario layer drives any substrate blindly through
+    ``fault(op, args, at)``; the named verbs take exactly the op's table
+    args (in table order) plus a trailing ``at=None``, and forward them."""
+    required, optional = FAULT_OPS[verb]
+    params = inspect.signature(getattr(FaultVerbs, verb)).parameters
+    assert list(params) == ["self", *required, *optional, "at"]
+    assert params["at"].default is None
+    assert all(params[name].default is None for name in optional)
+    # Written once: neither substrate carries its own copy of a verb.
+    assert verb not in vars(LocalCluster) and verb not in vars(ProcessCluster)
 
-    def shape(cluster):
-        method = getattr(cluster, verb)
-        assert callable(method)
-        return [
-            (p.name, p.default)
-            for p in inspect.signature(method).parameters.values()
-        ]
+    calls = []
+    cluster = RecordingCluster()
+    cluster.fault = lambda op, args, at=None: calls.append((op, args, at))
+    args = {name: SAMPLE[name] for name in required + optional}
+    getattr(cluster, verb)(*args.values(), at=1.5)
+    getattr(cluster, verb)(**{name: SAMPLE[name] for name in required})
+    unset = {name: None for name in optional}
+    assert calls == [
+        (verb, args, 1.5),
+        (verb, {**{name: SAMPLE[name] for name in required}, **unset}, None),
+    ]
 
-    local = shape(LocalCluster(n=2, clock="virtual"))
-    proc = shape(ProcessCluster(n=2))
-    assert local == proc
-    assert local[-1] == ("at", None)
+
+def test_fault_validates_eagerly_queues_before_start_and_arms_after():
+    cluster = RecordingCluster()
+    with pytest.raises(ConfigurationError, match="out of range"):
+        cluster.fault("stall", {"pid": 2}, at=1.0)  # n=2: fails at the call
+    with pytest.raises(ConfigurationError, match="unknown fault op"):
+        cluster.fault("reboot", {})
+    cluster.fault("storm", {"loss": 1.0}, at=2.0)
+    cluster.crash(0)
+    assert cluster.delivered == [] and cluster.timers == []  # only queued
+    cluster._mark_started()
+    cluster._arm_pending_faults()
+    # Flushed in call order: timed faults onto the clock, at=None ones now.
+    assert cluster.timers == [
+        (2.0, cluster._deliver, ("storm", {"loss": 1.0}))
+    ]
+    assert cluster.delivered == [("crash", {"pid": 0})]
+    cluster.heal()  # started + at=None: delivered before the call returns
+    assert cluster.delivered[-1] == ("heal", {})
+    cluster.heal(at=3.0)
+    assert cluster.timers[-1] == (3.0, cluster._deliver, ("heal", {}))
+    with pytest.raises(ConfigurationError, match="already started"):
+        cluster._mark_started()
 
 
 # ------------------------------------------ LocalCluster under the harness

@@ -1,14 +1,17 @@
-"""ProcessCluster units that never spawn a process, plus the lenient
+"""ProcessCluster units that never spawn a ``repro node``, plus the lenient
 trace reader that survives ``kill -9``-torn files."""
 
 import asyncio
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.sinks import JsonlSink
-from repro.proc import ProcessCluster
-from repro.proc.launcher import _read_trace_lenient
+from repro.proc import ProcessCluster, launcher
+from repro.proc.launcher import _read_trace_lenient, pick_recorder
 
 
 # ---------------------------------------------------------- lenient reading
@@ -74,8 +77,58 @@ def test_crash_validates_pid_and_queues_before_start(tmp_path):
     with pytest.raises(ConfigurationError, match="out of range"):
         cluster.crash(3)
     cluster.crash(0, at=2.5)  # queued: nothing to kill yet
-    assert cluster._pending_crashes == [(0, 2.5)]
     assert cluster.correct_pids == frozenset({0, 1, 2})
+    assert cluster.poll() == {}
+
+
+def test_prestart_crash_fires_after_start(tmp_path, monkeypatch):
+    """The queued kill is armed by start() and lands as a real SIGKILL.
+    Nodes are stand-in sleepers and the readiness ping is stubbed, so no
+    interpreter boots a protocol stack."""
+    spawn = subprocess.Popen
+    monkeypatch.setattr(
+        launcher.subprocess, "Popen",
+        lambda argv, **kwargs: spawn(
+            [sys.executable, "-c", "import time; time.sleep(60)"], **kwargs
+        ),
+    )
+
+    async def no_ping(address, command, **kwargs):
+        return None
+
+    monkeypatch.setattr(launcher, "send_fault_command", no_ping)
+    cluster = ProcessCluster(3, workdir=tmp_path)
+    cluster.crash(0, at=0.05)
+
+    async def drive():
+        await cluster.start()
+        try:
+            assert cluster.correct_pids == frozenset({0, 1, 2})  # not yet
+            await asyncio.sleep(0.3)
+            return cluster.correct_pids
+        finally:
+            await cluster.stop()
+
+    assert asyncio.run(drive()) == frozenset({1, 2})
+    assert cluster.exit_statuses[0] == -signal.SIGKILL
+
+
+# ------------------------------------------------- who narrates a broadcast
+def test_recorder_is_the_first_awake_target():
+    assert pick_recorder([0, 1, 2], frozenset()) == 0
+    # pid 0 is SIGSTOPped: its copy would sit in the socket buffer and be
+    # stamped at resume time (or never) — the next awake node narrates.
+    assert pick_recorder([0, 1, 2], frozenset({0})) == 1
+    assert pick_recorder([0, 1, 2], frozenset({0, 1})) == 2
+    assert pick_recorder(range(3), frozenset({0})) == 1
+
+
+def test_recorder_falls_back_to_a_stalled_target():
+    # A degrade/skew aimed at a frozen node has no awake target: better a
+    # late narration than none.
+    assert pick_recorder([1], frozenset({1})) == 1
+    assert pick_recorder([0, 1], frozenset({0, 1})) == 0
+    assert pick_recorder([], frozenset({0})) is None
 
 
 def test_wait_quiescent_requires_start(tmp_path):

@@ -2,20 +2,15 @@
 
 import pytest
 
-from repro.cluster import FAULT_VERBS
 from repro.errors import ConfigurationError
-from repro.scenario import OP_SPECS, Scenario, ScenarioEvent
-
-
-# ------------------------------------------------------------ the op space
-def test_op_specs_cover_exactly_the_fault_verbs():
-    """The scenario op space IS the ClusterAPI fault-verb surface."""
-    assert set(OP_SPECS) == set(FAULT_VERBS)
+from repro.scenario import Scenario, ScenarioEvent
 
 
 # ------------------------------------------------------- event validation
+# (arg shapes and ranges are check_fault's — tests/net/test_fault_vocabulary.py
+# covers the table; these pin that ScenarioEvent applies it at construction)
 def test_unknown_op_rejected():
-    with pytest.raises(ConfigurationError, match="unknown scenario op"):
+    with pytest.raises(ConfigurationError, match="unknown fault op"):
         ScenarioEvent(time=1.0, op="reboot", args={"pid": 0})
 
 
@@ -36,7 +31,7 @@ def test_negative_time_rejected():
         ScenarioEvent(time=-0.5, op="heal")
 
 
-def test_loss_bounds_match_the_fault_plan():
+def test_loss_bounds_are_checked_at_construction():
     # 1.0 is a legal (total) loss; only values outside [0, 1] are errors.
     ScenarioEvent(time=0.0, op="storm", args={"loss": 1.0})
     with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):

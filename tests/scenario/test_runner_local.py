@@ -128,3 +128,48 @@ def test_scenario_run_event_is_traced():
     assert len(runs) == 1
     assert runs[0].get("name") == "traced"
     assert runs[0].get("seed") == 9
+
+
+# ----------------------------------------------------- one event per fault
+def test_every_fault_family_is_narrated_with_one_literal_event_shape():
+    """The (kind, pid, data) of each fault's trace event is defined once,
+    by ``FaultPlan.apply``: process-targeted events (stall / resume / skew
+    / crash) carry ``pid=target``, network-wide ones ``pid=None`` — on
+    every substrate, so merged traces read the same wherever they ran."""
+    scenario = handmade([
+        {"t": 0.25, "op": "partition", "groups": [[2]]},
+        {"t": 0.50, "op": "heal"},
+        {"t": 0.75, "op": "stall", "pid": 1},
+        {"t": 1.00, "op": "resume", "pid": 1},
+        {"t": 1.25, "op": "degrade", "src": 0, "dst": 1, "loss": 0.5},
+        {"t": 1.50, "op": "restore", "src": 0, "dst": 1},
+        {"t": 1.75, "op": "storm", "loss": 1.0},
+        {"t": 2.00, "op": "calm"},
+        {"t": 2.25, "op": "skew", "pid": 0, "offset": 0.01},
+        {"t": 2.50, "op": "isolate", "pid": 0},
+        {"t": 2.75, "op": "heal"},
+        {"t": 3.00, "op": "crash", "pid": 2},
+    ])
+    result, trace = run_once(scenario)
+    assert result["ok"], result["verdicts"]
+    narrated = [
+        (ev.time, ev.kind, ev.pid, ev.data) for ev in trace.events
+        if ev.kind.startswith("scenario.") or ev.kind == "crash"
+    ]
+    silence = "silence"
+    assert narrated == [
+        (0.0, "scenario.run", None, {"name": "scenario", "events": 12}),
+        (0.25, "scenario.partition", None, {"groups": [[2], [0, 1]]}),
+        (0.50, "scenario.heal", None, {}),
+        (0.75, "scenario.stall", 1, {"target": 1, "signal": silence}),
+        (1.00, "scenario.resume", 1, {"target": 1, "signal": silence}),
+        (1.25, "scenario.degrade", None,
+         {"src": 0, "dst": 1, "loss": 0.5, "delay": None}),
+        (1.50, "scenario.restore", None, {"src": 0, "dst": 1}),
+        (1.75, "scenario.storm", None, {"loss": 1.0}),
+        (2.00, "scenario.calm", None, {}),
+        (2.25, "scenario.skew", 0, {"target": 0, "offset": 0.01}),
+        (2.50, "scenario.partition", None, {"groups": [[0], [1, 2]]}),
+        (2.75, "scenario.heal", None, {}),
+        (3.00, "crash", 2, {}),
+    ]
