@@ -30,6 +30,7 @@ This is the substrate for the replicated key-value-store example.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..broadcast.reliable import ReliableBroadcast
@@ -169,8 +170,8 @@ class ReplicatedStateMachine(Component):
             return
         self._seen.add(self._cid(command))
         if self._cid(command) not in self._applied:
-            self._pending.append(command)
-            self._pending.sort(key=self._cid)
+            # Ids are unique (``_seen``), so this is the sorted order.
+            insort(self._pending, command, key=self._cid)
             self._reconsider_open_slots()
 
     # ------------------------------------------------------------- proposing

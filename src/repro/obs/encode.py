@@ -14,10 +14,16 @@ every other shape becomes a single-key dict ``{"!<tag>": ...}``.  User
 dicts are encoded as pair lists under ``"!d"``, so payloads that *happen*
 to look like a tag dict can never be misread.  Set-like values are sorted
 by ``repr`` so the encoding is deterministic regardless of hash seeds.
+
+Both walks dispatch on the exact type and test leaves inline, so a scalar
+costs no call; subclasses, sets and ``NULL`` fall through to the
+``isinstance`` chain.  ``tests/obs/test_encode.py`` keeps the plain
+recursive version as the oracle for structure and codec bytes.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 __all__ = ["EncodeError", "to_jsonable", "from_jsonable"]
@@ -33,14 +39,40 @@ class EncodeError(ValueError):
     """A value cannot be represented as tagged JSON, or tags are malformed."""
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Transform *obj* into JSON-native structure (see module docstring)."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+#: Exact leaf types (an ``IntEnum`` is not one: it takes the chain).
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+@functools.cache
+def _null() -> Any:
     # Late import: consensus imports sim/obs, not the reverse.
     from ..consensus.ec_consensus import NULL
 
-    if obj is NULL:
+    return NULL
+
+
+def to_jsonable(obj: Any) -> Any:
+    """Transform *obj* into JSON-native structure (see module docstring)."""
+    kind = type(obj)
+    scalars = _SCALARS
+    if kind in scalars:
+        return obj
+    if kind is tuple:
+        return {_TUPLE: [
+            x if type(x) in scalars else to_jsonable(x) for x in obj
+        ]}
+    if kind is dict:
+        return {_DICT: [
+            [k if type(k) in scalars else to_jsonable(k),
+             v if type(v) in scalars else to_jsonable(v)]
+            for k, v in obj.items()
+        ]}
+    if kind is list:
+        return [x if type(x) in scalars else to_jsonable(x) for x in obj]
+    # What exact types missed: subclasses of the above, sets, NULL.
+    if isinstance(obj, (bool, int, float, str)):
+        return obj
+    if obj is _null():
         return {_NULL: 1}
     if isinstance(obj, list):
         return [to_jsonable(x) for x in obj]
@@ -58,23 +90,36 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def from_jsonable(obj: Any) -> Any:
-    """Exact inverse of :func:`to_jsonable`."""
-    if isinstance(obj, list):
-        return [from_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        if len(obj) == 1:
-            (tag, value), = obj.items()
+    """Exact inverse of :func:`to_jsonable`; a dict that is not a tag it
+    writes, or whose body cannot be read back, is an :class:`EncodeError`."""
+    scalars = _SCALARS
+    if not isinstance(obj, dict):  # tested first: the walk recurses on tags
+        if isinstance(obj, list):
+            return [x if type(x) in scalars else from_jsonable(x) for x in obj]
+        return obj
+    if len(obj) == 1:
+        (tag, value), = obj.items()
+        try:
             if tag == _TUPLE:
-                return tuple(from_jsonable(x) for x in value)
+                return tuple([
+                    x if type(x) in scalars else from_jsonable(x)
+                    for x in value
+                ])
             if tag == _DICT:
-                return {from_jsonable(k): from_jsonable(v) for k, v in value}
+                return {
+                    k if type(k) in scalars else from_jsonable(k):
+                    v if type(v) in scalars else from_jsonable(v)
+                    for k, v in value
+                }
             if tag == _FROZENSET:
                 return frozenset(from_jsonable(x) for x in value)
             if tag == _SET:
                 return {from_jsonable(x) for x in value}
             if tag == _NULL:
-                from ..consensus.ec_consensus import NULL
-
-                return NULL
-        raise EncodeError(f"malformed wire structure: {obj!r}")
-    return obj
+                return _null()
+        except EncodeError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # Not iterable, not pairs, or an unhashable key/member.
+            raise EncodeError(f"malformed wire structure: {obj!r}") from exc
+    raise EncodeError(f"malformed wire structure: {obj!r}")

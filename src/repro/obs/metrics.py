@@ -191,35 +191,46 @@ class MetricsRegistry:
     One registry lives on every world (``world.metrics``); components
     reach it through :attr:`repro.sim.component.Component.metrics`.  All
     operations validate the metric name and the exact label-key set, then
-    index by the label *values* in schema order — so ``inc`` on a hot
-    path costs two dict lookups and a tuple build.
+    index by the label *values* in schema order.  Validation runs once per
+    registry and call shape (name, scalar-or-histogram, label keys in the
+    order passed); after that ``inc`` on a hot path costs two dict lookups
+    and two tuple builds.
     """
 
     def __init__(self) -> None:
         self._scalars: Dict[str, Dict[LabelValues, float]] = {}
         self._histograms: Dict[str, Dict[LabelValues, _Histogram]] = {}
+        #: (name, is-histogram, *label keys as passed) -> schema label
+        #: order, for every call shape that has passed validation.
+        self._checked: Dict[Tuple[Any, ...], Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------- recording
     def _key(
         self, name: str, labels: Dict[str, Any], want_histogram: bool
     ) -> LabelValues:
-        schema = METRIC_SCHEMAS.get(name)
-        if schema is None:
-            raise ConfigurationError(
-                f"unregistered metric {name!r}; register_metric() it first "
-                f"(known: {', '.join(known_metrics())})"
-            )
-        if (schema.kind == "histogram") != want_histogram:
-            verb = "observe" if schema.kind == "histogram" else "inc/set"
-            raise ConfigurationError(
-                f"metric {name!r} is a {schema.kind}; use {verb}()"
-            )
-        if tuple(sorted(labels)) != tuple(sorted(schema.labels)):
-            raise ConfigurationError(
-                f"metric {name!r} takes labels {schema.labels}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(labels[key] for key in schema.labels)
+        shape = (name, want_histogram, *labels)
+        order = self._checked.get(shape)
+        if order is None:
+            schema = METRIC_SCHEMAS.get(name)
+            if schema is None:
+                raise ConfigurationError(
+                    f"unregistered metric {name!r}; register_metric() it "
+                    f"first (known: {', '.join(known_metrics())})"
+                )
+            if (schema.kind == "histogram") != want_histogram:
+                verb = "observe" if schema.kind == "histogram" else "inc/set"
+                raise ConfigurationError(
+                    f"metric {name!r} is a {schema.kind}; use {verb}()"
+                )
+            if sorted(labels) != sorted(schema.labels):
+                raise ConfigurationError(
+                    f"metric {name!r} takes labels {schema.labels}, "
+                    f"got {tuple(sorted(labels))}"
+                )
+            # Only a shape that passed is remembered, so a wrong call
+            # site raises on every call, not just the first.
+            order = self._checked[shape] = schema.labels
+        return tuple([labels[key] for key in order])
 
     def inc(self, name: str, amount: Union[int, float] = 1, **labels: Any) -> None:
         """Add *amount* to counter (or gauge) *name* for this label set."""

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     Summary,
@@ -168,6 +168,9 @@ class TestStats:
         assert geometric_mean([1, 100]) == pytest.approx(10.0)
         assert math.isnan(geometric_mean([]))
 
+    # No deadline: the first example pays the numpy import (140–500 ms on
+    # a slow host), which alone trips hypothesis's 200 ms default.
+    @settings(deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))
     def test_summary_invariants(self, xs):

@@ -89,6 +89,23 @@ def test_garbage_bytes_raise_codec_error(codec):
             codec.decode_message(garbage)
 
 
+#: Bytes either serializer reads fine, but whose tag body is not one the
+#: transform writes; these used to escape as bare ValueError/TypeError.
+MALFORMED_TAG_BODIES = [
+    {"!d": [[1]]}, {"!d": 5}, {"!t": 5}, {"!s": [[1]]}, {"!d": [[[1], 2]]},
+]
+
+
+@pytest.mark.parametrize("codec", _codecs(), ids=lambda c: c.name)
+@pytest.mark.parametrize("wire", MALFORMED_TAG_BODIES, ids=str)
+def test_malformed_tag_body_raises_codec_error(codec, wire):
+    with pytest.raises(CodecError, match="malformed wire structure"):
+        codec.decode_payload(codec._dumps(wire))
+    envelope = {"s": 0, "d": 1, "c": "rsm", "p": wire, "t": 0.0}
+    with pytest.raises(CodecError, match="malformed wire structure"):
+        codec.decode_message(codec._dumps(envelope))
+
+
 def test_valid_json_bad_envelope_raises_codec_error():
     with pytest.raises(CodecError):
         JsonCodec().decode_message(b'{"unexpected": "shape"}')

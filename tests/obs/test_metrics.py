@@ -60,6 +60,34 @@ def test_wrong_label_set_raises():
         reg.inc("frames_undecodable_total", channel="fd")  # none declared
 
 
+def test_call_shapes_are_checked_once_and_failures_never_remembered():
+    reg = MetricsRegistry()
+    # A wrong label set raises on every call, not just the first.
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="labels"):
+            reg.inc("messages_sent_total", chanel="fd")
+        with pytest.raises(ConfigurationError, match="use inc/set"):
+            reg.observe("messages_sent_total", 5, channel="fd")
+    # ... and does not poison the valid shape of the same name.
+    reg.inc("messages_sent_total", channel="fd")
+    assert reg.value("messages_sent_total", channel="fd") == 1
+    # A metric registered only after a failed inc then works.
+    with pytest.raises(ConfigurationError, match="unregistered metric"):
+        reg.inc("test_scratch_late_total", a=1, b=2)
+    register_metric("test_scratch_late_total", labels=("a", "b"))
+    reg.inc("test_scratch_late_total", a=1, b=2)
+    # Keyword order is part of the remembered shape, not of the series.
+    reg.inc("test_scratch_late_total", b=2, a=1)
+    assert reg.series("test_scratch_late_total") == [({"a": 1, "b": 2}, 2)]
+    assert reg.value("test_scratch_late_total", b=2, a=1) == 2
+    # Only shapes that passed are remembered; the work is done once each.
+    assert sorted(reg._checked) == [
+        ("messages_sent_total", False, "channel"),
+        ("test_scratch_late_total", False, "a", "b"),
+        ("test_scratch_late_total", False, "b", "a"),
+    ]
+
+
 def test_scalar_and_histogram_methods_are_not_interchangeable():
     reg = MetricsRegistry()
     with pytest.raises(ConfigurationError, match="use observe"):

@@ -10,6 +10,7 @@ from repro.cluster import LocalCluster, verdicts_ok
 from repro.errors import ConfigurationError
 from repro.svc import KVClient, start_service
 from repro.svc.protocol import Reply, Request, encode_frame, read_frame
+from tests.net.test_codec import MALFORMED_TAG_BODIES
 
 PERIOD = 0.03
 
@@ -125,6 +126,36 @@ def test_wire_level_retry_is_answered_from_the_session_cache():
         assert cluster.host(leader).metrics.value(
             "svc_duplicates_total") == 1
         writer.close()
+
+    service_test(body)
+
+
+def test_malformed_tag_bodies_drop_that_connection_only():
+    # Well-formed JSON/msgpack whose tagged body the transform cannot read:
+    # each must take the ProtocolError drop-connection path, not escape the
+    # connection task as a bare ValueError/TypeError.
+    async def body(cluster, stacks, fronts):
+        leader = await wait_for_leader(cluster, stacks)
+        front = fronts[leader]
+        escaped = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: escaped.append(context)
+        )
+        good = KVClient([front.local_address], client_id="good")
+        assert (await good.put("k", 0))["ok"]
+        for index, wire in enumerate(MALFORMED_TAG_BODIES, start=1):
+            reader, writer = await asyncio.open_connection(*front.local_address)
+            raw = front.codec._dumps(wire)
+            writer.write(len(raw).to_bytes(4, "big") + raw)
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            writer.close()
+            assert (await good.put("k", index))["value"] == index
+        await good.close()
+        assert await cluster.run_until(
+            lambda: front.connections == 0, timeout=5.0
+        )
+        assert escaped == []
 
     service_test(body)
 
