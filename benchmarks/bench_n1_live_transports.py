@@ -22,10 +22,7 @@ PERIOD = 0.05
 
 async def _run(transport: str, n: int, seed: int = 7):
     cluster = LocalCluster(n=n, transport=transport, seed=seed)
-    stacks = attach_standard_stack(
-        cluster, period=PERIOD,
-        initial_timeout=2.4 * PERIOD, timeout_increment=PERIOD,
-    )
+    stacks = attach_standard_stack(cluster, period=PERIOD)
     await cluster.start()
     await cluster.run(8 * PERIOD)  # leader elected and announced
     kill_time = cluster.now

@@ -30,10 +30,7 @@ PERIOD = 0.05  # wall-clock seconds between heartbeats
 async def main() -> None:
     # 1. Five NodeHosts in this process, each with its own UDP socket.
     cluster = LocalCluster(n=N, transport="udp", seed=7)
-    stacks = attach_standard_stack(
-        cluster, period=PERIOD,
-        initial_timeout=2.4 * PERIOD, timeout_increment=PERIOD,
-    )
+    stacks = attach_standard_stack(cluster, period=PERIOD)
     detectors, protocols = stacks["fd"], stacks["consensus"]
 
     # 2. Boot and give the ◇C stack a moment to elect and announce a leader.

@@ -63,6 +63,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -75,6 +76,7 @@ from .analysis import (
     round_timeline,
 )
 from .broadcast import ReliableBroadcast
+from .cluster.config import NodeConfig, add_config_flags, config_from_args
 from .consensus import ALGORITHMS, attach_consensus, propose_all
 from .fd import (
     EVENTUALLY_CONSISTENT,
@@ -300,10 +302,9 @@ def _load_cli_scenario(args):
     return Scenario.load(path)
 
 
-def _scenario_defaults(args, scenario, nodes_default: int,
-                       period_default: float) -> None:
+def _scenario_defaults(args, scenario, nodes_default: int) -> None:
     """Resolve ``--nodes`` / ``--period``: explicit flag beats the scenario
-    document, which beats the subcommand default.  A scenario is a
+    document, which beats the default.  A scenario is a
     self-contained run spec, so ``repro cluster --scenario f.json`` picks
     up the cluster size and heartbeat period it was generated for."""
     if args.nodes is None:
@@ -311,7 +312,8 @@ def _scenario_defaults(args, scenario, nodes_default: int,
                       and scenario.n is not None else nodes_default)
     if args.period is None:
         args.period = (scenario.period if scenario is not None
-                       and scenario.period is not None else period_default)
+                       and scenario.period is not None
+                       else NodeConfig().period)
 
 
 def _apply_cli_faults(cluster, args, scenario=None) -> None:
@@ -335,20 +337,39 @@ def _apply_cli_faults(cluster, args, scenario=None) -> None:
         apply_scenario(cluster, scenario)
 
 
+def _local_cluster(args, config, n, propose_after=None, **run):
+    """The in-process substrate of a CLI run: one ``LocalCluster`` shaped
+    by *args* (transport, trace shipping) and *run* (``clock=`` /
+    ``duration=``), with *config*'s stack deployed on it."""
+    from .net import LocalCluster
+
+    cluster = LocalCluster(
+        n=n, transport=args.transport, trace_out=args.trace_out,
+        seed=config.seed, codec=config.codec, ship_to=config.ship_to, **run,
+    )
+    cluster.deploy_standard_stack(
+        propose_after=propose_after, **config.to_dict())
+    return cluster
+
+
+def _process_cluster(args, config, n, **run):
+    """The kill -9 substrate of a CLI run: one ``ProcessCluster`` whose
+    nodes run *config* (*run* is ``duration=`` / ``propose_after=`` /
+    ``serve=``; ``--trace-out`` is its workdir)."""
+    from .proc import ProcessCluster
+
+    return ProcessCluster(
+        n=n, transport=args.transport, workdir=args.trace_out,
+        **run, **config.to_dict(),
+    )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .errors import ConfigurationError
-    from .net import LocalCluster, attach_standard_stack, default_codec
-
-    try:
-        codec = default_codec(
-            prefer=None if args.codec == "auto" else args.codec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     scenario = _load_cli_scenario(args)
-    _scenario_defaults(args, scenario, nodes_default=5, period_default=0.05)
+    _scenario_defaults(args, scenario, nodes_default=5)
+    config = config_from_args(args)
 
     if args.virtual:
         if scenario is not None:
@@ -356,27 +377,20 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                   "`repro scenario run --runtime virtual` (the scenario "
                   "document carries the run parameters)", file=sys.stderr)
             return 2
-        return _cluster_virtual(args, codec)
+        return _cluster_virtual(args, config)
     if scenario is not None or args.duration is not None or args.crash:
-        return _cluster_scripted(args, codec, scenario)
+        return _cluster_scripted(args, config, scenario)
     if args.stack == "rsm":
         print("error: --stack rsm needs a scripted run (--duration and/or "
               "--crash) or --virtual; the adaptive kill-the-leader flow "
               "drives one-shot consensus", file=sys.stderr)
         return 2
 
-    period = args.period
-    cluster = LocalCluster(
-        n=args.nodes, transport=args.transport, seed=args.seed,
-        codec=codec, trace_out=args.trace_out, ship_to=args.ship_to,
-    )
+    period = config.period
+    cluster = _local_cluster(args, config, args.nodes)
     _apply_cli_faults(cluster, args)
-    stacks = attach_standard_stack(
-        cluster, suspects=args.stack, period=period,
-        initial_timeout=2.4 * period, timeout_increment=period,
-        metrics_interval=args.metrics_interval,
-    )
-    detectors, protocols = stacks["fd"], stacks["consensus"]
+    detectors = cluster.stacks["fd"]
+    protocols = cluster.stacks["consensus"]
 
     def agreed_leader():
         alive = [d for d in detectors if not d.crashed]
@@ -418,46 +432,26 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     leader, crash_time, decided = result
-    return _cluster_report(args, cluster, protocols, leader, crash_time,
-                           decided)
+    return _cluster_report(args, cluster, leader, crash_time, decided)
 
 
-def _cluster_virtual(args: argparse.Namespace, codec) -> int:
+def _cluster_virtual(args: argparse.Namespace, config) -> int:
     """Deterministic variant: virtual clock over loopback, sim-scale times."""
-    from .errors import ConfigurationError
-    from .net import LocalCluster
-
-    if args.transport != "loopback":
-        print("error: --virtual requires --transport loopback",
-              file=sys.stderr)
-        return 2
-    cluster = LocalCluster(
-        n=args.nodes, transport="loopback", clock="virtual",
-        seed=args.seed, codec=codec,
-        trace_out=args.trace_out, ship_to=args.ship_to,
+    leader, crash_time = 0, 60.0  # leaders start at p0 deterministically
+    cluster = _local_cluster(
+        args,
+        dataclasses.replace(
+            config, period=5.0, initial_timeout=12.0, timeout_increment=5.0),
+        args.nodes, propose_after=crash_time + 1.0, clock="virtual",
     )
     _apply_cli_faults(cluster, args)
-    leader, crash_time = 0, 60.0  # leaders start at p0 deterministically
-    stacks = cluster.deploy_standard_stack(
-        stack=args.stack,
-        period=5.0, initial_timeout=12.0, timeout_increment=5.0,
-        propose_after=crash_time + 1.0,
-        metrics_interval=args.metrics_interval,
-        max_batch=args.max_batch, pipeline_depth=args.pipeline_depth,
-    )
     cluster.schedule_kill(leader, crash_time)
     cluster.run_virtual(until=4000.0)
     cluster.close_traces()  # virtual mode has no stop(); flush JSONL now
-    if args.stack == "rsm":
-        return _cluster_report_rsm(args, cluster, stacks["rsm"],
-                                   leader, crash_time)
-    protocols = stacks["consensus"]
-    decided = all(p.decided for p in protocols if not p.crashed)
-    return _cluster_report(args, cluster, protocols, leader, crash_time,
-                           decided)
+    return _cluster_report(args, cluster, leader, crash_time)
 
 
-def _cluster_scripted(args: argparse.Namespace, codec,
+def _cluster_scripted(args: argparse.Namespace, config,
                       scenario=None) -> int:
     """Scripted scenario through the unified ClusterAPI: crash schedule
     from ``--crash``, faults from ``--loss`` / ``--degrade`` /
@@ -465,10 +459,8 @@ def _cluster_scripted(args: argparse.Namespace, codec,
     last fault."""
     import asyncio
 
-    from .net import LocalCluster
-
     crashes = _parse_crash_specs(args.crash)
-    period = args.period
+    period = config.period
     last_crash = max((at for _, at in crashes), default=0.0)
     last_fault = last_crash
     duration = args.duration
@@ -484,15 +476,9 @@ def _cluster_scripted(args: argparse.Namespace, codec,
         propose_after = scenario.propose_after
     else:
         propose_after = last_fault + 4 * period
-    cluster = LocalCluster(
-        n=args.nodes, transport=args.transport, seed=args.seed,
-        codec=codec, trace_out=args.trace_out,
-        duration=duration, ship_to=args.ship_to,
-    )
-    stacks = cluster.deploy_standard_stack(
-        stack=args.stack, period=period, propose_after=propose_after,
-        metrics_interval=args.metrics_interval,
-        max_batch=args.max_batch, pipeline_depth=args.pipeline_depth,
+    cluster = _local_cluster(
+        args, config, args.nodes, propose_after=propose_after,
+        duration=duration,
     )
     for pid, at in crashes:
         cluster.crash(pid, at=at)
@@ -505,17 +491,17 @@ def _cluster_scripted(args: argparse.Namespace, codec,
 
     asyncio.run(drive())
     leader, crash_time = (crashes[0] if crashes else (None, None))
-    if args.stack == "rsm":
-        return _cluster_report_rsm(args, cluster, stacks["rsm"],
-                                   leader, crash_time)
-    protocols = stacks["consensus"]
-    decided = all(p.decided for p in protocols if not p.crashed)
-    return _cluster_report(args, cluster, protocols, leader, crash_time,
-                           decided)
+    return _cluster_report(args, cluster, leader, crash_time)
 
 
-def _cluster_report(args, cluster, protocols, leader, crash_time,
-                    decided) -> int:
+def _cluster_report(args, cluster, leader, crash_time, decided=None) -> int:
+    """Postmortem of a finished in-process run, by what was deployed
+    (*decided* defaults to "every surviving node has decided by now")."""
+    if cluster.config.stack == "rsm":
+        return _cluster_report_rsm(args, cluster, leader, crash_time)
+    protocols = cluster.stacks["consensus"]
+    if decided is None:
+        decided = all(p.decided for p in protocols if not p.crashed)
     trace = cluster.trace
     end = cluster.now
     mode = "virtual" if cluster.virtual else "wall"
@@ -559,7 +545,7 @@ def _cluster_report(args, cluster, protocols, leader, crash_time,
     return 0 if ok else 1
 
 
-def _cluster_report_rsm(args, cluster, rsms, leader, crash_time) -> int:
+def _cluster_report_rsm(args, cluster, leader, crash_time) -> int:
     """Postmortem for an ``rsm``-stack cluster run: replica log lengths
     and the log-level verdicts instead of one-shot consensus outcomes."""
     from .cluster.api import verdicts_ok
@@ -577,7 +563,7 @@ def _cluster_report_rsm(args, cluster, rsms, leader, crash_time) -> int:
         print("no crashes scheduled\n")
     print(leader_timeline(trace, channel="fd", width=64, end=end))
     print()
-    for rsm in rsms:
+    for rsm in cluster.stacks["rsm"]:
         state = ("killed" if rsm.crashed
                  else f"applied {len(rsm.log)} commands "
                       f"(slot {rsm.current_slot})")
@@ -617,10 +603,9 @@ def _cmd_proc_run(args: argparse.Namespace) -> int:
     import asyncio
 
     from .cluster.api import verdicts_ok
-    from .proc import ProcessCluster
 
     scenario = _load_cli_scenario(args)
-    _scenario_defaults(args, scenario, nodes_default=3, period_default=0.05)
+    _scenario_defaults(args, scenario, nodes_default=3)
     crashes = _parse_crash_specs(args.crash)
     duration = args.duration
     if duration is None and scenario is not None:
@@ -632,20 +617,9 @@ def _cmd_proc_run(args: argparse.Namespace) -> int:
         propose_after = (scenario.propose_after
                          if scenario is not None
                          and scenario.propose_after is not None else 1.0)
-    cluster = ProcessCluster(
-        n=args.nodes,
-        transport=args.transport,
-        stack=args.stack,
-        period=args.period,
-        duration=duration,
-        propose_after=propose_after,
-        seed=args.seed,
-        codec=args.codec,
-        workdir=args.trace_out,
-        metrics_interval=args.metrics_interval,
-        max_batch=args.max_batch,
-        pipeline_depth=args.pipeline_depth,
-        ship_to=args.ship_to,
+    cluster = _process_cluster(
+        args, config_from_args(args), args.nodes,
+        duration=duration, propose_after=propose_after,
     )
     for pid, at in crashes:
         cluster.crash(pid, at=at)
@@ -659,7 +633,7 @@ def _cmd_proc_run(args: argparse.Namespace) -> int:
 
     quiescent = asyncio.run(drive())
     print(f"process cluster: n={cluster.n} transport={cluster.transport} "
-          f"stack={cluster.stack} duration={duration}s")
+          f"stack={cluster.config.stack} duration={duration}s")
     print(f"workdir: {cluster.workdir}")
     for pid in cluster.pids:
         status = cluster.exit_statuses.get(pid)
@@ -725,7 +699,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     import asyncio
 
     from .analysis.qos import qos_report
-    from .errors import ConfigurationError
     from .scenario import run_scenario
 
     scenario = _scenario_from_args(args)
@@ -736,50 +709,22 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
                      else scenario.fault_end + 4.0 * period)
     duration = (scenario.duration if scenario.duration is not None
                 else propose_after + 40.0 * period)
-    transport = args.transport
-    if transport is None:
-        transport = "udp" if args.runtime == "proc" else "loopback"
+    if args.transport is None:
+        args.transport = "udp" if args.runtime == "proc" else "loopback"
+    config = config_from_args(args, seed=args.cluster_seed, period=period)
 
     if args.runtime == "proc":
-        from .proc import ProcessCluster
-
-        if transport == "loopback":
-            print("error: --runtime proc needs --transport udp or tcp "
-                  "(loopback cannot cross process boundaries)",
-                  file=sys.stderr)
-            return 2
-        cluster = ProcessCluster(
-            n=n, transport=transport, stack=args.stack, period=period,
-            duration=duration, propose_after=propose_after,
-            seed=args.cluster_seed, codec=args.codec,
-            workdir=args.trace_out, ship_to=args.ship_to,
+        cluster = _process_cluster(
+            args, config, n, duration=duration, propose_after=propose_after,
         )
         result = asyncio.run(run_scenario(cluster, scenario))
         trace = cluster.traces()
         where = f"workdir={cluster.workdir}"
     else:
-        from .net import LocalCluster, default_codec
-
-        try:
-            codec = default_codec(
-                prefer=None if args.codec == "auto" else args.codec)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        virtual = args.runtime == "virtual"
-        if virtual and transport != "loopback":
-            print("error: --runtime virtual requires --transport loopback",
-                  file=sys.stderr)
-            return 2
-        cluster = LocalCluster(
-            n=n, transport=transport,
-            clock="virtual" if virtual else "wall",
-            seed=args.cluster_seed, codec=codec,
-            trace_out=args.trace_out, duration=duration,
-            ship_to=args.ship_to,
-        )
-        cluster.deploy_standard_stack(
-            stack=args.stack, period=period, propose_after=propose_after,
+        cluster = _local_cluster(
+            args, config, n, propose_after=propose_after,
+            clock="virtual" if args.runtime == "virtual" else "wall",
+            duration=duration,
         )
         result = asyncio.run(run_scenario(cluster, scenario))
         trace = cluster.trace
@@ -787,7 +732,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
     print(f"scenario {scenario.name!r}: {len(scenario)} events, n={n} "
           f"period={period} duration={duration}")
-    print(f"runtime: {args.runtime} transport={transport} "
+    print(f"runtime: {args.runtime} transport={args.transport} "
           f"stack={args.stack} {where}")
     if not result["quiescent"]:
         print("warning: cluster was not quiescent at timeout",
@@ -848,26 +793,12 @@ def _parse_kv_value(text: str):
 def _cmd_kv_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .errors import ConfigurationError
-    from .net import LocalCluster, default_codec
     from .svc import start_service
 
-    try:
-        codec = default_codec(
-            prefer=None if args.codec == "auto" else args.codec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = config_from_args(args, stack="rsm")
 
     async def serve() -> None:
-        cluster = LocalCluster(
-            n=args.nodes, transport=args.transport, seed=args.seed,
-            codec=codec, trace_out=args.trace_out, ship_to=args.ship_to,
-        )
-        cluster.deploy_standard_stack(
-            stack="rsm", period=args.period,
-            max_batch=args.max_batch, pipeline_depth=args.pipeline_depth,
-        )
+        cluster = _local_cluster(args, config, args.nodes)
         await cluster.start()
         frontends = await start_service(
             cluster, cluster.stacks, listen_host=args.serve_host,
@@ -1013,7 +944,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     # --proc N: self-hosted run — spawn an rsm process cluster with serve
     # ports, offer the load, then judge the merged trace like `proc run`.
     from .cluster.api import verdicts_ok
-    from .proc import ProcessCluster
 
     crashes = _parse_crash_specs(args.crash)
     warmup = args.warmup
@@ -1028,17 +958,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
             scenario.fault_end + args.timeout + 2.0,
             scenario.duration if scenario.duration is not None else 0.0,
         )
-    cluster = ProcessCluster(
-        n=args.proc,
-        transport=args.transport if args.transport != "loopback" else "udp",
-        stack="rsm",
-        period=args.period,
-        duration=node_duration,
-        seed=args.seed,
-        workdir=args.trace_out,
-        serve=True,
-        max_batch=args.max_batch,
-        pipeline_depth=args.pipeline_depth,
+    cluster = _process_cluster(
+        args, config_from_args(args, stack="rsm"), args.proc,
+        duration=node_duration, serve=True,
     )
     for pid, at in crashes:
         cluster.crash(pid, at=at)
@@ -1118,6 +1040,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
     from .obs.live import LiveCollector, parse_ship_address
 
+    config = config_from_args(args)
     if args.connect is not None:
         host, port = parse_ship_address(args.connect)
         collector = LiveCollector(host=host, port=port)
@@ -1144,12 +1067,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             await refresh_loop()
             await collector.close()
             return
-        from .proc import ProcessCluster
-
-        cluster = ProcessCluster(
-            n=args.proc, transport=args.transport, stack=args.stack,
-            period=args.period, duration=duration, seed=args.seed,
-            workdir=args.trace_out, ship_to=collector.address,
+        cluster = _process_cluster(
+            args, dataclasses.replace(config, ship_to=collector.address),
+            args.proc, duration=duration,
         )
         await cluster.start()
         try:
@@ -1217,11 +1137,7 @@ def _shared_cluster_options() -> argparse.ArgumentParser:
         "--transport", choices=["loopback", "udp", "tcp"], default="udp",
         help="wire transport (process clusters need udp or tcp; loopback "
              "cannot cross process boundaries)")
-    group.add_argument(
-        "--stack", choices=["ring", "heartbeat", "rsm"], default="ring",
-        help="suspect source feeding the <>C combiner, or 'rsm' for the "
-             "replicated-state-machine service substrate (slot-by-slot "
-             "consensus instead of a single instance)")
+    add_config_flags(group, "stack")
     group.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="ship traces as they happen: a directory writes one "
@@ -1251,28 +1167,20 @@ def _shared_cluster_options() -> argparse.ArgumentParser:
         help="arm a declarative fault schedule (see `repro scenario "
              "gen`); its n/period/duration/propose_after become the "
              "run's defaults")
-    group.add_argument(
-        "--metrics-interval", type=float, metavar="SECONDS", default=None,
-        help="attach a metrics reporter on every node emitting "
-             "obs.metrics_snapshot trace events at this interval")
-    group.add_argument(
-        "--ship-to", metavar="HOST:PORT", default=None,
-        help="stream every trace event to a live collector at this "
-             "address as the run happens (start one with `repro watch "
-             "--connect HOST:PORT`)")
-    group.add_argument(
-        "--max-batch", type=int, metavar="N", default=64,
-        help="most commands one consensus slot may carry on the rsm "
-             "stack (1 restores the legacy one-command-per-slot shape)")
-    group.add_argument(
-        "--pipeline-depth", type=int, metavar="N", default=4,
-        help="how many rsm consensus slots may run concurrently "
-             "(1 disables pipelining)")
+    add_config_flags(
+        group, "metrics_interval", "ship_to", "max_batch", "pipeline_depth",
+        "seed", "period", "codec",
+    )
+    # No --period default: an explicit flag must be told apart from the
+    # --scenario document's period (see _scenario_defaults).
+    shared.set_defaults(seed=7, period=None)
     return shared
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from .proc.book import PROC_TRANSPORTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Eventually consistent failure detectors — reproduction CLI",
@@ -1321,12 +1229,6 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--nodes", "-n", type=int, default=None,
                      help="cluster size (default 5, or the --scenario "
                           "document's n)")
-    clu.add_argument("--seed", type=int, default=7)
-    clu.add_argument("--period", type=float, default=None,
-                     help="heartbeat period in wall seconds (default "
-                          "0.05, or the --scenario document's period)")
-    clu.add_argument("--codec", choices=["auto", "json", "msgpack"],
-                     default="auto")
     clu.add_argument("--timeout", type=float, default=30.0,
                      help="wall-clock budget for convergence and decision")
     clu.add_argument("--virtual", action="store_true",
@@ -1355,10 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bind the KV service frontend for real clients "
                            "at this TCP address (requires the book's stack "
                            "to be 'rsm'; overrides the book's serve_port)")
-    node.add_argument("--ship-to", metavar="HOST:PORT", default=None,
-                      help="stream this node's trace to a live collector "
-                           "at this TCP address (`repro watch --connect`; "
-                           "overrides the book's ship_to)")
+    add_config_flags(node, "ship_to")  # overrides the book's ship_to
     node.set_defaults(func=_cmd_node)
 
     proc = sub.add_parser(
@@ -1375,12 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--nodes", "-n", type=int, default=None,
                       help="cluster size (default 3, or the --scenario "
                            "document's n)")
-    prun.add_argument("--seed", type=int, default=7)
-    prun.add_argument("--period", type=float, default=None,
-                      help="heartbeat period in wall seconds (default "
-                           "0.05, or the --scenario document's period)")
-    prun.add_argument("--codec", choices=["auto", "json", "msgpack"],
-                      default="auto")
     prun.add_argument("--propose-after", type=float, metavar="SECONDS",
                       default=None,
                       help="cluster time at which every surviving node "
@@ -1406,11 +1299,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="loopback",
                         help="node-to-node transport (clients always "
                              "connect over TCP)")
-    kserve.add_argument("--period", type=float, default=0.05,
-                        help="heartbeat period in wall seconds")
-    kserve.add_argument("--seed", type=int, default=7)
-    kserve.add_argument("--codec", choices=["auto", "json", "msgpack"],
-                        default="auto")
     kserve.add_argument("--serve-host", default="127.0.0.1",
                         help="interface the client-facing frontends bind")
     kserve.add_argument("--duration", type=float, metavar="SECONDS",
@@ -1418,17 +1306,11 @@ def build_parser() -> argparse.ArgumentParser:
     kserve.add_argument("--trace-out", metavar="PATH", default=None,
                         help="ship the cluster trace (JSONL file or "
                              "directory)")
-    kserve.add_argument("--ship-to", metavar="HOST:PORT", default=None,
-                        help="stream every trace event to a live collector "
-                             "at this address as the run happens (start one "
-                             "with `repro watch --connect HOST:PORT`)")
-    kserve.add_argument("--max-batch", type=int, metavar="N", default=64,
-                        help="most commands one consensus slot may carry "
-                             "(1 restores one-command-per-slot)")
-    kserve.add_argument("--pipeline-depth", type=int, metavar="N", default=4,
-                        help="concurrent consensus slots (1 disables "
-                             "pipelining)")
-    kserve.set_defaults(func=_cmd_kv)
+    add_config_flags(
+        kserve, "period", "seed", "codec", "ship_to", "max_batch",
+        "pipeline_depth",
+    )
+    kserve.set_defaults(func=_cmd_kv, seed=7)
 
     def _kv_client_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--connect", required=True,
@@ -1489,12 +1371,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fraction of commands that are puts")
     load.add_argument("--timeout", type=float, default=10.0,
                       help="per-attempt client request timeout in seconds")
-    load.add_argument("--seed", type=int, default=0)
-    load.add_argument("--transport", choices=["loopback", "udp", "tcp"],
-                      default="udp",
+    load.add_argument("--transport", choices=PROC_TRANSPORTS, default="udp",
                       help="node-to-node transport for --proc clusters")
-    load.add_argument("--period", type=float, default=0.05,
-                      help="heartbeat period for --proc clusters")
     load.add_argument("--warmup", type=float, default=1.0,
                       help="seconds to let --proc detectors converge "
                            "before offering load")
@@ -1511,13 +1389,8 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--merge-out", metavar="OUT.jsonl", default=None,
                       help="write the --proc merged trace as one combined "
                            "JSONL file")
-    load.add_argument("--max-batch", type=int, metavar="N", default=64,
-                      help="most commands one consensus slot may carry in "
-                           "--proc clusters (1 restores "
-                           "one-command-per-slot)")
-    load.add_argument("--pipeline-depth", type=int, metavar="N", default=4,
-                      help="concurrent consensus slots in --proc clusters "
-                           "(1 disables pipelining)")
+    # --seed drives the load generator and the --proc cluster alike.
+    add_config_flags(load, "seed", "period", "max_batch", "pipeline_depth")
     load.set_defaults(func=_cmd_load)
 
     watch = sub.add_parser(
@@ -1542,18 +1415,13 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--interval", type=float, metavar="SECONDS",
                        default=1.0,
                        help="status-table refresh interval")
-    watch.add_argument("--period", type=float, default=0.05,
-                       help="heartbeat period: scales the QoS message-"
-                            "cost window (and --proc clusters)")
-    watch.add_argument("--transport", choices=["udp", "tcp"], default="udp",
+    watch.add_argument("--transport", choices=PROC_TRANSPORTS, default="udp",
                        help="node-to-node transport for --proc clusters")
-    watch.add_argument("--stack", choices=["ring", "heartbeat", "rsm"],
-                       default="ring",
-                       help="stack for --proc clusters")
-    watch.add_argument("--seed", type=int, default=7)
+    # --period also scales the QoS message-cost window of the report.
+    add_config_flags(watch, "period", "stack", "seed")
     watch.add_argument("--trace-out", metavar="DIR", default=None,
                        help="workdir for --proc traces and logs")
-    watch.set_defaults(func=_cmd_watch)
+    watch.set_defaults(func=_cmd_watch, seed=7)
 
     gen_opts = argparse.ArgumentParser(add_help=False)
     gen_group = gen_opts.add_argument_group(
@@ -1621,11 +1489,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="wire transport (default: loopback in-process, "
                            "udp for --runtime proc)")
-    srun.add_argument("--stack", choices=["ring", "heartbeat", "rsm"],
-                      default="ring",
-                      help="protocol stack under test")
-    srun.add_argument("--codec", choices=["auto", "json", "msgpack"],
-                      default="auto")
     srun.add_argument("--cluster-seed", type=int, default=7,
                       help="the cluster's own rng seed (fault-plan loss "
                            "streams); the scenario seed only shapes the "
@@ -1633,10 +1496,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--trace-out", metavar="PATH", default=None,
                       help="ship traces (JSONL file or directory; the "
                            "workdir for --runtime proc)")
-    srun.add_argument("--ship-to", metavar="HOST:PORT", default=None,
-                      help="stream every trace event to a live collector "
-                           "at this address (`repro watch --connect`); "
-                           "wall or proc runtimes only")
+    add_config_flags(srun, "stack", "codec", "ship_to")
     srun.set_defaults(func=_cmd_scenario)
     scen.set_defaults(func=_cmd_scenario)
 

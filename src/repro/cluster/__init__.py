@@ -8,6 +8,9 @@ some of them, and judges the run:
   verdicts``), :class:`FaultVerbs` — the fault half of it, written once
   for every substrate — and :func:`standard_verdicts`, the shared
   postmortem;
+* :mod:`~repro.cluster.config` — :class:`NodeConfig`, the one frozen,
+  validated value of what a node runs (stack, period, timeouts, codec,
+  ...), which every substrate, the address book and the CLI share;
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`, *n*
   :class:`~repro.net.host.NodeHost`\\ s in one OS process (wall or
   virtual clock);
@@ -25,9 +28,9 @@ from .api import (
     standard_verdicts,
     verdicts_ok,
 )
+from .config import STACKS, NodeConfig
 from .local import (
     LocalCluster,
-    STACKS,
     TRANSPORTS,
     attach_node_stack,
     attach_standard_stack,
@@ -41,6 +44,7 @@ __all__ = [
     "standard_verdicts",
     "verdicts_ok",
     "LocalCluster",
+    "NodeConfig",
     "ProcessCluster",
     "attach_node_stack",
     "attach_standard_stack",

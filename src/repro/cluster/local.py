@@ -67,23 +67,17 @@ from ..sim.component import Component
 from ..transform.c_to_p import CToPTransformation
 from ..types import ProcessId, Time
 from .api import FaultVerbs, rsm_verdicts, standard_verdicts
+from .config import NodeConfig
 
 __all__ = [
     "LocalCluster",
     "attach_standard_stack",
     "attach_node_stack",
     "TRANSPORTS",
-    "STACKS",
 ]
 
 #: Transport kinds `LocalCluster` can build itself.
 TRANSPORTS = ("loopback", "udp", "tcp")
-
-#: Deployable stack flavours: suspect-source variants of the one-shot
-#: consensus pipeline, plus ``rsm`` — the same ◇C detectors driving a
-#: slot-by-slot :class:`~repro.consensus.multi.ReplicatedStateMachine`
-#: instead of a single consensus instance (the service substrate).
-STACKS = ("ring", "heartbeat", "rsm")
 
 
 async def _maybe(value: Any) -> Any:
@@ -102,7 +96,7 @@ class LocalCluster(FaultVerbs):
         transport: str = "loopback",
         clock: str = "wall",
         seed: int = 0,
-        codec: Optional[Codec] = None,
+        codec: Union[Codec, str, None] = None,
         bind_host: str = "127.0.0.1",
         trace_kinds: Optional[Iterable[str]] = None,
         trace_out: Optional[Union[str, Path]] = None,
@@ -127,6 +121,12 @@ class LocalCluster(FaultVerbs):
                 "ship_to needs a wall clock: live shipping runs on the "
                 "event loop and a virtual run has no wall epoch to rebase"
             )
+        codec_name = codec.name if isinstance(codec, Codec) else codec or "auto"
+        #: What every node runs (:class:`NodeConfig`).  ``seed``, ``codec``
+        #: and ``ship_to`` are fixed here — hosts and sinks are built in
+        #: this constructor; the stack settings join them when
+        #: :func:`attach_standard_stack` deploys (the defaults until then).
+        self.config = NodeConfig(seed=seed, codec=codec_name, ship_to=ship_to)
         super().__init__()  # the pre-start fault queue (ClusterAPI.fault)
         self.n = n
         self.transport_kind = transport
@@ -174,7 +174,9 @@ class LocalCluster(FaultVerbs):
             host_traces = [
                 TeeSink(sink, self._streaming) for sink in host_traces
             ]
-        self.codec = codec if codec is not None else default_codec()
+        self.codec = (
+            codec if isinstance(codec, Codec) else default_codec(codec_name)
+        )
         # Sink the cluster-level scenario.* narration goes through: the
         # same object node 0 traces into, so combined/per-node JSONL
         # shipping sees the fault events too (not just the MemorySink).
@@ -188,8 +190,6 @@ class LocalCluster(FaultVerbs):
         self._pending_proposals: List[Time] = []
         #: Components per role when `deploy_standard_stack` was used.
         self.stacks: Optional[Dict[str, List[Component]]] = None
-        #: Which stack `deploy_standard_stack` deployed (verdict dispatch).
-        self.stack_kind: Optional[str] = None
         # In-flight async transport closes from kill(); referenced here so
         # the tasks cannot be garbage-collected mid-close, reaped in stop().
         self._closing: set = set()
@@ -244,40 +244,19 @@ class LocalCluster(FaultVerbs):
         return [self.attach(pid, factory(pid)) for pid in self.pids]
 
     def deploy_standard_stack(
-        self,
-        stack: str = "ring",
-        period: Time = 0.05,
-        initial_timeout: Optional[Time] = None,
-        timeout_increment: Optional[Time] = None,
-        propose_after: Optional[Time] = None,
-        **kwargs: Any,
+        self, propose_after: Optional[Time] = None, **settings: Any
     ) -> Dict[str, List[Component]]:
         """Deploy the paper's full pipeline and make the run self-driving.
 
-        Attaches :func:`attach_standard_stack` on every node (``stack``
-        selects the ◇S suspect source) and, when *propose_after* is given,
-        schedules one proposal round at that cluster time: every
-        still-correct node proposes ``value-from-p<pid>``.  This mirrors
-        exactly what each node of a :class:`~repro.proc.ProcessCluster`
-        does for itself, so the same scenario drives both runtimes.
+        Attaches :func:`attach_standard_stack` on every node (*settings*
+        are :class:`NodeConfig` fields; ``stack`` selects the ◇S suspect
+        source) and, when *propose_after* is given, schedules one proposal
+        round at that cluster time: every still-correct node proposes
+        ``value-from-p<pid>``.  This mirrors exactly what each node of a
+        :class:`~repro.proc.ProcessCluster` does for itself, so the same
+        scenario drives both runtimes.
         """
-        if stack not in STACKS:
-            raise ConfigurationError(
-                f"unknown stack {stack!r}; pick one of {STACKS}"
-            )
-        self.stack_kind = stack
-        self.stacks = attach_standard_stack(
-            self,
-            suspects=stack,
-            period=period,
-            initial_timeout=(
-                initial_timeout if initial_timeout is not None else 2.4 * period
-            ),
-            timeout_increment=(
-                timeout_increment if timeout_increment is not None else period
-            ),
-            **kwargs,
-        )
+        self.stacks = attach_standard_stack(self, **settings)
         if propose_after is not None:
             self._pending_proposals.append(propose_after)
         return self.stacks
@@ -485,7 +464,7 @@ class LocalCluster(FaultVerbs):
         agreement/prefix/progress); anything else by
         :func:`standard_verdicts` (one-shot Uniform Consensus).
         """
-        if self.stack_kind == "rsm":
+        if self.config.stack == "rsm":
             return rsm_verdicts(
                 self.trace, self.correct_pids,
                 channel=channel, end_time=self.now,
@@ -513,17 +492,8 @@ class LocalCluster(FaultVerbs):
 
 def attach_node_stack(
     attach: Callable[[Component], Component],
-    suspects: str = "ring",
-    period: Time = 0.05,
-    initial_timeout: Time = 0.12,
-    timeout_increment: Time = 0.05,
-    with_transformation: bool = True,
+    config: NodeConfig,
     with_consensus: bool = True,
-    stubborn_period: Optional[Time] = None,
-    channel: str = "fd",
-    metrics_interval: Optional[Time] = None,
-    max_batch: int = 64,
-    pipeline_depth: int = 4,
 ) -> Dict[str, Component]:
     """Deploy one node's slice of the paper's pipeline via *attach*.
 
@@ -533,134 +503,102 @@ def attach_node_stack(
     ``cluster.attach(pid, ...)`` for in-process clusters.  Returns the
     components by role.
 
-    ``suspects="rsm"`` deploys the service substrate: the ring-sourced
-    ◇C detectors as usual, but a slot-by-slot
+    ``config.stack == "rsm"`` deploys the service substrate: the
+    ring-sourced ◇C detectors as usual, but a slot-by-slot
     :class:`~repro.consensus.multi.ReplicatedStateMachine` (role
-    ``rsm``) in place of the one-shot consensus instance.  *max_batch*
-    and *pipeline_depth* shape its command path (they only matter for
+    ``rsm``) in place of the one-shot consensus instance.  ``max_batch``
+    and ``pipeline_depth`` shape its command path (they only matter for
     that stack); ``max_batch=1, pipeline_depth=1`` restores the
     historical one-command-per-slot machine.
     """
     parts: Dict[str, Component] = {}
-    with_rsm = suspects == "rsm"
-    if with_rsm:
-        suspects = "ring"
-        with_consensus = False
-    omega = LeaderBasedOmega(
-        period=period,
-        initial_timeout=initial_timeout,
-        timeout_increment=timeout_increment,
-        channel=f"{channel}.omega",
-    )
+    period = config.period
+    timeouts = {
+        "initial_timeout": config.initial_timeout,
+        "timeout_increment": config.timeout_increment,
+    }
+    omega = LeaderBasedOmega(period=period, channel="fd.omega", **timeouts)
     attach(omega)
-    if suspects == "ring":
-        source: Component = RingDetector(
-            period=period,
-            initial_timeout=initial_timeout,
-            timeout_increment=timeout_increment,
-            channel=f"{channel}.suspects",
-        )
-    elif suspects == "heartbeat":
-        source = HeartbeatEventuallyPerfect(
-            period=period,
-            initial_timeout=initial_timeout,
-            timeout_increment=timeout_increment,
-            channel=f"{channel}.suspects",
-        )
-    else:
-        raise ConfigurationError(f"unknown suspects source {suspects!r}")
+    detector = (
+        HeartbeatEventuallyPerfect if config.stack == "heartbeat"
+        else RingDetector
+    )
+    source: Component = detector(
+        period=period, channel="fd.suspects", **timeouts
+    )
     attach(source)
-    combined = CombinedDetector(omega, source, channel=channel)
+    combined = CombinedDetector(omega, source, channel="fd")
     attach(combined)
     parts["omega"] = omega
     parts["suspects"] = source
     parts["fd"] = combined
-    if with_transformation:
-        fdp = CToPTransformation(
-            combined,
-            send_period=period,
-            alive_period=period,
-            initial_timeout=initial_timeout,
-            timeout_increment=timeout_increment,
-            channel="fdp",
-        )
-        attach(fdp)
-        parts["fdp"] = fdp
-    if with_consensus:
-        rb = ReliableBroadcast(channel="consensus.rb")
-        attach(rb)
-        protocol = ECConsensus(
-            combined, rb,
-            round_step=period / 5.0,
-            stubborn_period=stubborn_period,
-        )
-        attach(protocol)
-        parts["rb"] = rb
-        parts["consensus"] = protocol
-    if with_rsm:
+    fdp = CToPTransformation(
+        combined, send_period=period, alive_period=period, channel="fdp",
+        **timeouts,
+    )
+    attach(fdp)
+    parts["fdp"] = fdp
+    if config.stack == "rsm":
         rsm = ReplicatedStateMachine(
             combined,
             channel="rsm",
-            consensus_kwargs={
-                "round_step": period / 5.0,
-                "stubborn_period": stubborn_period,
-            },
+            consensus_kwargs={"round_step": period / 5.0},
             # A service sits mostly idle between bursts; without grace it
             # would burn one NOOP consensus instance per slot forever.
             idle_grace=2 * period,
-            max_batch=max_batch,
-            pipeline_depth=pipeline_depth,
+            max_batch=config.max_batch,
+            pipeline_depth=config.pipeline_depth,
         )
         attach(rsm)
         parts["rsm"] = rsm
-    if metrics_interval is not None:
-        reporter = MetricsReporter(metrics_interval)
+    elif with_consensus:
+        rb = ReliableBroadcast(channel="consensus.rb")
+        attach(rb)
+        protocol = ECConsensus(combined, rb, round_step=period / 5.0)
+        attach(protocol)
+        parts["rb"] = rb
+        parts["consensus"] = protocol
+    if config.metrics_interval is not None:
+        reporter = MetricsReporter(config.metrics_interval)
         attach(reporter)
         parts["metrics"] = reporter
     return parts
 
 
 def attach_standard_stack(
-    cluster: LocalCluster,
-    suspects: str = "ring",
-    period: Time = 0.05,
-    initial_timeout: Time = 0.12,
-    timeout_increment: Time = 0.05,
-    with_transformation: bool = True,
-    with_consensus: bool = True,
-    stubborn_period: Optional[Time] = None,
-    channel: str = "fd",
-    metrics_interval: Optional[Time] = None,
-    max_batch: int = 64,
-    pipeline_depth: int = 4,
+    cluster: LocalCluster, with_consensus: bool = True, **settings: Any
 ) -> Dict[str, List[Component]]:
     """Deploy the paper's full pipeline on every node of *cluster*.
 
-    Per node: leader-based Ω (``fd.omega``) + a ◇S suspect source
-    (``fd.suspects``, ring or heartbeat) + the ◇C combiner (``fd``);
-    optionally the Fig. 2 ◇C→◇P transformation (``fdp``); optionally
-    reliable broadcast (``consensus.rb``) + ◇C-based consensus
-    (``consensus``).  Defaults are scaled for wall-clock seconds (50 ms
-    period) — pass sim-scale values for virtual-clock parity runs.
+    *settings* are :class:`NodeConfig` fields (``stack``, ``period``,
+    timeouts, ...; the result is ``cluster.config`` afterwards).  An
+    unknown keyword is a :class:`ConfigurationError`, and so is a
+    ``seed`` / ``codec`` / ``ship_to`` that contradicts what the cluster
+    was constructed with.  Per node: leader-based Ω (``fd.omega``) + a ◇S
+    suspect source (``fd.suspects``, ring or heartbeat) + the ◇C combiner
+    (``fd``); the Fig. 2 ◇C→◇P transformation (``fdp``); and reliable
+    broadcast (``consensus.rb``) + ◇C-based consensus (``consensus``)
+    unless *with_consensus* is off — or, on the ``rsm`` stack, the
+    replicated state machine instead.  Defaults are scaled for wall-clock
+    seconds (50 ms period) — pass sim-scale values for virtual-clock
+    parity runs.
 
     Returns the components per role, each a pid-ordered list (only the
     roles the chosen stack actually deploys appear as keys).
     """
+    for name in ("seed", "codec", "ship_to"):
+        fixed = getattr(cluster.config, name)
+        if settings.setdefault(name, fixed) != fixed:
+            raise ConfigurationError(
+                f"{name}={settings[name]!r} contradicts the {fixed!r} this "
+                "cluster was constructed with"
+            )
+    cluster.config = NodeConfig.from_dict(settings)
     stacks: Dict[str, List[Component]] = {}
     for pid in cluster.pids:
         parts = attach_node_stack(
             lambda component, pid=pid: cluster.attach(pid, component),
-            suspects=suspects,
-            period=period,
-            initial_timeout=initial_timeout,
-            timeout_increment=timeout_increment,
-            with_transformation=with_transformation,
-            with_consensus=with_consensus,
-            stubborn_period=stubborn_period,
-            channel=channel,
-            metrics_interval=metrics_interval,
-            max_batch=max_batch,
-            pipeline_depth=pipeline_depth,
+            cluster.config, with_consensus=with_consensus,
         )
         for role, component in parts.items():
             stacks.setdefault(role, []).append(component)

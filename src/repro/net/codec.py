@@ -40,6 +40,7 @@ __all__ = [
     "Codec",
     "JsonCodec",
     "MsgpackCodec",
+    "CODECS",
     "default_codec",
     "msgpack_extension_available",
     "wire_preferences",
@@ -253,19 +254,26 @@ def wire_preferences() -> List[str]:
     return ["json"]
 
 
+#: What a ``codec`` setting may say (see :func:`default_codec`).
+CODECS = ("auto", "json", "msgpack")
+
+
 def default_codec(prefer: Optional[str] = None) -> Codec:
     """The best codec this host supports.
 
-    ``prefer="json"``/``"msgpack"`` forces a family; by default msgpack is
-    used when the C extension is importable, JSON otherwise (the pure
-    msgpack fallback exists for interoperability and tests, not speed).
+    ``prefer="json"``/``"msgpack"`` forces a family; by default (``None``
+    or ``"auto"``) msgpack is used when the C extension is importable,
+    JSON otherwise (the pure msgpack fallback exists for interoperability
+    and tests, not speed).
     """
     if prefer == "json":
         return JsonCodec()
     if prefer == "msgpack":
         return MsgpackCodec()
-    if prefer is not None:
-        raise ConfigurationError(f"unknown codec {prefer!r}")
+    if prefer not in (None, "auto"):
+        raise ConfigurationError(
+            f"unknown codec {prefer!r}; pick one of {CODECS}"
+        )
     if msgpack_extension_available():
         return MsgpackCodec()
     return JsonCodec()

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import json
 import socket
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..cluster.config import CONFIG_FIELDS, NodeConfig
 from ..errors import ConfigurationError
 from ..types import ProcessId, Time
 
@@ -53,8 +54,14 @@ __all__ = ["NodeAddress", "AddressBook", "PROC_TRANSPORTS"]
 #: Transports that cross process boundaries (no loopback hub here).
 PROC_TRANSPORTS = ("udp", "tcp")
 
-_STACKS = ("ring", "heartbeat", "rsm")
-_CODECS = ("auto", "json", "msgpack")
+# book.json key order.  It predates NodeConfig and must not move by a
+# byte: the run shape (duration, propose_after) sits in the middle of the
+# node settings, before the first setting added after it.
+_SPLIT = CONFIG_FIELDS.index("metrics_interval")
+_KEYS = (
+    "n", "transport", *CONFIG_FIELDS[:_SPLIT],
+    "duration", "propose_after", *CONFIG_FIELDS[_SPLIT:], "nodes",
+)
 
 
 @dataclass
@@ -75,69 +82,50 @@ class NodeAddress:
     control_port: Optional[int] = None
 
 
-@dataclass
+@dataclass(init=False)
 class AddressBook:
-    """Everything a node needs to join a process cluster (see module doc)."""
+    """Everything a node needs to join a process cluster (see module doc).
+
+    Membership (``n``, ``transport``, ``nodes``) and run shape
+    (``duration``, ``propose_after``) are the book's own; what each node
+    runs is one :class:`~repro.cluster.config.NodeConfig` — given as flat
+    keywords, stored flat in ``book.json``, readable flat (``book.period``)
+    and whole (``book.config``).  Keys a hand-written or older book omits
+    load with the defaults.
+    """
 
     n: int
-    transport: str = "udp"
-    stack: str = "ring"
-    period: Time = 0.05
-    initial_timeout: Optional[Time] = None
-    timeout_increment: Optional[Time] = None
-    seed: int = 0
-    codec: str = "auto"
-    duration: Time = 6.0
-    propose_after: Optional[Time] = None
-    #: When set, every node attaches a MetricsReporter emitting
-    #: ``obs.metrics_snapshot`` trace events at this interval (seconds).
-    metrics_interval: Optional[Time] = None
-    #: Command-path shape of the ``rsm`` stack (see
-    #: :class:`~repro.consensus.multi.ReplicatedStateMachine`); books
-    #: written before these fields existed load with the defaults.
-    max_batch: int = 64
-    pipeline_depth: int = 4
-    #: ``HOST:PORT`` of a live trace collector (see
-    #: :mod:`repro.obs.live`); when set, every node tees its trace into a
-    #: ``StreamingSink`` shipping there.  Absent from books written
-    #: before live telemetry existed — they load with ``None``.
-    ship_to: Optional[str] = None
-    nodes: List[NodeAddress] = field(default_factory=list)
+    transport: str
+    duration: Time
+    propose_after: Optional[Time]
+    nodes: List[NodeAddress]
+    config: NodeConfig
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.max_batch < 1:
+    def __init__(
+        self,
+        n: int,
+        transport: str = "udp",
+        duration: Time = 6.0,
+        propose_after: Optional[Time] = None,
+        nodes: Sequence[Union[NodeAddress, Dict[str, Any]]] = (),
+        **settings: Any,
+    ) -> None:
+        if n < 1:
+            raise ConfigurationError(f"n must be >= 1, got {n}")
+        if transport not in PROC_TRANSPORTS:
             raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.pipeline_depth < 1:
-            raise ConfigurationError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
-        if self.transport not in PROC_TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r} for a process "
+                f"unknown transport {transport!r} for a process "
                 f"cluster; pick one of {PROC_TRANSPORTS} (loopback cannot "
                 "cross process boundaries)"
             )
-        if self.stack not in _STACKS:
-            raise ConfigurationError(
-                f"unknown stack {self.stack!r}; pick one of {_STACKS}"
-            )
-        if self.codec not in _CODECS:
-            raise ConfigurationError(
-                f"unknown codec {self.codec!r}; pick one of {_CODECS}"
-            )
-        # Same scaling rule as LocalCluster.deploy_standard_stack: the
-        # paper's timeout ≈ 2.4 periods, increment = one period.
-        if self.initial_timeout is None:
-            self.initial_timeout = 2.4 * self.period
-        if self.timeout_increment is None:
-            self.timeout_increment = self.period
+        self.n = n
+        self.transport = transport
+        self.duration = duration
+        self.propose_after = propose_after
+        self.config = NodeConfig.from_dict(settings)
         self.nodes = [
             NodeAddress(**entry) if isinstance(entry, dict) else entry
-            for entry in self.nodes
+            for entry in nodes
         ]
         if self.nodes:
             pids = sorted(entry.pid for entry in self.nodes)
@@ -146,13 +134,20 @@ class AddressBook:
                     f"address book must cover pids 0..{self.n - 1} exactly, "
                     f"got {pids}"
                 )
-        if self.stack != "rsm" and any(
+        if self.config.stack != "rsm" and any(
             entry.serve_port is not None for entry in self.nodes
         ):
             raise ConfigurationError(
                 "serve ports only make sense with the 'rsm' stack (the KV "
                 "service frontend rides the replicated state machine)"
             )
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names the instance lacks: the node settings,
+        # read flat off the book (``book.period``, ``book.ship_to``, ...).
+        if name in CONFIG_FIELDS:
+            return getattr(self.config, name)
+        raise AttributeError(name)
 
     # ----------------------------------------------------------------- access
     def address(self, pid: ProcessId) -> Tuple[str, int]:
@@ -202,22 +197,22 @@ class AddressBook:
 
     # -------------------------------------------------------------- (de)serde
     def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
+        data = {key: getattr(self, key) for key in _KEYS}
+        data["nodes"] = [asdict(entry) for entry in self.nodes]
         # Keep the on-disk document minimal and byte-compatible with books
         # written before serve/control ports existed: absent means "no
         # frontend" / "no fault-control endpoint" / "no live shipping".
-        if data.get("ship_to") is None:
-            data.pop("ship_to", None)
+        if data["ship_to"] is None:
+            del data["ship_to"]
         for entry in data["nodes"]:
             for key in ("serve_port", "control_port"):
-                if entry.get(key) is None:
-                    entry.pop(key)
+                if entry[key] is None:
+                    del entry[key]
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AddressBook":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+        unknown = set(data) - set(_KEYS)
         if unknown:
             raise ConfigurationError(
                 f"unknown address-book keys: {sorted(unknown)}"

@@ -104,9 +104,8 @@ class ProcessCluster(FaultVerbs):
     they overlap; the rest configure the spawned processes:
 
     Parameters:
-        n / transport / stack / period / seed / codec: forwarded into the
-            address book every node reads (UDP or TCP only — loopback
-            cannot cross process boundaries).
+        n / transport: the cluster's membership (UDP or TCP only —
+            loopback cannot cross process boundaries).
         duration: how long each node runs before exiting 0.  The whole
             scenario is scripted up front; there is no live orchestration
             channel into a foreign process.
@@ -121,40 +120,29 @@ class ProcessCluster(FaultVerbs):
         host: listening interface for every node.
         python: interpreter for the subprocesses (default:
             ``sys.executable``).
-        ship_to: ``HOST:PORT`` of a live trace collector; when set it
-            rides the address book and every node tees its trace into a
-            :class:`~repro.obs.live.StreamingSink` shipping there (see
-            ``repro watch``).
+        settings: what every node runs — the
+            :class:`~repro.cluster.config.NodeConfig` fields (``stack``,
+            ``period``, ``seed``, ``codec``, ``ship_to``, ...), validated
+            here, exposed as :attr:`config`, and forwarded into the
+            address book every node reads.
     """
 
     def __init__(
         self,
         n: int,
         transport: str = "udp",
-        stack: str = "ring",
-        period: Time = 0.05,
         duration: Time = 6.0,
         propose_after: Optional[Time] = None,
-        initial_timeout: Optional[Time] = None,
-        timeout_increment: Optional[Time] = None,
-        seed: int = 0,
-        codec: str = "auto",
         workdir: Optional[Union[str, Path]] = None,
         host: str = "127.0.0.1",
         python: Optional[str] = None,
-        metrics_interval: Optional[Time] = None,
         serve: bool = False,
-        max_batch: int = 64,
-        pipeline_depth: int = 4,
-        ship_to: Optional[str] = None,
+        **settings: Any,
     ) -> None:
-        # Validate early (n, transport, stack, codec) by building a
-        # node-less book; ports are allocated at start().
-        AddressBook(
-            n=n, transport=transport, stack=stack, codec=codec,
-            max_batch=max_batch, pipeline_depth=pipeline_depth,
-        )
-        if serve and stack != "rsm":
+        # Validate everything now by building a node-less book; ports are
+        # allocated at start().
+        self.config = AddressBook(n=n, transport=transport, **settings).config
+        if serve and self.config.stack != "rsm":
             raise ConfigurationError(
                 "serve=True needs stack='rsm' (the KV frontend submits "
                 "into the replicated log)"
@@ -163,18 +151,8 @@ class ProcessCluster(FaultVerbs):
         self.serve = serve
         self.n = n
         self.transport = transport
-        self.stack = stack
-        self.period = period
         self.duration = duration
         self.propose_after = propose_after
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
-        self.seed = seed
-        self.codec = codec
-        self.metrics_interval = metrics_interval
-        self.max_batch = max_batch
-        self.pipeline_depth = pipeline_depth
-        self.ship_to = ship_to
         self.host = host
         self.python = python if python is not None else sys.executable
         self.workdir = Path(
@@ -234,18 +212,9 @@ class ProcessCluster(FaultVerbs):
             serve=self.serve,
             control=True,
             transport=self.transport,
-            stack=self.stack,
-            period=self.period,
-            initial_timeout=self.initial_timeout,
-            timeout_increment=self.timeout_increment,
-            seed=self.seed,
-            codec=self.codec,
             duration=self.duration,
             propose_after=self.propose_after,
-            metrics_interval=self.metrics_interval,
-            max_batch=self.max_batch,
-            pipeline_depth=self.pipeline_depth,
-            ship_to=self.ship_to,
+            **self.config.to_dict(),
         )
         book_path = self.book.save(self.workdir / "book.json")
         env = dict(os.environ)
@@ -568,7 +537,7 @@ class ProcessCluster(FaultVerbs):
         agreement/prefix/progress over ``apply`` events); anything else
         by :func:`standard_verdicts`.
         """
-        if self.stack == "rsm":
+        if self.config.stack == "rsm":
             return rsm_verdicts(
                 self.traces(), self.correct_pids, channel=channel,
             )

@@ -64,7 +64,6 @@ def build_node(
         real: Any = UDPTransport(pid, host=host_addr, port=port)
     else:
         real = TCPTransport(pid, host=host_addr, port=port)
-    prefer = None if book.codec == "auto" else book.codec
     # The node's own fault surface: an (idle, near-free) plan its sends
     # run through and a steppable clock — the fault-control endpoint
     # mutates both on command from the launcher.  Decorrelate the plan's
@@ -74,20 +73,13 @@ def build_node(
     host = NodeHost(
         pid, book.n, FaultyTransport(real, plan, clock),
         clock=clock,
-        codec=default_codec(prefer=prefer),
+        codec=default_codec(book.codec),
         trace=trace if trace is not None else MemorySink(),
         seed=book.seed,
     )
     host.fault_plan = plan  # type: ignore[attr-defined]
     host.stacks = attach_node_stack(  # type: ignore[attr-defined]
-        host.attach,
-        suspects=book.stack,
-        period=book.period,
-        initial_timeout=book.initial_timeout,
-        timeout_increment=book.timeout_increment,
-        metrics_interval=book.metrics_interval,
-        max_batch=book.max_batch,
-        pipeline_depth=book.pipeline_depth,
+        host.attach, book.config
     )
     return host
 

@@ -12,6 +12,7 @@ from repro.cluster import (
     ClusterAPI,
     FaultVerbs,
     LocalCluster,
+    NodeConfig,
     ProcessCluster,
     rsm_verdicts,
     standard_verdicts,
@@ -20,6 +21,7 @@ from repro.cluster import (
 from repro.errors import ConfigurationError
 from repro.net.faults import FAULT_OPS
 from repro.obs.sinks import MemorySink
+from repro.proc import AddressBook
 
 SIM_SCALE = dict(period=5.0, initial_timeout=12.0, timeout_increment=5.0)
 
@@ -131,6 +133,58 @@ def test_fault_validates_eagerly_queues_before_start_and_arms_after():
     assert cluster.timers[-1] == (3.0, cluster._deliver, ("heal", {}))
     with pytest.raises(ConfigurationError, match="already started"):
         cluster._mark_started()
+
+
+# ------------------------------------------------- one validity everywhere
+def build_local(**settings):
+    # The in-process substrate fixes these three at construction.
+    fixed = {
+        name: settings.pop(name)
+        for name in ("seed", "codec", "ship_to") if name in settings
+    }
+    cluster = LocalCluster(n=3, **fixed)
+    cluster.deploy_standard_stack(**settings)
+    return cluster
+
+
+SUBSTRATES = {
+    "local": build_local,
+    "proc": lambda **settings: ProcessCluster(n=3, **settings),
+    "book": lambda **settings: AddressBook(n=3, **settings),
+}
+BAD_SETTINGS = [
+    dict(period=0), dict(period=-1), dict(metrics_interval=0),
+    dict(initial_timeout=-3), dict(max_batch=0), dict(pipeline_depth=0),
+    dict(stack="star"), dict(codec="pickle"), dict(ship_to="nonsense"),
+]
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+@pytest.mark.parametrize("bad", BAD_SETTINGS, ids=repr)
+def test_every_substrate_rejects_a_bad_setting_up_front(substrate, bad):
+    """Construction alone — before any socket is bound or process spawned
+    — raises, with the one validator's message on every substrate."""
+    with pytest.raises(ConfigurationError) as reference:
+        NodeConfig(**bad)
+    with pytest.raises(ConfigurationError) as raised:
+        SUBSTRATES[substrate](**bad)
+    assert str(raised.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_every_substrate_exposes_the_same_config(substrate):
+    settings = dict(stack="rsm", period=0.2, seed=5, max_batch=8)
+    assert SUBSTRATES[substrate](**settings).config == NodeConfig(**settings)
+
+
+def test_deploy_rejects_unknown_and_contradicting_keywords():
+    cluster = LocalCluster(n=2, clock="virtual", seed=3)
+    with pytest.raises(ConfigurationError, match="unknown node settings"):
+        cluster.deploy_standard_stack(perod=5.0)
+    with pytest.raises(ConfigurationError, match="constructed with"):
+        cluster.deploy_standard_stack(seed=4)
+    cluster.deploy_standard_stack(seed=3, **SIM_SCALE)  # restating is fine
+    assert cluster.config.seed == 3 and cluster.config.period == 5.0
 
 
 # ------------------------------------------ LocalCluster under the harness

@@ -2,9 +2,11 @@
 
 import json
 import socket
+from pathlib import Path
 
 import pytest
 
+from repro.cluster import NodeConfig
 from repro.errors import ConfigurationError
 from repro.proc import PROC_TRANSPORTS, AddressBook, NodeAddress
 
@@ -122,3 +124,31 @@ def test_allocate_hands_out_distinct_bindable_ports(transport):
             probe.bind((host, port))  # released by allocate, still free
         finally:
             probe.close()
+
+
+# ------------------------------------------------- on-disk compatibility
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", ["book-default.json", "book-full.json"])
+def test_books_written_before_node_config_reserialise_byte_identically(
+    name, tmp_path
+):
+    """The fixtures were written by the commit before NodeConfig existed
+    (a default book, and one with every key set incl. ``ship_to`` and
+    serve/control ports): the on-disk format must not move by a byte."""
+    original = FIXTURES / name
+    book = AddressBook.load(original)
+    assert book.save(tmp_path / name).read_bytes() == original.read_bytes()
+
+
+def test_minimal_handwritten_book_loads_with_the_defaults():
+    book = AddressBook.from_dict({
+        "n": 2, "transport": "tcp",
+        "nodes": [{"pid": 0, "host": "10.0.0.1", "port": 4000},
+                  {"pid": 1, "host": "10.0.0.2", "port": 4000}],
+    })
+    assert book.config == NodeConfig()
+    assert (book.duration, book.propose_after) == (6.0, None)
+    assert book.address(1) == ("10.0.0.2", 4000)
+

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
+from pathlib import Path
 
 import pytest
 
@@ -203,7 +205,66 @@ class TestSharedClusterOptions:
         assert shared_block(cluster) == shared_block(proc_run)
 
 
+def _flag_surface(parser, prefix="", out=None):
+    """``{subcommand: {option string: [default, choices]}}`` of *parser*
+    (one entry per leaf subcommand)."""
+    out = {} if out is None else out
+    subparsers = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    for action in subparsers:
+        for name, child in action.choices.items():
+            _flag_surface(child, f"{prefix} {name}".strip(), out)
+    if not subparsers:
+        out[prefix] = flags = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            choices = None if action.choices is None else list(action.choices)
+            for key in action.option_strings or [action.dest]:
+                flags[key] = [action.default, choices]
+    return out
+
+
+def test_flag_surface_matches_the_committed_snapshot():
+    """tests/cli_flags_snapshot.json was taken at the commit before the
+    node-setting flags were generated from ``NodeConfig``'s field table:
+    every subcommand keeps every option string, default and choice list.
+    The one intended difference: `load --transport` no longer offers a
+    ``loopback`` it used to rewrite to ``udp``."""
+    snapshot = json.loads(
+        (Path(__file__).parent / "cli_flags_snapshot.json").read_text())
+    assert snapshot["load"]["--transport"] == ["udp", ["loopback", "udp", "tcp"]]
+    snapshot["load"]["--transport"] = ["udp", ["udp", "tcp"]]
+    # Through JSON, so tuples/lists and other non-JSON types compare equal.
+    assert json.loads(json.dumps(_flag_surface(build_parser()))) == snapshot
+
+
 class TestCommands:
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--transport", "loopback", "--duration", "1"],
+        ["proc", "run", "--duration", "1"],
+        ["kv", "serve", "--duration", "1"],
+        ["load", "--proc", "3"],
+        ["watch", "--proc", "3"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_bad_period_exits_2_before_anything_runs(self, argv, capsys,
+                                                     monkeypatch):
+        import subprocess
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("spawned a process for an invalid config")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        assert main(argv + ["--period", "0"]) == 2
+        assert "period must be > 0" in capsys.readouterr().err
+
+    def test_load_no_longer_offers_a_loopback_it_rewrote_to_udp(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["load", "--proc", "3", "--transport", "loopback"])
+
     def test_experiments_lists_all(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
