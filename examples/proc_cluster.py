@@ -21,56 +21,45 @@ Run:  python examples/proc_cluster.py
 
 import asyncio
 
-from repro.analysis import leader_timeline
-from repro.cluster import ProcessCluster, verdicts_ok
+from repro.scenario import Scenario, cluster_for, render_run, run_scenario
 
-N = 3
-PERIOD = 0.05   # wall-clock seconds between heartbeats
-DURATION = 6.0  # scenario length; every surviving node exits 0 after it
-CRASH_AT = 2.5  # SIGKILL the initial ring leader (p0) here
-PROPOSE = 3.5   # survivors propose after the crash
+# The whole run is one document: there is no live control channel into a
+# foreign process, only the address book and time.
+SCENARIO = Scenario(
+    name="kill-the-ring-leader",
+    n=3,
+    period=0.05,       # wall-clock seconds between heartbeats
+    duration=6.0,      # every surviving node exits 0 after it
+    propose_after=3.5,  # survivors propose after the crash
+    events=[{"t": 2.5, "op": "crash", "pid": 0}],  # SIGKILL the leader
+)
 
 
-async def main() -> None:
-    # 1. Script the whole scenario up front: there is no live control
-    #    channel into a foreign process, only the address book and time.
-    cluster = ProcessCluster(
-        N, transport="udp", stack="ring", period=PERIOD,
-        duration=DURATION, propose_after=PROPOSE, seed=7,
-    )
-    cluster.crash(0, at=CRASH_AT)
+def main() -> None:
+    # 1. Build the cluster the document asks for, one OS process per node
+    #    (wall-clock by nature: real processes, real signals).
+    cluster = cluster_for(  # lint: ignore[ambient-state-reach]
+        SCENARIO, "proc", transport="udp", stack="ring", seed=7)
+    print(f"spawning {SCENARIO.n} node processes under {cluster.workdir}; "
+          f"kill -9 of p0 scheduled at t=2.5s; waiting...")
 
-    # 2. Spawn the nodes and let the scenario play out.
-    await cluster.start()
-    print(f"spawned {N} node processes under {cluster.workdir}")
-    print(f"kill -9 of p0 scheduled at t={CRASH_AT}s; waiting...")
-    quiescent = await cluster.wait_quiescent()
-    await cluster.stop()
+    # 2. Spawn the nodes, let the schedule play out, merge the shipped
+    #    traces, check the properties.
+    result = asyncio.run(run_scenario(cluster, SCENARIO))
 
     # 3. Exit statuses tell the crash-model story: -9 is SIGKILL.
-    for pid, status in sorted(cluster.exit_statuses.items()):
-        note = " (killed)" if status == -9 else ""
-        print(f"  p{pid}: exit {status}{note}")
-
-    # 4. Postmortem: merge the shipped traces, check the properties.
-    report = cluster.merge_report()
-    print(f"merged {len(report.files)} trace files, "
-          f"{len(report.trace)} events")
-    trace = cluster.traces()
-    print()
-    print(leader_timeline(trace, channel="fd", width=64))
-    print()
-    verdicts = cluster.verdicts()
-    for name, result in sorted(verdicts.items()):
-        print(f"  {name}: {'ok' if result else 'VIOLATED'}")
+    result["notes"] = [
+        f"  p{pid}: exit {status}" + (" (killed)" if status == -9 else "")
+        for pid, status in sorted(cluster.exit_statuses.items())
+    ]
+    print(render_run(result))
 
     # The example checks itself: a silent pass would be worthless.
-    assert quiescent, "nodes failed to quiesce in time"
-    assert verdicts_ok(verdicts), verdicts
-    omega = verdicts["fd.omega"]
+    assert result["ok"], result["verdicts"]
+    omega = result["verdicts"]["fd.omega"]
     assert omega.witness != 0, "dead p0 cannot be the stable leader"
     print(f"\nnew stable leader after the kill: p{omega.witness}")
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    main()

@@ -22,8 +22,13 @@ Run:  python examples/scenario_nemesis.py
 
 import asyncio
 
-from repro.cluster import LocalCluster
-from repro.scenario import Scenario, generate_scenario, run_scenario
+from repro.scenario import (
+    Scenario,
+    cluster_for,
+    generate_scenario,
+    render_run,
+    run_scenario,
+)
 
 # A hand-written scenario document: the dict form mirrors the JSON file
 # `repro scenario gen` emits (times in cluster seconds; this one is
@@ -48,37 +53,19 @@ HANDMADE = {
 
 
 def run_once(scenario: Scenario, seed: int = 1):
-    """One deterministic virtual-clock run; returns (result, trace)."""
-    cluster = LocalCluster(
-        n=scenario.n, transport="loopback", clock="virtual", seed=seed,
-        duration=scenario.duration,
-    )
-    cluster.deploy_standard_stack(
-        stack="ring", period=scenario.period,
-        propose_after=scenario.propose_after,
-    )
-    result = asyncio.run(run_scenario(cluster, scenario))
-    return result, cluster.trace.events
-
-
-def show(title: str, result) -> None:
-    flags = " ".join(
-        f"{name.split('.')[-1]}={'ok' if v else 'VIOLATED'}"
-        for name, v in result["verdicts"].items()
-    )
-    print(f"{title}\n  ok={result['ok']}  {flags}")
+    """One deterministic virtual-clock run; returns its result mapping."""
+    cluster = cluster_for(scenario, "virtual", stack="ring", seed=seed)
+    return asyncio.run(run_scenario(cluster, scenario))
 
 
 def main() -> None:
     scenario = Scenario.from_dict(HANDMADE)
-    print(f"hand-written scenario: {len(scenario)} events, "
-          f"n={scenario.n}, duration={scenario.duration}s")
-    result_a, trace_a = run_once(scenario)
-    result_b, trace_b = run_once(scenario)
-    show("run 1:", result_a)
-    show("run 2:", result_b)
-    print(f"  byte-identical replay: {trace_a == trace_b} "
-          f"({len(trace_a)} events)")
+    result_a = run_once(scenario)
+    result_b = run_once(scenario)
+    print(render_run(result_a))
+    trace_a, trace_b = result_a["trace"].events, result_b["trace"].events
+    print(f"\nbyte-identical replay: {trace_a == trace_b} "
+          f"({len(trace_a)} events), ok={result_b['ok']}")
 
     generated = generate_scenario(
         n=3, seed=7, period=PERIOD, partitions=1, stalls=1, storms=1,
@@ -86,8 +73,7 @@ def main() -> None:
     )
     print(f"\ngenerated scenario {generated.name!r}: {len(generated)} "
           f"events (same seed => byte-identical JSON)")
-    result, _ = run_once(generated)
-    show("generated run:", result)
+    print(render_run(run_once(generated)))
 
 
 if __name__ == "__main__":

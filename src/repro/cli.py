@@ -22,9 +22,8 @@ Commands:
     on real asyncio transports (loopback/UDP/TCP on localhost), kill the
     elected leader mid-run, reach a decision anyway, and print the same
     trace-derived timelines, property checks, and QoS tables the simulator
-    commands print.  With ``--duration`` (and optional ``--crash PID:TIME``)
-    it runs a fully scripted scenario through the unified cluster API
-    instead.
+    commands print.  With ``--duration``, ``--crash PID:TIME`` or
+    ``--scenario FILE`` it runs a fully scripted scenario instead.
 ``node``
     Run exactly ONE node of a multi-process cluster in this process,
     configured from a static JSON address book (:mod:`repro.proc`).  This
@@ -35,6 +34,7 @@ Commands:
     subprocess per pid, delivers scheduled ``kill -9`` crashes, waits for
     quiescence, merges the shipped JSONL traces, and prints the property
     verdicts — the paper's crash-stop model enforced by the OS.
+
 ``scenario``
     Declarative fault schedules (:mod:`repro.scenario`): ``gen`` compiles
     a seeded randomized nemesis schedule to canonical JSON (same seed ⇒
@@ -58,6 +58,13 @@ Commands:
     The static analyzer (:mod:`repro.lint`): determinism rules for the
     simulator-path packages, asyncio-hazard rules for the live runtime,
     and payload-encodability checks against the wire codec.
+
+Every command that runs a cluster from a script (``cluster``, ``proc
+run``, ``scenario run``, ``load --proc``, ``watch --proc``) is an adapter
+over :mod:`repro.scenario`: it resolves one ``Scenario`` (explicit flag >
+document > rule), and ``cluster_for`` / ``run_scenario`` / ``render_run``
+build, drive, judge and print it — see ``docs/scenarios.md``, "How a run
+is sized and judged".
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ from .analysis import (
     round_timeline,
 )
 from .broadcast import ReliableBroadcast
-from .cluster.config import NodeConfig, add_config_flags, config_from_args
+from .cluster.config import add_config_flags, config_from_args
 from .consensus import ALGORITHMS, attach_consensus, propose_all
 from .fd import (
     EVENTUALLY_CONSISTENT,
@@ -292,103 +299,123 @@ def _parse_degrade_specs(specs) -> list:
     return links
 
 
-def _load_cli_scenario(args):
-    """Load the ``--scenario FILE`` document, when the flag is present."""
+def _scripted_scenario(args, name: str, **explicit):
+    """The resolved scenario a cluster-running command line asks for:
+    the ``--scenario FILE`` document (an empty one called *name* without
+    the flag) with every ``--crash PID:TIME`` merged in as a ``crash``
+    event, resolved with the command's *explicit* flags on top (see
+    :meth:`repro.scenario.Scenario.resolved` for the precedence)."""
+    from .scenario import Scenario, ScenarioEvent
+
     path = getattr(args, "scenario", None)
-    if path is None:
-        return None
-    from .scenario import Scenario
-
-    return Scenario.load(path)
-
-
-def _scenario_defaults(args, scenario, nodes_default: int) -> None:
-    """Resolve ``--nodes`` / ``--period``: explicit flag beats the scenario
-    document, which beats the default.  A scenario is a
-    self-contained run spec, so ``repro cluster --scenario f.json`` picks
-    up the cluster size and heartbeat period it was generated for."""
-    if args.nodes is None:
-        args.nodes = (scenario.n if scenario is not None
-                      and scenario.n is not None else nodes_default)
-    if args.period is None:
-        args.period = (scenario.period if scenario is not None
-                       and scenario.period is not None
-                       else NodeConfig().period)
+    document = Scenario.load(path) if path is not None else Scenario(name=name)
+    crashes = [
+        ScenarioEvent(at, "crash", {"pid": pid})
+        for pid, at in _parse_crash_specs(getattr(args, "crash", []))
+    ]
+    return dataclasses.replace(
+        document, events=document.events + crashes
+    ).resolved(**explicit)
 
 
-def _apply_cli_faults(cluster, args, scenario=None) -> None:
-    """Arm every CLI-requested fault through the ClusterAPI verbs.
+def _cluster_from_args(args, scenario, runtime, serve=False, **fixed):
+    """The cluster *scenario* asks for on *runtime*, running the node
+    settings of the command line (*fixed* overrides what the command
+    decides itself, e.g. ``stack="rsm"``), with the two start-time verb
+    calls made: ``--loss`` is a storm from time zero, each ``--degrade``
+    an asymmetric link override."""
+    from .scenario import cluster_for
 
-    Called right after construction, before ``start()`` — the verbs queue
-    and flush onto the cluster clock at start, exactly like scripted
-    crashes.  One code path for both substrates: ``--loss`` is a storm
-    from time zero, each ``--degrade`` an asymmetric link override, and
-    ``--scenario`` the full compiled schedule.
-    """
-    loss = getattr(args, "loss", 0.0)
-    if loss and loss > 0.0:
-        cluster.storm(loss)
+    config = config_from_args(args, period=scenario.period, **fixed)
+    cluster = cluster_for(
+        scenario, runtime, transport=args.transport,
+        trace_out=args.trace_out, serve=serve, **config.to_dict(),
+    )
+    if getattr(args, "loss", 0.0):
+        cluster.storm(args.loss)
     for src, dst, loss, delay in _parse_degrade_specs(
             getattr(args, "degrade", [])):
         cluster.degrade(src, dst, loss=loss, delay=delay)
-    if scenario is not None:
-        from .scenario import apply_scenario
-
-        apply_scenario(cluster, scenario)
-
-
-def _local_cluster(args, config, n, propose_after=None, **run):
-    """The in-process substrate of a CLI run: one ``LocalCluster`` shaped
-    by *args* (transport, trace shipping) and *run* (``clock=`` /
-    ``duration=``), with *config*'s stack deployed on it."""
-    from .net import LocalCluster
-
-    cluster = LocalCluster(
-        n=n, transport=args.transport, trace_out=args.trace_out,
-        seed=config.seed, codec=config.codec, ship_to=config.ship_to, **run,
-    )
-    cluster.deploy_standard_stack(
-        propose_after=propose_after, **config.to_dict())
     return cluster
 
 
-def _process_cluster(args, config, n, **run):
-    """The kill -9 substrate of a CLI run: one ``ProcessCluster`` whose
-    nodes run *config* (*run* is ``duration=`` / ``propose_after=`` /
-    ``serve=``; ``--trace-out`` is its workdir)."""
-    from .proc import ProcessCluster
+def _run_scripted(args, scenario, runtime, during=None, **build):
+    """Play *scenario* on *runtime* end to end; returns the finished
+    cluster and :func:`repro.scenario.run_scenario`'s result."""
+    import asyncio
 
-    return ProcessCluster(
-        n=n, transport=args.transport, workdir=args.trace_out,
-        **run, **config.to_dict(),
-    )
+    from .scenario import run_scenario
+
+    cluster = _cluster_from_args(args, scenario, runtime, **build)
+    return cluster, asyncio.run(run_scenario(cluster, scenario, during=during))
+
+
+def _report(result, notes=()) -> int:
+    """Print the one report of a run (*notes* are the command's own lines
+    under the header) and turn its verdict into the exit code."""
+    from .scenario import render_run
+
+    result["notes"] = list(notes)
+    print(render_run(result))
+    return 0 if result["ok"] else 1
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-
-    scenario = _load_cli_scenario(args)
-    _scenario_defaults(args, scenario, nodes_default=5)
-    config = config_from_args(args)
+    from .scenario import Scenario
 
     if args.virtual:
-        if scenario is not None:
+        if args.scenario is not None:
             print("error: --scenario with --virtual is spelled "
                   "`repro scenario run --runtime virtual` (the scenario "
                   "document carries the run parameters)", file=sys.stderr)
             return 2
-        return _cluster_virtual(args, config)
-    if scenario is not None or args.duration is not None or args.crash:
-        return _cluster_scripted(args, config, scenario)
-    if args.stack == "rsm":
+        # The deterministic variant is a literal scenario at sim-scale
+        # times (leaders start at p0, so p0 is who gets killed).
+        scenario = Scenario(
+            name="cluster --virtual", period=5.0, propose_after=61.0,
+            duration=4000.0, events=[{"t": 60.0, "op": "crash", "pid": 0}],
+        ).resolved(n=args.nodes, default_n=5)
+        runtime = "virtual"
+    elif args.scenario is not None or args.duration is not None or args.crash:
+        scenario = _scripted_scenario(
+            args, "cluster", n=args.nodes, period=args.period,
+            duration=args.duration, default_n=5,
+        )
+        runtime = "local"
+    elif args.stack == "rsm":
         print("error: --stack rsm needs a scripted run (--duration and/or "
               "--crash) or --virtual; the adaptive kill-the-leader flow "
               "drives one-shot consensus", file=sys.stderr)
         return 2
+    else:
+        return _cluster_adaptive(args)
+    _, result = _run_scripted(args, scenario, runtime)
+    return _report(result, _trace_note(args))
 
-    period = config.period
-    cluster = _local_cluster(args, config, args.nodes)
-    _apply_cli_faults(cluster, args)
+
+def _trace_note(args) -> list:
+    """The report line naming where ``--trace-out`` shipped the trace."""
+    return [f"trace shipped to {args.trace_out}"] if args.trace_out else []
+
+
+def _cluster_adaptive(args: argparse.Namespace) -> int:
+    """Bare ``repro cluster``: wait for the detectors to elect a leader,
+    kill *that* node, have the survivors propose.  It reacts to who was
+    elected, which no schedule can name, so it keeps its own loop — and
+    reports the schedule it ended up playing like every other run."""
+    import asyncio
+
+    from .scenario import Scenario, ScenarioEvent, judge_run
+
+    base = Scenario(name="kill-the-leader").resolved(
+        n=args.nodes, period=args.period, default_n=5)
+    period = base.period
+    # The loop below proposes by hand; the cluster's own scheduled round
+    # sits at the far end of the whole wall budget (converge, settle,
+    # decide, flush), where a healthy run never gets.
+    budget = 2 * args.timeout + 8 * period
+    cluster = _cluster_from_args(
+        args, base.resolved(propose_after=budget, duration=budget), "local")
     detectors = cluster.stacks["fd"]
     protocols = cluster.stacks["consensus"]
 
@@ -404,180 +431,39 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     async def drive():
         await cluster.start()
-        converged = await cluster.run_until(
-            lambda: agreed_leader() is not None, timeout=args.timeout)
-        if not converged:
+        try:
+            if not await cluster.run_until(
+                    lambda: agreed_leader() is not None,
+                    timeout=args.timeout):
+                return None
+            await cluster.run(4 * period)  # let announcements settle
+            leader = agreed_leader()
+            if leader is None:  # rare: flapped while settling; take any
+                leader = next(d.trusted() for d in detectors if not d.crashed)
+            crash_time = cluster.now
+            cluster.crash(leader)
+            for p in protocols:
+                if not p.crashed:
+                    p.propose(f"value-from-p{p.pid}")
+            await cluster.run_until(
+                lambda: all(p.decided for p in protocols if not p.crashed),
+                timeout=args.timeout,
+            )
+            await cluster.run(2 * period)  # flush trailing frames
+            return leader, round(crash_time, 3), round(cluster.now, 3)
+        finally:
             await cluster.stop()
-            return None
-        await cluster.run(4 * period)  # let announcements settle
-        leader = agreed_leader()
-        if leader is None:  # rare: flapped during settling; take any trusted
-            leader = next(d.trusted() for d in detectors if not d.crashed)
-        crash_time = cluster.now
-        cluster.kill(leader)
-        for p in protocols:
-            if not p.crashed:
-                p.propose(f"value-from-p{p.pid}")
-        decided = await cluster.run_until(
-            lambda: all(p.decided for p in protocols if not p.crashed),
-            timeout=args.timeout,
-        )
-        await cluster.run(2 * period)  # flush trailing frames into the trace
-        await cluster.stop()
-        return leader, crash_time, decided
 
-    result = asyncio.run(drive())
-    if result is None:
+    outcome = asyncio.run(drive())
+    if outcome is None:
         print("error: detectors never converged on a live leader",
               file=sys.stderr)
         return 1
-    leader, crash_time, decided = result
-    return _cluster_report(args, cluster, leader, crash_time, decided)
-
-
-def _cluster_virtual(args: argparse.Namespace, config) -> int:
-    """Deterministic variant: virtual clock over loopback, sim-scale times."""
-    leader, crash_time = 0, 60.0  # leaders start at p0 deterministically
-    cluster = _local_cluster(
-        args,
-        dataclasses.replace(
-            config, period=5.0, initial_timeout=12.0, timeout_increment=5.0),
-        args.nodes, propose_after=crash_time + 1.0, clock="virtual",
-    )
-    _apply_cli_faults(cluster, args)
-    cluster.schedule_kill(leader, crash_time)
-    cluster.run_virtual(until=4000.0)
-    cluster.close_traces()  # virtual mode has no stop(); flush JSONL now
-    return _cluster_report(args, cluster, leader, crash_time)
-
-
-def _cluster_scripted(args: argparse.Namespace, config,
-                      scenario=None) -> int:
-    """Scripted scenario through the unified ClusterAPI: crash schedule
-    from ``--crash``, faults from ``--loss`` / ``--degrade`` /
-    ``--scenario``, fixed ``--duration``, survivors propose after the
-    last fault."""
-    import asyncio
-
-    crashes = _parse_crash_specs(args.crash)
-    period = config.period
-    last_crash = max((at for _, at in crashes), default=0.0)
-    last_fault = last_crash
-    duration = args.duration
-    if scenario is not None:
-        last_fault = max(last_fault, scenario.fault_end)
-        if duration is None:
-            duration = scenario.duration
-    if duration is None:
-        # No declared duration: leave room after the last fault for
-        # re-election and a decision.
-        duration = last_fault + args.timeout
-    if scenario is not None and scenario.propose_after is not None:
-        propose_after = scenario.propose_after
-    else:
-        propose_after = last_fault + 4 * period
-    cluster = _local_cluster(
-        args, config, args.nodes, propose_after=propose_after,
-        duration=duration,
-    )
-    for pid, at in crashes:
-        cluster.crash(pid, at=at)
-    _apply_cli_faults(cluster, args, scenario)
-
-    async def drive():
-        await cluster.start()
-        await cluster.wait_quiescent()
-        await cluster.stop()
-
-    asyncio.run(drive())
-    leader, crash_time = (crashes[0] if crashes else (None, None))
-    return _cluster_report(args, cluster, leader, crash_time)
-
-
-def _cluster_report(args, cluster, leader, crash_time, decided=None) -> int:
-    """Postmortem of a finished in-process run, by what was deployed
-    (*decided* defaults to "every surviving node has decided by now")."""
-    if cluster.config.stack == "rsm":
-        return _cluster_report_rsm(args, cluster, leader, crash_time)
-    protocols = cluster.stacks["consensus"]
-    if decided is None:
-        decided = all(p.decided for p in protocols if not p.crashed)
-    trace = cluster.trace
-    end = cluster.now
-    mode = "virtual" if cluster.virtual else "wall"
-    print(f"live cluster: n={cluster.n} transport={cluster.transport_kind} "
-          f"codec={cluster.codec.name} clock={mode}")
-    if getattr(args, "trace_out", None):
-        print(f"trace shipped to {args.trace_out}")
-    if leader is not None:
-        print(f"killed leader p{leader} at t={crash_time:.2f}\n")
-    else:
-        print("no crashes scheduled\n")
-    print(leader_timeline(trace, channel="fd", width=64, end=end))
-    print()
-    print(round_timeline(trace, "ec", width=64, end=end))
-    print()
-    for p in protocols:
-        state = (f"decided {p.decision!r} (round {p.decision_round})"
-                 if p.decided else
-                 ("killed" if p.crashed else "undecided"))
-        print(f"  p{p.pid}: {state}")
-    outcome = extract_outcome(trace, "ec")
-    results = check_consensus(outcome, cluster.correct_pids)
-    print("properties:", results)
-
-    latency = (detection_latency(trace, leader, crash_time,
-                                 cluster.correct_pids, channel="fd")
-               if leader is not None else None)
-    lat = f"{latency:.3f}" if latency is not None else "n/a"
-    print(f"\nQoS (trace-derived, same analysis code as the simulator):")
-    print(f"  {'crash detection latency':32s} {lat:>10s}")
-    for channel in ("fd.omega", "fd.suspects", "fdp", "consensus.rb",
-                    "consensus"):
-        count = channel_message_count(trace, channel)
-        print(f"  {'messages on ' + channel:32s} {count:>10d}")
-    frames = sum(h.transport.frames_sent for h in cluster.hosts)
-    drops = sum(h.undecodable_frames for h in cluster.hosts)
-    print(f"  {'transport frames sent':32s} {frames:>10d}")
-    print(f"  {'undecodable frames':32s} {drops:>10d}")
-    ok = decided and all(results.values())
-    print("\nresult:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
-
-
-def _cluster_report_rsm(args, cluster, leader, crash_time) -> int:
-    """Postmortem for an ``rsm``-stack cluster run: replica log lengths
-    and the log-level verdicts instead of one-shot consensus outcomes."""
-    from .cluster.api import verdicts_ok
-
-    trace = cluster.trace
-    end = cluster.now
-    mode = "virtual" if cluster.virtual else "wall"
-    print(f"live cluster: n={cluster.n} transport={cluster.transport_kind} "
-          f"codec={cluster.codec.name} clock={mode} stack=rsm")
-    if getattr(args, "trace_out", None):
-        print(f"trace shipped to {args.trace_out}")
-    if leader is not None:
-        print(f"killed p{leader} at t={crash_time:.2f}\n")
-    else:
-        print("no crashes scheduled\n")
-    print(leader_timeline(trace, channel="fd", width=64, end=end))
-    print()
-    for rsm in cluster.stacks["rsm"]:
-        state = ("killed" if rsm.crashed
-                 else f"applied {len(rsm.log)} commands "
-                      f"(slot {rsm.current_slot})")
-        print(f"  p{rsm.pid}: {state}")
-    verdicts = cluster.verdicts()
-    print("verdicts:")
-    for name, result in verdicts.items():
-        print(f"  {name:32s} {'ok' if result else 'VIOLATED'}")
-    for channel in ("fd.omega", "fd.suspects", "rsm"):
-        count = channel_message_count(trace, channel)
-        print(f"  {'messages on ' + channel:32s} {count:>10d}")
-    ok = verdicts_ok(verdicts)
-    print("\nresult:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    leader, crash_time, end = outcome
+    played = dataclasses.replace(
+        base, events=[ScenarioEvent(crash_time, "crash", {"pid": leader})],
+    ).resolved(propose_after=crash_time, duration=end)
+    return _report(judge_run(cluster, played), _trace_note(args))
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
@@ -600,62 +486,27 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 
 def _cmd_proc_run(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .cluster.api import verdicts_ok
-
-    scenario = _load_cli_scenario(args)
-    _scenario_defaults(args, scenario, nodes_default=3)
-    crashes = _parse_crash_specs(args.crash)
-    duration = args.duration
-    if duration is None and scenario is not None:
-        duration = scenario.duration
-    if duration is None:
-        duration = 6.0
-    propose_after = args.propose_after
-    if propose_after is None:
-        propose_after = (scenario.propose_after
-                         if scenario is not None
-                         and scenario.propose_after is not None else 1.0)
-    cluster = _process_cluster(
-        args, config_from_args(args), args.nodes,
-        duration=duration, propose_after=propose_after,
+    scenario = _scripted_scenario(
+        args, "proc run", n=args.nodes, period=args.period,
+        duration=args.duration, propose_after=args.propose_after,
     )
-    for pid, at in crashes:
-        cluster.crash(pid, at=at)
-    _apply_cli_faults(cluster, args, scenario)
+    cluster, result = _run_scripted(args, scenario, "proc")
+    notes = [
+        f"  node {pid}: exit {status}"
+        + ("" if pid in cluster.correct_pids else " (killed)")
+        for pid, status in sorted(cluster.exit_statuses.items())
+    ]
+    notes.append(cluster.merge_report().summary())
+    return _report(result, notes + _merge_note(args, cluster))
 
-    async def drive() -> bool:
-        await cluster.start()
-        quiescent = await cluster.wait_quiescent()
-        await cluster.stop()
-        return quiescent
 
-    quiescent = asyncio.run(drive())
-    print(f"process cluster: n={cluster.n} transport={cluster.transport} "
-          f"stack={cluster.config.stack} duration={duration}s")
-    print(f"workdir: {cluster.workdir}")
-    for pid in cluster.pids:
-        status = cluster.exit_statuses.get(pid)
-        killed = " (killed)" if pid in cluster._killed else ""
-        print(f"  node {pid}: exit {status}{killed}")
-    if not quiescent:
-        print("result: FAILED (nodes still running at timeout)",
-              file=sys.stderr)
-        return 1
-    report = cluster.merge_report()
-    print(report.summary())
-    verdicts = cluster.verdicts()
-    print("verdicts:")
-    for name, result in verdicts.items():
-        print(f"  {name:32s} {'ok' if result else 'VIOLATED'}")
-    if args.merge_out:
-        saved = cluster.save_merged(args.merge_out)
-        print(f"merged trace (synthetic crash events included) written to "
-              f"{saved}")
-    ok = verdicts_ok(verdicts)
-    print("result:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+def _merge_note(args, cluster) -> list:
+    """Write ``--merge-out`` when asked; the report line saying so."""
+    if not args.merge_out:
+        return []
+    saved = cluster.save_merged(args.merge_out)
+    return [f"merged trace (synthetic crash events included) written to "
+            f"{saved}"]
 
 
 def _scenario_from_args(args: argparse.Namespace):
@@ -691,62 +542,15 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     """Play one scenario end-to-end and judge the run.
 
     The scenario document is the run spec: cluster size, heartbeat
-    period, duration, and proposal time all come from it (with the same
-    fallbacks the generator uses when a hand-written document omits
-    them).  ``--runtime`` picks the substrate; the events go through the
-    identical ClusterAPI verb calls either way.
+    period, duration, and proposal time all come from it (resolved by the
+    one rule when a hand-written document omits them).  ``--runtime``
+    picks the substrate; the events go through the identical ClusterAPI
+    verb calls either way.
     """
-    import asyncio
-
-    from .analysis.qos import qos_report
-    from .scenario import run_scenario
-
-    scenario = _scenario_from_args(args)
-    n = scenario.n if scenario.n is not None else args.nodes
-    period = scenario.period if scenario.period is not None else args.period
-    propose_after = (scenario.propose_after
-                     if scenario.propose_after is not None
-                     else scenario.fault_end + 4.0 * period)
-    duration = (scenario.duration if scenario.duration is not None
-                else propose_after + 40.0 * period)
-    if args.transport is None:
-        args.transport = "udp" if args.runtime == "proc" else "loopback"
-    config = config_from_args(args, seed=args.cluster_seed, period=period)
-
-    if args.runtime == "proc":
-        cluster = _process_cluster(
-            args, config, n, duration=duration, propose_after=propose_after,
-        )
-        result = asyncio.run(run_scenario(cluster, scenario))
-        trace = cluster.traces()
-        where = f"workdir={cluster.workdir}"
-    else:
-        cluster = _local_cluster(
-            args, config, n, propose_after=propose_after,
-            clock="virtual" if args.runtime == "virtual" else "wall",
-            duration=duration,
-        )
-        result = asyncio.run(run_scenario(cluster, scenario))
-        trace = cluster.trace
-        where = "in-process"
-
-    print(f"scenario {scenario.name!r}: {len(scenario)} events, n={n} "
-          f"period={period} duration={duration}")
-    print(f"runtime: {args.runtime} transport={args.transport} "
-          f"stack={args.stack} {where}")
-    if not result["quiescent"]:
-        print("warning: cluster was not quiescent at timeout",
-              file=sys.stderr)
-    print("verdicts:")
-    for name, verdict in result["verdicts"].items():
-        print(f"  {name:32s} {'ok' if verdict else 'VIOLATED'}")
-    report = qos_report(trace, period=period, n=n)
-    print()
-    print(report.format())
-    ok = (result["ok"] and result["quiescent"]
-          and report.bound_ok is not False)
-    print("\nresult:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    scenario = _scenario_from_args(args).resolved(default_n=args.nodes)
+    _, result = _run_scripted(
+        args, scenario, args.runtime, seed=args.cluster_seed)
+    return _report(result)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -793,12 +597,17 @@ def _parse_kv_value(text: str):
 def _cmd_kv_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .net import LocalCluster
     from .svc import start_service
 
     config = config_from_args(args, stack="rsm")
 
     async def serve() -> None:
-        cluster = _local_cluster(args, config, args.nodes)
+        cluster = LocalCluster(
+            n=args.nodes, transport=args.transport, trace_out=args.trace_out,
+            seed=config.seed, codec=config.codec, ship_to=config.ship_to,
+        )
+        cluster.deploy_standard_stack(**config.to_dict())
         await cluster.start()
         frontends = await start_service(
             cluster, cluster.stacks, listen_host=args.serve_host,
@@ -930,9 +739,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
 
-    scenario = _load_cli_scenario(args)
     if args.connect is not None:
-        if scenario is not None:
+        if args.scenario is not None:
             print("error: --scenario needs a --proc cluster to inject "
                   "faults into (an already-running service is not ours "
                   "to break)", file=sys.stderr)
@@ -941,56 +749,27 @@ def _cmd_load(args: argparse.Namespace) -> int:
         print(report.render())
         return 0 if report.acked > 0 else 1
 
-    # --proc N: self-hosted run — spawn an rsm process cluster with serve
-    # ports, offer the load, then judge the merged trace like `proc run`.
-    from .cluster.api import verdicts_ok
-
-    crashes = _parse_crash_specs(args.crash)
-    warmup = args.warmup
+    # --proc N: self-hosted run — an rsm process cluster with serve ports
+    # plays the schedule while the load is offered, judged like `proc run`.
+    scenario = _scripted_scenario(
+        args, "load", n=args.proc, period=args.period)
     # Nodes must outlive warmup + offered load + the slowest straggler
     # command (bounded by the client request timeout).
-    node_duration = warmup + args.duration + args.timeout + 2.0
-    if scenario is not None:
-        # ... and the scenario's fault schedule (times are offsets from
-        # cluster start, so the load window overlaps the faults).
-        node_duration = max(
-            node_duration,
-            scenario.fault_end + args.timeout + 2.0,
-            scenario.duration if scenario.duration is not None else 0.0,
-        )
-    cluster = _process_cluster(
-        args, config_from_args(args, stack="rsm"), args.proc,
-        duration=node_duration, serve=True,
-    )
-    for pid, at in crashes:
-        cluster.crash(pid, at=at)
-    _apply_cli_faults(cluster, args, scenario)
+    floor = args.warmup + args.duration + args.timeout + 2.0
+    if scenario.duration < floor:
+        scenario = scenario.resolved(duration=floor)
 
-    async def drive():
-        await cluster.start()
-        await asyncio.sleep(warmup)
-        report = await make_generator(
+    async def offer(cluster):
+        await asyncio.sleep(args.warmup)
+        return await make_generator(
             list(cluster.serve_addresses.values())
         ).run()
-        await cluster.wait_quiescent()
-        await cluster.stop()
-        return report
 
-    report = asyncio.run(drive())
-    print(f"process cluster: n={cluster.n} transport={cluster.transport} "
-          f"stack=rsm period={args.period} workdir={cluster.workdir}")
-    print(report.render())
-    verdicts = cluster.verdicts()
-    print("verdicts:")
-    for name, result in verdicts.items():
-        print(f"  {name:32s} {'ok' if result else 'VIOLATED'}")
-    if args.merge_out:
-        saved = cluster.save_merged(args.merge_out)
-        print(f"merged trace (synthetic crash events included) written to "
-              f"{saved}")
-    ok = verdicts_ok(verdicts) and report.acked > 0
-    print("result:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    cluster, result = _run_scripted(
+        args, scenario, "proc", during=offer, serve=True, stack="rsm")
+    report = result["during"]
+    result["ok"] = result["ok"] and report.acked > 0
+    return _report(result, [report.render()] + _merge_note(args, cluster))
 
 
 def _render_live_status(collector, period: Optional[float]) -> str:
@@ -1039,8 +818,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     import asyncio
 
     from .obs.live import LiveCollector, parse_ship_address
+    from .scenario import Scenario, run_scenario
 
-    config = config_from_args(args)
     if args.connect is not None:
         host, port = parse_ship_address(args.connect)
         collector = LiveCollector(host=host, port=port)
@@ -1050,7 +829,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if duration is None and args.proc is not None:
         duration = 10.0
 
-    async def refresh_loop() -> None:
+    async def refresh_loop(cluster=None) -> None:
         clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
         loop = asyncio.get_running_loop()
         deadline = None if duration is None else loop.time() + duration
@@ -1063,20 +842,16 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         await collector.bind()
         print(f"collector listening on {collector.address} "
               f"(point --ship-to here)")
-        if args.proc is None:
-            await refresh_loop()
-            await collector.close()
-            return
-        cluster = _process_cluster(
-            args, dataclasses.replace(config, ship_to=collector.address),
-            args.proc, duration=duration,
-        )
-        await cluster.start()
         try:
-            await refresh_loop()
-            await cluster.wait_quiescent()
+            if args.proc is None:
+                await refresh_loop()
+                return
+            scenario = Scenario(name="watch").resolved(
+                n=args.proc, period=args.period, duration=duration)
+            cluster = _cluster_from_args(
+                args, scenario, "proc", ship_to=collector.address)
+            await run_scenario(cluster, scenario, during=refresh_loop)
         finally:
-            await cluster.stop()
             await collector.close()
 
     try:
@@ -1145,8 +920,11 @@ def _shared_cluster_options() -> argparse.ArgumentParser:
              "*.jsonl path writes one combined file instead)")
     group.add_argument(
         "--duration", type=float, metavar="SECONDS", default=None,
-        help="scripted scenario length in cluster seconds (`repro "
-             "cluster` without it runs its adaptive kill-the-leader flow)")
+        help="run length in cluster seconds (default: the --scenario "
+             "document's, else 40 periods after the proposal round, "
+             "which is 4 periods after the last scheduled fault; `repro "
+             "cluster` with none of --duration/--crash/--scenario runs "
+             "its adaptive kill-the-leader flow)")
     group.add_argument(
         "--crash", action="append", default=[], metavar="PID:TIME",
         help="schedule a crash-stop kill of PID at cluster time TIME; "
@@ -1172,7 +950,7 @@ def _shared_cluster_options() -> argparse.ArgumentParser:
         "seed", "period", "codec",
     )
     # No --period default: an explicit flag must be told apart from the
-    # --scenario document's period (see _scenario_defaults).
+    # --scenario document's period (see Scenario.resolved).
     shared.set_defaults(seed=7, period=None)
     return shared
 
@@ -1180,6 +958,7 @@ def _shared_cluster_options() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     from .proc.book import PROC_TRANSPORTS
+    from .scenario import RUNTIMES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1277,8 +1056,9 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--propose-after", type=float, metavar="SECONDS",
                       default=None,
                       help="cluster time at which every surviving node "
-                           "proposes its value (default 1.0, or the "
-                           "--scenario document's propose_after)")
+                           "proposes its value (default: the --scenario "
+                           "document's, else 4 periods after the last "
+                           "scheduled fault, --crash included)")
     prun.add_argument("--merge-out", metavar="OUT.jsonl", default=None,
                       help="also write the merged stream (synthetic crash "
                            "events included) as one combined JSONL file — "
@@ -1479,7 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--file", metavar="FILE.json", default=None,
                       help="run this scenario document instead of "
                            "generating one")
-    srun.add_argument("--runtime", choices=["virtual", "local", "proc"],
+    srun.add_argument("--runtime", choices=RUNTIMES,
                       default="virtual",
                       help="substrate: deterministic virtual clock "
                            "in-process, wall clock in-process, or one OS "

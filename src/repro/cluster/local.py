@@ -482,11 +482,11 @@ class LocalCluster(FaultVerbs):
             self.clock.schedule_at(at, self._propose_all)
         self._pending_proposals.clear()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         mode = "virtual" if self.virtual else "wall"
         return (
             f"<LocalCluster n={self.n} transport={self.transport_kind} "
-            f"clock={mode}>"
+            f"clock={mode} stack={self.config.stack}>"
         )
 
 

@@ -34,8 +34,9 @@ __all__ = [
 ]
 
 #: Packages whose code must stay deterministic under the simulator.
-#: ``repro.scenario`` is here for the generator: same seed must mean a
-#: byte-identical schedule, so wall clocks and the global rng are out.
+#: ``repro.scenario``'s document and generator are here: same seed must
+#: mean a byte-identical schedule, so wall clocks and the global rng are
+#: out (its runner drives wall-clock clusters on purpose and is not).
 SIM_SCOPE = (
     "repro.sim",
     "repro.fd",
@@ -43,7 +44,8 @@ SIM_SCOPE = (
     "repro.transform",
     "repro.broadcast",
     "repro.workloads",
-    "repro.scenario",
+    "repro.scenario.events",
+    "repro.scenario.generator",
 )
 
 _WALL_CLOCK_CALLS = {

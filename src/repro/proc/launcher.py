@@ -241,7 +241,9 @@ class ProcessCluster(FaultVerbs):
         self._t0 = time.monotonic()
         self._arm_pending_faults()
 
-    async def _wait_control_ready(self, budget: float = 10.0) -> None:
+    async def _wait_control_ready(
+        self, budget: float = 10.0, poll: float = 0.05
+    ) -> None:
         """Block until every node's fault-control endpoint answers a ping
         (or *budget* seconds pass for a node that never will).
 
@@ -251,9 +253,13 @@ class ProcessCluster(FaultVerbs):
         zeroing :attr:`elapsed` pins "cluster time 0" to the moment the
         whole cluster is actually listening — which is also (to within a
         ping) when the node-local trace clocks were zeroed, so scheduled
-        faults land at the node-local times the scenario names.  A node
-        that dies during boot just eats its budget; the failure is
-        recorded in :attr:`control_errors`, never raised.
+        faults land at the node-local times the scenario names.  "To
+        within a ping" is *poll* seconds: the cluster clock lags the
+        node-local ones by up to one retry interval, and nodes propose on
+        their own clock, so a lag longer than the 4-period gap between the
+        last fault and the proposal round would put the proposal *inside*
+        the fault.  A node that dies during boot just eats its budget; the
+        failure is recorded in :attr:`control_errors`, never raised.
         """
         assert self.book is not None
 
@@ -264,7 +270,7 @@ class ProcessCluster(FaultVerbs):
             try:
                 await send_fault_command(
                     address, {"op": "ping"},
-                    timeout=0.5, attempts=max(1, int(budget / 0.5)),
+                    timeout=poll, attempts=max(1, int(budget / poll)),
                 )
             except (ConfigurationError, OSError,
                     asyncio.TimeoutError) as exc:
@@ -545,12 +551,12 @@ class ProcessCluster(FaultVerbs):
             self.traces(), self.correct_pids, channel=channel, algo=algo,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         state = (
             "stopped" if self._stopped
             else "running" if self._started else "new"
         )
         return (
             f"<ProcessCluster n={self.n} transport={self.transport} "
-            f"{state} workdir={self.workdir}>"
+            f"stack={self.config.stack} {state} workdir={self.workdir}>"
         )

@@ -12,9 +12,13 @@ adversaries *data*:
   seeded Jepsen-style nemesis: same seed ⇒ byte-identical schedule,
   shaped so the run ends in a well-behaved suffix (faults bounded,
   crashes a minority, proposals after the last fault);
-* :mod:`~repro.scenario.runner` — :func:`apply_scenario` /
-  :func:`run_scenario`: one ClusterAPI verb call per event, identical on
-  a deterministic in-process cluster and a live multi-process one.
+* :mod:`~repro.scenario.runner` — the whole run, once:
+  :func:`cluster_for` builds the cluster a resolved scenario asks for on
+  any runtime, :func:`run_scenario` is the one start → wait → stop
+  lifecycle (one ClusterAPI verb call per event, identical on a
+  deterministic in-process cluster and a live multi-process one),
+  :func:`judge_run` the one meaning of ``result: OK`` and
+  :func:`render_run` the one report.
 
 CLI: ``repro scenario gen`` / ``repro scenario run``, plus ``--scenario``
 on ``cluster``, ``proc run``, and ``load``.  See ``docs/scenarios.md``.
@@ -24,13 +28,26 @@ from __future__ import annotations
 
 from .events import OP_SPECS, Scenario, ScenarioEvent
 from .generator import generate_scenario
-from .runner import apply_scenario, run_scenario
+from .runner import (
+    RUNTIMES,
+    apply_scenario,
+    cluster_for,
+    judge_run,
+    render_run,
+    run_ok,
+    run_scenario,
+)
 
 __all__ = [
     "OP_SPECS",
     "Scenario",
     "ScenarioEvent",
     "generate_scenario",
+    "RUNTIMES",
     "apply_scenario",
+    "cluster_for",
+    "judge_run",
+    "render_run",
+    "run_ok",
     "run_scenario",
 ]

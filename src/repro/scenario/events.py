@@ -37,15 +37,21 @@ and out-of-bounds probabilities are all
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..cluster.config import NodeConfig
 from ..errors import ConfigurationError
 from ..net.faults import FAULT_OPS as OP_SPECS, check_fault
 from ..types import Time
 
 __all__ = ["ScenarioEvent", "Scenario", "OP_SPECS"]
+
+
+def _r(value: float) -> float:
+    """Round to microseconds: canonical JSON without float noise."""
+    return round(value, 6)
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,11 @@ class Scenario:
     """A named, parameterized fault schedule (see module docstring).
 
     ``n`` / ``period`` / ``duration`` / ``propose_after`` are the run
-    parameters the schedule assumes; the harness builds the cluster from
-    them (``None`` means "caller decides").  ``seed`` records the
-    generator seed for provenance (``None`` for hand-written scenarios).
+    parameters the schedule assumes; a document may leave any of them
+    ``None`` and :meth:`resolved` fills it in — the cluster is built from
+    the resolved value (:func:`repro.scenario.cluster_for`).  ``seed``
+    records the generator seed for provenance (``None`` for hand-written
+    scenarios).
     """
 
     name: str = "scenario"
@@ -187,6 +195,45 @@ class Scenario:
     def fault_end(self) -> Time:
         """Time of the last scheduled event (0.0 when empty)."""
         return self.events[-1].time if self.events else 0.0
+
+    def resolved(
+        self,
+        n: Optional[int] = None,
+        period: Optional[Time] = None,
+        duration: Optional[Time] = None,
+        propose_after: Optional[Time] = None,
+        default_n: int = 3,
+    ) -> "Scenario":
+        """This scenario with every run parameter filled in — how every
+        scripted run is sized, whichever command spells it.
+
+        One precedence per field: the explicit argument, else the
+        document's own value, else the rule — *default_n* nodes at
+        :class:`~repro.cluster.config.NodeConfig`'s heartbeat period,
+        proposing 4 periods after the last fault (in the well-behaved
+        suffix the ◇-detectors need) and ending 40 periods later (room to
+        re-elect, decide, and measure the post-stabilization message
+        cost).  Resolving a resolved scenario changes nothing; a
+        ``duration`` that cuts the schedule short is the
+        :class:`~repro.errors.ConfigurationError` it is at construction.
+        """
+        def first(*values: Any) -> Any:
+            return next(value for value in values if value is not None)
+
+        period = first(period, self.period, NodeConfig().period)
+        propose_after = first(
+            propose_after, self.propose_after,
+            _r(self.fault_end + 4.0 * period),
+        )
+        return replace(
+            self,
+            n=first(n, self.n, default_n),
+            period=period,
+            propose_after=propose_after,
+            duration=first(
+                duration, self.duration, _r(propose_after + 40.0 * period)
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.events)

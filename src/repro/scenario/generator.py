@@ -32,14 +32,9 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..types import Time
-from .events import Scenario, ScenarioEvent
+from .events import Scenario, ScenarioEvent, _r
 
 __all__ = ["generate_scenario"]
-
-
-def _r(value: float) -> float:
-    """Round to microseconds: canonical JSON without float noise."""
-    return round(value, 6)
 
 
 def generate_scenario(
@@ -133,15 +128,12 @@ def generate_scenario(
     for victim in rng.sample(range(n), crashes):
         emit(t, "crash", pid=victim)
         t += 2.0 * period
-    propose_after = _r(t + 4.0 * period)
-    if duration is None:
-        duration = _r(propose_after + 40.0 * period)
     return Scenario(
         name=name if name is not None else f"nemesis-n{n}-seed{seed}",
         n=n,
         seed=seed,
         period=period,
         duration=duration,
-        propose_after=propose_after,
+        propose_after=_r(t + 4.0 * period),
         events=events,
-    )
+    ).resolved()

@@ -132,10 +132,10 @@ def test_cli_cluster_virtual_loopback(capsys):
                  "--virtual"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "killed leader p0" in out
+    assert "crash pid=0" in out
     assert "result: OK" in out
-    assert "'termination': True" in out
-    assert "crash detection latency" in out
+    assert "consensus.termination            ok" in out
+    assert "detection time T_D   : p0: 10.000" in out
 
 
 def test_cli_cluster_virtual_requires_loopback(capsys):
