@@ -5,8 +5,9 @@ This is the runtime's counterpart of one slot of the simulator's
 (:mod:`repro.sim.api`) out of live parts —
 
 * a clock (:mod:`repro.net.clock`) in place of the virtual-time heap,
-* a :class:`RuntimeNetwork` that encodes through the codec and hands frames
-  to a transport in place of the simulated link fabric,
+* a :class:`RuntimeNetwork` — the one message path of
+  :mod:`repro.sim.network` (admit → record → self-send or cross → deliver)
+  whose crossing is a codec frame handed to a transport,
 * any :class:`~repro.obs.TraceSink` (an analysis-facing
   :class:`~repro.obs.MemorySink` by default; a streaming
   :class:`~repro.obs.JsonlSink`, or a tee of both, for trace shipping),
@@ -28,12 +29,13 @@ out of band.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import MemorySink, TraceSink
 from ..sim.message import Message
+from ..sim.network import _MessagePath
 from ..sim.process import Process
 from ..sim.rng import RandomSource
 from ..types import Channel, ProcessId
@@ -44,117 +46,22 @@ from .transport import Transport
 __all__ = ["RuntimeNetwork", "RuntimeWorld", "NodeHost"]
 
 
-class RuntimeNetwork:
-    """The live :class:`~repro.sim.api.NetworkAPI`: codec + transport.
-
-    Keeps the same always-on counters as :class:`repro.sim.network.Network`
-    so benchmark and QoS code reads totals identically on both substrates.
-    """
+class RuntimeNetwork(_MessagePath):
+    """The live :class:`~repro.sim.api.NetworkAPI`: the shared message path
+    of :mod:`repro.sim.network` with a codec + transport crossing."""
 
     def __init__(self, host: "NodeHost") -> None:
+        super().__init__(host.clock, host.trace, host.metrics)
         self._host = host
-        self.sent_total = 0
-        self.sent_network = 0  # excludes self-sends
-        self.delivered_total = 0
-        self.dropped_total = 0
-        self.sent_by_channel: Dict[Channel, int] = {}
 
-    def send(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        channel: Channel,
-        payload: Any,
-        tag: Optional[str] = None,
-        round: Optional[int] = None,
-    ) -> Message:
+    def _cross(self, msgs: List[Message]) -> None:
+        # Same-content messages: the codec encodes the shared part once.
         host = self._host
-        now = host.clock.now
-        msg = Message(
-            src=src, dst=dst, channel=channel, payload=payload,
-            send_time=now, tag=tag, round=round,
-        )
-        self.sent_total += 1
-        self.sent_by_channel[channel] = self.sent_by_channel.get(channel, 0) + 1
-        if src == dst:
-            # Loopback self-send: stays in-process and uncounted as network
-            # traffic, exactly like the simulator's zero-delay loopback.
-            if host.trace.wants("send"):
-                host.trace.record(
-                    now, "send", src, channel=channel, src=src, dst=dst,
-                    tag=tag, round=round, loopback=True,
-                )
-            host.clock.schedule(0.0, host._deliver, msg)
-            return msg
-        self.sent_network += 1
-        if host.trace.wants("send"):
-            host.trace.record(
-                now, "send", src, channel=channel, src=src, dst=dst,
-                tag=tag, round=round, loopback=False,
+        for msg, frame in zip(msgs, host.codec.encode_message_batch(msgs)):
+            self._metrics.inc(
+                "bytes_sent_total", amount=len(frame), channel=msg.channel
             )
-        frame = host.codec.encode_message(msg)
-        metrics = host.metrics
-        metrics.inc("messages_sent_total", channel=channel)
-        metrics.inc("bytes_sent_total", amount=len(frame), channel=channel)
-        host.transport.send(dst, frame)
-        return msg
-
-    def send_many(
-        self,
-        src: ProcessId,
-        dsts: Sequence[ProcessId],
-        channel: Channel,
-        payload: Any,
-        tag: Optional[str] = None,
-        round: Optional[int] = None,
-    ) -> List[Message]:
-        """Send one payload to many destinations, encoding it once.
-
-        Per-message observable effects — the counters, the per-``dst``
-        ``send`` trace events, the metrics — are identical to calling
-        :meth:`send` in a loop; only the codec work is shared, through
-        :meth:`~repro.net.codec.Codec.encode_message_batch`.
-        """
-        host = self._host
-        now = host.clock.now
-        trace_sends = host.trace.wants("send")
-        msgs: List[Message] = []
-        network: List[Message] = []
-        for dst in dsts:
-            msg = Message(
-                src=src, dst=dst, channel=channel, payload=payload,
-                send_time=now, tag=tag, round=round,
-            )
-            msgs.append(msg)
-            self.sent_total += 1
-            self.sent_by_channel[channel] = (
-                self.sent_by_channel.get(channel, 0) + 1
-            )
-            if src == dst:
-                if trace_sends:
-                    host.trace.record(
-                        now, "send", src, channel=channel, src=src, dst=dst,
-                        tag=tag, round=round, loopback=True,
-                    )
-                host.clock.schedule(0.0, host._deliver, msg)
-                continue
-            self.sent_network += 1
-            if trace_sends:
-                host.trace.record(
-                    now, "send", src, channel=channel, src=src, dst=dst,
-                    tag=tag, round=round, loopback=False,
-                )
-            network.append(msg)
-        if network:
-            frames = host.codec.encode_message_batch(network)
-            metrics = host.metrics
-            for msg, frame in zip(network, frames):
-                metrics.inc("messages_sent_total", channel=channel)
-                metrics.inc(
-                    "bytes_sent_total", amount=len(frame), channel=channel
-                )
-                host.transport.send(msg.dst, frame)
-        return msgs
+            host.transport.send(msg.dst, frame)
 
 
 class RuntimeWorld:
@@ -241,6 +148,8 @@ class NodeHost:
         self.clock = clock if clock is not None else AsyncioClock()
         self.codec = codec if codec is not None else JsonCodec()
         self.trace: TraceSink = trace if trace is not None else MemorySink()
+        #: The node's metric store (shared with ``world.metrics``).
+        self.metrics = MetricsRegistry()
         # Per-node seed spaces: the same master seed never makes two nodes'
         # jitter streams collide, yet runs stay reproducible.
         self.world = RuntimeWorld(
@@ -249,10 +158,10 @@ class NodeHost:
             network=RuntimeNetwork(self),
             trace=self.trace,
             rng=RandomSource(seed).spawn(f"node:{pid}"),
+            metrics=self.metrics,
         )
         self.process = Process(pid, self.world)  # reused verbatim from sim
-        #: The node's metric store (shared with ``world.metrics``).
-        self.metrics: MetricsRegistry = self.world.metrics
+        self.world.network.set_deliver(self.process.deliver)
         self.world.metrics_samplers.append(self._sample_transport_metrics)
         self.undecodable_frames = 0
         self.misrouted_frames = 0
@@ -292,19 +201,26 @@ class NodeHost:
             # never take the node down — count it and move on.
             self.undecodable_frames += 1
             self.metrics.inc("frames_undecodable_total")
-            self.metrics.inc("messages_dropped_total", reason="undecodable")
-            if self.trace.wants("drop"):
-                self.trace.record(
-                    self.clock.now, "drop", self.pid, reason="undecodable"
-                )
+            self._drop_frame("undecodable")
             return
         if msg.dst != self.pid:
             self.misrouted_frames += 1
+            self._drop_frame(
+                "misrouted", channel=msg.channel, src=msg.src, dst=msg.dst
+            )
             return
         self.metrics.inc(
             "bytes_received_total", amount=len(data), channel=msg.channel
         )
-        self._deliver(msg)
+        self.world.network._finish_delivery(msg)
+
+    def _drop_frame(self, reason: str, **fields: Any) -> None:
+        """Count and record a received frame that is not delivered."""
+        self.metrics.inc("messages_dropped_total", reason=reason)
+        if self.trace.wants("drop"):
+            self.trace.record(
+                self.clock.now, "drop", self.pid, **fields, reason=reason
+            )
 
     def _on_transport_event(self, event: str, **fields: Any) -> None:
         """Land transport incidents (``net.peer_unreachable``, ...) in the
@@ -322,18 +238,6 @@ class NodeHost:
         registry.set("transport_bytes_sent", transport.bytes_sent)
         registry.set("transport_bytes_received", transport.bytes_received)
         registry.set("transport_send_errors", transport.send_errors)
-
-    def _deliver(self, msg: Message) -> None:
-        net = self.world.network
-        net.delivered_total += 1
-        self.metrics.inc("messages_delivered_total", channel=msg.channel)
-        if self.trace.wants("deliver"):
-            self.trace.record(
-                self.clock.now, "deliver", msg.dst,
-                channel=msg.channel, src=msg.src, dst=msg.dst,
-                tag=msg.tag, round=msg.round,
-            )
-        self.process.deliver(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "crashed" if self.crashed else "up"

@@ -190,7 +190,8 @@ register_event_kind(
 )
 register_event_kind(
     "drop", required=("reason",), optional=("channel", "src", "dst"),
-    doc="a message was lost (link loss, crashed receiver, undecodable frame)",
+    doc="a message was lost (link loss, crashed receiver, undecodable or "
+        "misrouted frame)",
 )
 register_event_kind(
     "parked", required=("channel", "src"),

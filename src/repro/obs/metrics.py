@@ -490,7 +490,8 @@ register_metric(
 )
 register_metric(
     "messages_dropped_total", "counter", ("reason",),
-    doc="messages lost: link loss, crashed receiver, undecodable frame",
+    doc="messages lost: link loss, crashed receiver, undecodable or misrouted "
+        "frame",
 )
 register_metric(
     "bytes_sent_total", "counter", ("channel",),

@@ -7,8 +7,8 @@ narrow surface:
 
 * a **scheduler** (``world.scheduler``) with a ``now`` clock and timed
   callbacks (:class:`SchedulerAPI`);
-* a **message fabric** (``world.network``) with a fire-and-forget ``send``
-  (:class:`NetworkAPI`);
+* a **message fabric** (``world.network``) with a fire-and-forget ``send`` /
+  ``send_many`` (:class:`NetworkAPI`);
 * a **world** exposing ``n``, a :class:`~repro.sim.Trace`, and named
   RNG streams (:class:`WorldAPI`);
 * a **process** container with ``pid`` / ``crashed`` / FD-change fan-out
@@ -36,6 +36,7 @@ from typing import (
     Callable,
     Optional,
     Protocol,
+    Sequence,
     runtime_checkable,
 )
 
@@ -101,6 +102,19 @@ class NetworkAPI(Protocol):
         round: Optional[int] = None,
     ) -> Any:
         """Inject one message; delivery (or loss) is the substrate's call."""
+        ...
+
+    def send_many(
+        self,
+        src: ProcessId,
+        dsts: Sequence[ProcessId],
+        channel: Channel,
+        payload: Any,
+        tag: Optional[str] = None,
+        round: Optional[int] = None,
+    ) -> Any:
+        """Inject one payload for many destinations, in *dsts* order; the
+        per-message effects equal calling :meth:`send` once per destination."""
         ...
 
 

@@ -15,7 +15,8 @@ check for its own death.
 
 Components never reach past these helpers into the host: everything they
 touch is the narrow structural surface defined in :mod:`repro.sim.api`
-(scheduler ``now``/``schedule``, network ``send``, trace, rng, ``n``).
+(scheduler ``now``/``schedule``, network ``send``/``send_many``, trace, rng,
+``n``).
 That is what lets the *same* component classes run both on the simulated
 :class:`~repro.sim.world.World` and on the live asyncio runtime's
 :class:`~repro.net.host.NodeHost` without modification.
@@ -24,7 +25,7 @@ That is what lets the *same* component classes run both on the simulated
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..types import Channel, ProcessId, Time
@@ -119,11 +120,24 @@ class Component:
         round: Optional[int] = None,
     ) -> None:
         """Send *payload* to process *dst* on this component's channel."""
+        self._send_many((dst,), payload, tag, round)
+
+    def _send_many(
+        self,
+        dsts: Sequence[ProcessId],
+        payload: Any,
+        tag: Optional[str],
+        round: Optional[int],
+    ) -> None:
         if self.crashed:
             return
-        if self._stubborn_last is not None and dst != self.pid:
-            self._stubborn_last[(dst, tag)] = (payload, round)
-        self.world.network.send(self.pid, dst, self.channel, payload, tag, round)
+        if self._stubborn_last is not None:
+            for dst in dsts:
+                if dst != self.pid:
+                    self._stubborn_last[(dst, tag)] = (payload, round)
+        self.world.network.send_many(
+            self.pid, dsts, self.channel, payload, tag, round
+        )
 
     #: Per-destination last message, when stubborn resending is enabled.
     _stubborn_last: Optional[dict] = None
@@ -168,23 +182,10 @@ class Component:
         round: Optional[int] = None,
     ) -> None:
         """Send *payload* to every other process (and optionally to self)."""
-        if self.crashed:
-            return
         dsts = [
             dst for dst in range(self.n) if dst != self.pid or include_self
         ]
-        send_many = getattr(self.world.network, "send_many", None)
-        if send_many is None:
-            # The simulator network delivers per-message; keep the loop so
-            # sim event interleavings are bit-identical to before.
-            for dst in dsts:
-                self.send(dst, payload, tag=tag, round=round)
-            return
-        if self._stubborn_last is not None:
-            for dst in dsts:
-                if dst != self.pid:
-                    self._stubborn_last[(dst, tag)] = (payload, round)
-        send_many(self.pid, dsts, self.channel, payload, tag, round)
+        self._send_many(dsts, payload, tag, round)
 
     # --------------------------------------------------------------- timing
     def set_timer(

@@ -1,55 +1,59 @@
-"""The message-passing fabric connecting simulated processes.
+"""The message path: every message any substrate carries goes through here.
 
-The network owns one directed :class:`~repro.sim.links.Link` per ordered pair
-of processes (with a configurable default), consults the link for every send,
-and schedules deliveries on the world scheduler.  It also keeps cheap
-counters (sent / delivered / dropped, per channel) so benchmark code can read
-totals without scanning the full trace.
+One path, written once, in four steps — **admit → record → self-send or
+cross → deliver**:
 
-Self-sends (``src == dst``) are delivered through a zero-delay loopback and
-are counted separately: the paper's per-round message counts (e.g. "4n for
-the ◇C protocol") refer to actual network messages, so the metrics layer
-reads :attr:`Network.sent_network` by default.
+1. *admit*: :meth:`send_many` builds one :class:`Message` per destination
+   and bumps ``sent_total`` / ``sent_by_channel``;
+2. *record*: a ``send`` trace event per destination, flagged ``loopback``
+   for a self-send;
+3. *self-send or cross*: a self-send (``src == dst``) is scheduled at +0 —
+   local, never lost, never a network message; anything else counts in
+   ``sent_network`` and, once every destination of the call has been
+   admitted, is handed in destination order to the substrate's one hook,
+   :meth:`_cross`;
+4. *deliver*: :meth:`_finish_delivery` counts, records ``deliver`` and
+   runs the deliver callback.
+
+So one call emits all its ``send`` records before anything its crossing
+records (a ``drop``), and its self-send is queued ahead of its network
+sends — visible only where a link has zero delay.  The simulator's
+crossing is :class:`Network` below (a link decides loss and delay); the
+live runtime's is :class:`repro.net.host.RuntimeNetwork` (codec frame →
+transport).  The paper's per-round message counts (e.g. "4n for the ◇C
+protocol") are network messages, so the metrics layer reads
+``sent_network`` by default.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import TraceSink
-from ..types import Channel, ProcessId, Time
+from ..types import Channel, ProcessId
+from .api import SchedulerAPI
 from .links import Link, ReliableLink
 from .message import Message
-from .scheduler import Scheduler
 
 __all__ = ["Network"]
 
 
-class Network:
-    """Routes messages between processes through per-pair link models."""
+class _MessagePath:
+    """Steps 1, 2 and 4 plus the self-send rule; subclasses add :meth:`_cross`."""
 
     def __init__(
         self,
-        n: int,
-        scheduler: Scheduler,
+        scheduler: SchedulerAPI,
         trace: TraceSink,
-        rng: random.Random,
-        default_link: Optional[Link] = None,
-        deliver: Optional[Callable[[Message], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
+        deliver: Optional[Callable[[Message], None]] = None,
     ) -> None:
-        if n < 1:
-            raise ConfigurationError(f"need at least one process, got n={n}")
-        self.n = n
         self._scheduler = scheduler
         self._trace = trace
-        self._rng = rng
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._default_link = default_link if default_link is not None else ReliableLink()
-        self._links: Dict[Tuple[ProcessId, ProcessId], Link] = {}
         self._deliver = deliver
         # Counters, cheap enough to keep always-on.
         self.sent_total = 0
@@ -58,11 +62,102 @@ class Network:
         self.dropped_total = 0
         self.sent_by_channel: Dict[Channel, int] = {}
 
-    # --------------------------------------------------------------- wiring
     def set_deliver(self, deliver: Callable[[Message], None]) -> None:
-        """Install the delivery callback (normally ``World._deliver``)."""
+        """Install the delivery callback (``Process.deliver``, in effect)."""
         self._deliver = deliver
 
+    def send(
+        self,
+        src: ProcessId,
+        dst: ProcessId,
+        channel: Channel,
+        payload: Any,
+        tag: Optional[str] = None,
+        round: Optional[int] = None,
+    ) -> Message:
+        """Inject one message; returns its record (mostly useful to tests)."""
+        return self.send_many(src, (dst,), channel, payload, tag, round)[0]
+
+    def send_many(
+        self,
+        src: ProcessId,
+        dsts: Sequence[ProcessId],
+        channel: Channel,
+        payload: Any,
+        tag: Optional[str] = None,
+        round: Optional[int] = None,
+    ) -> List[Message]:
+        """Send one payload to many destinations (see the module docstring
+        for the order of effects); returns one record per destination."""
+        now = self._scheduler.now
+        trace_sends = self._trace.wants("send")
+        msgs: List[Message] = []
+        network: List[Message] = []
+        for dst in dsts:
+            msg = Message(
+                src=src, dst=dst, channel=channel, payload=payload,
+                send_time=now, tag=tag, round=round,
+            )
+            msgs.append(msg)
+            self.sent_total += 1
+            self.sent_by_channel[channel] = self.sent_by_channel.get(channel, 0) + 1
+            if trace_sends:
+                self._trace.record(
+                    now, "send", src, channel=channel, src=src, dst=dst,
+                    tag=tag, round=round, loopback=src == dst,
+                )
+            if src == dst:
+                self._scheduler.schedule(0.0, self._finish_delivery, msg)
+            else:
+                self.sent_network += 1
+                self._metrics.inc("messages_sent_total", channel=channel)
+                network.append(msg)
+        if network:
+            self._cross(network)
+        return msgs
+
+    def _cross(self, msgs: List[Message]) -> None:
+        """Carry same-content network messages towards their destinations."""
+        raise NotImplementedError
+
+    def _finish_delivery(self, msg: Message) -> None:
+        self.delivered_total += 1
+        self._metrics.inc("messages_delivered_total", channel=msg.channel)
+        if self._trace.wants("deliver"):
+            self._trace.record(
+                self._scheduler.now, "deliver", msg.dst,
+                channel=msg.channel, src=msg.src, dst=msg.dst,
+                tag=msg.tag, round=msg.round,
+            )
+        if self._deliver is None:  # pragma: no cover - defensive
+            raise ConfigurationError("network has no delivery callback installed")
+        self._deliver(msg)
+
+
+class Network(_MessagePath):
+    """The simulated fabric: one directed :class:`~repro.sim.links.Link` per
+    ordered pair of processes (with a configurable default) decides, per
+    message, between a ``drop`` and a delivery event on the scheduler."""
+
+    def __init__(
+        self,
+        n: int,
+        scheduler: SchedulerAPI,
+        trace: TraceSink,
+        rng: random.Random,
+        default_link: Optional[Link] = None,
+        deliver: Optional[Callable[[Message], None]] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        if n < 1:
+            raise ConfigurationError(f"need at least one process, got n={n}")
+        super().__init__(scheduler, trace, metrics, deliver)
+        self.n = n
+        self._rng = rng
+        self._default_link = default_link if default_link is not None else ReliableLink()
+        self._links: Dict[Tuple[ProcessId, ProcessId], Link] = {}
+
+    # --------------------------------------------------------------- wiring
     def set_link(self, src: ProcessId, dst: ProcessId, link: Link) -> None:
         """Override the link used for the directed pair ``src -> dst``."""
         self._links[(src, dst)] = link
@@ -83,72 +178,18 @@ class Network:
         """The link currently governing the directed pair ``src -> dst``."""
         return self._links.get((src, dst), self._default_link)
 
-    # --------------------------------------------------------------- sending
-    def send(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        channel: Channel,
-        payload: Any,
-        tag: Optional[str] = None,
-        round: Optional[int] = None,
-    ) -> Message:
-        """Inject a message; the link decides loss and delay.
-
-        Returns the :class:`Message` record (mostly useful to tests).
-        """
+    # -------------------------------------------------------------- crossing
+    def _cross(self, msgs: List[Message]) -> None:
         now = self._scheduler.now
-        msg = Message(
-            src=src,
-            dst=dst,
-            channel=channel,
-            payload=payload,
-            send_time=now,
-            tag=tag,
-            round=round,
-        )
-        self.sent_total += 1
-        self.sent_by_channel[channel] = self.sent_by_channel.get(channel, 0) + 1
-        if src == dst:
-            # Loopback: local, instantaneous (next event at the same time),
-            # never lost, never counted as a network message.
-            if self._trace.wants("send"):
-                self._trace.record(
-                    now, "send", src, channel=channel, src=src, dst=dst,
-                    tag=tag, round=round, loopback=True,
-                )
-            self._scheduler.schedule(0.0, self._finish_delivery, msg)
-            return msg
-
-        self.sent_network += 1
-        self._metrics.inc("messages_sent_total", channel=channel)
-        if self._trace.wants("send"):
-            self._trace.record(
-                now, "send", src, channel=channel, src=src, dst=dst,
-                tag=tag, round=round, loopback=False,
-            )
-        delay = self.link(src, dst).plan(msg, now, self._rng)
-        if delay is None:
+        for msg in msgs:
+            delay = self.link(msg.src, msg.dst).plan(msg, now, self._rng)
+            if delay is not None:
+                self._scheduler.schedule(delay, self._finish_delivery, msg)
+                continue
             self.dropped_total += 1
             self._metrics.inc("messages_dropped_total", reason="link")
             if self._trace.wants("drop"):
                 self._trace.record(
-                    now, "drop", src, channel=channel, src=src, dst=dst,
-                    reason="link",
+                    now, "drop", msg.src, channel=msg.channel, src=msg.src,
+                    dst=msg.dst, reason="link",
                 )
-            return msg
-        self._scheduler.schedule(delay, self._finish_delivery, msg)
-        return msg
-
-    def _finish_delivery(self, msg: Message) -> None:
-        self.delivered_total += 1
-        self._metrics.inc("messages_delivered_total", channel=msg.channel)
-        if self._trace.wants("deliver"):
-            self._trace.record(
-                self._scheduler.now, "deliver", msg.dst,
-                channel=msg.channel, src=msg.src, dst=msg.dst,
-                tag=msg.tag, round=msg.round,
-            )
-        if self._deliver is None:  # pragma: no cover - defensive
-            raise ConfigurationError("network has no delivery callback installed")
-        self._deliver(msg)

@@ -69,10 +69,8 @@ def test_virtual_clock_self_send_loops_back():
     echoes[0].send(0, "hello-me")
     clock.run(until=1.0)
     assert echoes[0].heard == [(0, "hello-me")]
-    # Self-sends never hit the transport, exactly like the simulator.
+    # A self-send never reaches the crossing (counters: test_message_path).
     assert hosts[0].transport.frames_sent == 0
-    assert hosts[0].world.network.sent_network == 0
-    assert hosts[0].world.network.sent_total == 1
 
 
 def test_crashed_host_counts_sends_as_noops():
@@ -112,6 +110,14 @@ def test_misrouted_frame_is_counted_and_ignored():
     hosts[0].transport.send(1, JsonCodec().encode_message(stray))
     clock.run(until=1.0)
     assert hosts[1].misrouted_frames == 1
+    # Counted and visible, like the undecodable branch — never delivered.
+    assert hosts[1].metrics.value(
+        "messages_dropped_total", reason="misrouted") == 1
+    drops = [ev for ev in hosts[1].trace.events if ev.kind == "drop"]
+    assert [(d.pid, d.get("reason"), d.get("dst")) for d in drops] == [
+        (1, "misrouted", 5)
+    ]
+    assert hosts[1].world.network.delivered_total == 0
 
 
 def test_runtime_world_rejects_oracle_surface():

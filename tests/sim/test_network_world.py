@@ -1,4 +1,8 @@
-"""Tests for Network routing/counters, failures and the World facade."""
+"""Tests for the sim Network's link table, failures and the World facade.
+
+The send path itself (counters, records, order) is tested on both
+substrates at once in ``tests/test_message_path.py``.
+"""
 
 import pytest
 
@@ -34,19 +38,6 @@ def world():
 
 
 class TestNetwork:
-    def test_counters(self, world):
-        comps = world.attach_all(lambda pid: Sink())
-        world.start()
-        comps[0].send(1, "a")
-        comps[0].send_self("b")
-        world.run()
-        net = world.network
-        assert net.sent_total == 2
-        assert net.sent_network == 1  # loopback excluded
-        assert net.delivered_total == 2
-        assert net.dropped_total == 0
-        assert net.sent_by_channel == {"sink": 2}
-
     def test_per_pair_link_override(self, world):
         comps = world.attach_all(lambda pid: Sink())
         world.network.set_link(0, 1, DeadLink())
@@ -86,15 +77,6 @@ class TestNetwork:
         drops = world.trace.select(kind="drop")
         assert len(drops) == 1
         assert drops[0].get("reason") == "link"
-
-    def test_send_round_and_tag_in_trace(self, world):
-        comps = world.attach_all(lambda pid: Sink())
-        world.start()
-        comps[0].send(1, "x", tag="est", round=3)
-        world.run()
-        send = world.trace.select(kind="send")[0]
-        assert send.get("tag") == "est"
-        assert send.get("round") == 3
 
     def test_network_requires_processes(self):
         with pytest.raises(ConfigurationError):

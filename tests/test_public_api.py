@@ -16,10 +16,18 @@ from repro.analysis import (
 )
 from repro.cluster import STACKS, TRANSPORTS
 from repro.lint import all_program_rules, all_rules
-from repro.net import RuntimeNetwork, RuntimeWorld
+from repro.net import (
+    LoopbackHub,
+    LoopbackTransport,
+    NodeHost,
+    RuntimeNetwork,
+    RuntimeWorld,
+    VirtualClock,
+)
 from repro.obs import EventSchema, MemorySink, MetricSchema, Trace
 from repro.proc import build_node
 from repro.sim import (
+    Network,
     NetworkAPI,
     Periodic,
     ProcessAPI,
@@ -159,6 +167,19 @@ class TestReexportIntegrity:
 
         assert RuntimeNetwork is host.RuntimeNetwork
         assert RuntimeWorld is host.RuntimeWorld
+
+    def test_one_send_path_behind_both_networks(self):
+        clock = VirtualClock()
+        host = NodeHost(0, 2, LoopbackTransport(0, LoopbackHub(clock)), clock=clock)
+        for network in (World(n=2).network, host.world.network):
+            assert isinstance(network, NetworkAPI)
+        # The runtime adds only the crossing: send / send_many are the
+        # simulator module's, and it has no link table to pretend about.
+        assert not {"send", "send_many", "_finish_delivery"} & set(
+            vars(RuntimeNetwork)
+        )
+        assert not hasattr(RuntimeNetwork, "set_link")
+        assert RuntimeNetwork.send_many is Network.send_many
 
     def test_obs_schema_types_and_trace_alias(self):
         assert Trace is MemorySink  # the historical name stays importable
