@@ -49,7 +49,7 @@ TOP_ALLOCATIONS = 10
 def burst_run(bursts: int, burst: int) -> None:
     """Submit *bursts* × *burst* commands at the leader; drain everywhere."""
     rng = random.Random(SEED)
-    cluster = LocalCluster(  # lint: ignore[ambient-state-reach]
+    cluster = LocalCluster(
         n=3, transport="loopback", clock="virtual", seed=SEED, trace_kinds=(),
     )
     stacks = cluster.deploy_standard_stack(stack="rsm", period=PERIOD)
@@ -130,18 +130,13 @@ def main() -> None:
     args = parser.parse_args()
     bursts, burst, seconds = (1, 64, 1.0) if args.quick else (4, 256, 3.0)
     shape = f"rsm_burst shape, n=3, {bursts} x {burst} commands, seed {SEED}"
-    # A profiler measures this host on purpose (cProfile reads the wall
-    # clock itself; the cluster constructor reads it once).
     sections: List[str] = [
-        # lint: ignore[ambient-state-reach]
         call_tables(shape, burst_run, bursts, burst),
-        # lint: ignore[ambient-state-reach]
         allocation_table(shape, burst_run, bursts, burst),
     ]
     if args.live:
         sections.append(call_tables(
             f"loopback/n3/c10, {seconds:g} s closed loop",
-            # lint: ignore[ambient-state-reach]
             measure, ("loopback", 3, 10, seconds, 30.0),
         ))
     report = "\n".join(sections)

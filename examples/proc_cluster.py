@@ -38,7 +38,7 @@ SCENARIO = Scenario(
 def main() -> None:
     # 1. Build the cluster the document asks for, one OS process per node
     #    (wall-clock by nature: real processes, real signals).
-    cluster = cluster_for(  # lint: ignore[ambient-state-reach]
+    cluster = cluster_for(
         SCENARIO, "proc", transport="udp", stack="ring", seed=7)
     print(f"spawning {SCENARIO.n} node processes under {cluster.workdir}; "
           f"kill -9 of p0 scheduled at t=2.5s; waiting...")

@@ -17,7 +17,7 @@ Usage:  PYTHONPATH=src python examples/traces/regenerate.py
 import json
 from pathlib import Path
 
-from repro.net import LocalCluster, attach_standard_stack
+from repro.cluster import LocalCluster, attach_standard_stack
 from repro.sim import FixedDelay
 
 HERE = Path(__file__).parent

@@ -68,7 +68,6 @@ class ReplicatedStateMachine(Component):
         idle_grace: Optional[float] = None,
         max_batch: int = 1,
         pipeline_depth: int = 1,
-        max_delay: float = 0.0,
     ) -> None:
         super().__init__(channel)
         if max_batch < 1:
@@ -102,19 +101,13 @@ class ReplicatedStateMachine(Component):
         #: propose when they have fresh commands to carry; they never burn
         #: eager NOOPs, so a deep window on an idle cluster costs nothing.
         self.pipeline_depth = pipeline_depth
-        #: When > 0: a slot holding a non-full batch waits this long for
-        #: more commands before proposing.  0 proposes immediately —
-        #: under load the pipeline itself accumulates batches (commands
-        #: arriving while slots are in flight pile up for the next one),
-        #: so the delay is only for smoothing sparse open-loop traffic.
-        self.max_delay = max_delay
         self.log: List[Any] = []
         self._pending: List[Command] = []
         self._seen: set = set()
         self._applied: set = set()
         self._next_seq = 0
         self._instances: Dict[int, ConsensusProtocol] = {}
-        #: Command ids proposed (or delay-staged) per undecided slot; used
+        #: Command ids proposed per undecided slot; used
         #: to keep concurrent slots from proposing overlapping batches.
         self._inflight: Dict[int, Tuple[Tuple[ProcessId, int], ...]] = {}
         #: Decided values buffered until every lower slot has applied.
@@ -122,8 +115,6 @@ class ReplicatedStateMachine(Component):
         self._apply_next = 0
         self._next_open = 0
         self._noop_timer = None
-        self._delay_timers: Dict[int, Any] = {}
-        self._delay_done: set = set()
         self._apply_callbacks: List[Callable[[int, Any], None]] = []
 
     # ----------------------------------------------------------------- API
@@ -214,20 +205,10 @@ class ReplicatedStateMachine(Component):
             return
         batch = self._proposable(slot)
         if batch:
-            if (
-                len(batch) >= self.max_batch
-                or self.max_delay <= 0
-                or slot in self._delay_done
-            ):
-                self._propose(slot, batch)
-                return
-            # Stage a non-full batch: reserve its commands against other
-            # slots and give late arrivals max_delay to join it.
-            self._inflight[slot] = tuple(self._cid(c) for c in batch)
-            if slot not in self._delay_timers:
-                self._delay_timers[slot] = self.set_timer(
-                    self.max_delay, self._delay_expired, slot
-                )
+            # A non-full batch proposes at once: under load the pipeline
+            # itself accumulates batches (commands arriving while slots are
+            # in flight pile up for the next one).
+            self._propose(slot, batch)
             return
         if slot != self._apply_next:
             return  # non-head slots wait for commands; no eager NOOPs
@@ -284,28 +265,10 @@ class ReplicatedStateMachine(Component):
             return
         self._propose(slot, self._proposable(slot) or None)
 
-    def _delay_expired(self, slot: int) -> None:
-        self._delay_timers.pop(slot, None)
-        self._delay_done.add(slot)
-        instance = self._instances.get(slot)
-        if instance is None or instance.proposed or instance.decided:
-            return
-        self._inflight.pop(slot, None)
-        batch = self._proposable(slot)
-        if batch:
-            self._propose(slot, batch)
-        else:
-            # The staged commands decided elsewhere meanwhile; fall back
-            # to the regular (head-NOOP / park) consideration.
-            self._consider_proposal(slot)
-
     def _cancel_slot_timers(self, slot: int) -> None:
         if self._noop_timer is not None and self._noop_timer[0] == slot:
             self._noop_timer[1].cancel()
             self._noop_timer = None
-        handle = self._delay_timers.pop(slot, None)
-        if handle is not None:
-            handle.cancel()
 
     # -------------------------------------------------------------- applying
     @staticmethod
@@ -324,7 +287,6 @@ class ReplicatedStateMachine(Component):
     def _on_slot_decided(self, slot: int, value: Any) -> None:
         self._cancel_slot_timers(slot)
         self._inflight.pop(slot, None)
-        self._delay_done.discard(slot)
         self._trace_spans("span.decide", slot, self._commands_in(value))
         self._decided[slot] = value
         while self._apply_next in self._decided:

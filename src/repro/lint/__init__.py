@@ -12,40 +12,34 @@ keep them so, statically, on every PR:
   swallowed exceptions) — :mod:`repro.lint.rules.asyncio_hazards`;
 * a **payload-encodability rule** type-checking ``send(...)`` payloads
   against the wire codec — :mod:`repro.lint.rules.payload`;
-* a **trace-schema rule** checking every ``trace.record(...)`` /
+* the **record-site rules** checking every ``trace.record(...)`` /
   ``self.trace(...)`` call site against the :mod:`repro.obs` event-schema
-  registry — :mod:`repro.lint.rules.trace_schema`;
-* the **whole-program pass** — :mod:`repro.lint.program` builds a project
-  model (import resolution, call graph, protocol flows) from all parsed
-  files and runs the interprocedural rules over it: async-blocking-reach,
-  ambient-state-reach, protocol-flow, registry-flow, unreachable-public.
+  registry and every ``metrics.inc/set/observe(...)`` against the metric
+  registry — :mod:`repro.lint.rules.records`;
+* the **protocol-flow rule** matching every message kind, service op and
+  reply status produced anywhere in the program against the dispatch arms
+  that handle it — :mod:`repro.lint.rules.protocol`.
+
+Every rule runs in one pass over one :class:`~repro.lint.model.ProjectModel`
+(all parsed files, import aliases and string constants resolved across
+modules).
 
 Run it as ``python -m repro lint`` or ``repro-lint``; suppress a single
 finding with ``# lint: ignore[rule-id]``.  See ``docs/lint.md``.
 """
 
-from .engine import FileContext, LintResult, lint_paths
+from .engine import LintResult, lint_paths
 from .findings import Finding
-from .registry import (
-    ProgramRule,
-    Rule,
-    all_program_rules,
-    all_rules,
-    program_rule,
-    resolve_rules,
-    rule,
-)
+from .model import FileContext
+from .registry import Rule, all_rules, resolve_rules, rule
 
 __all__ = [
     "FileContext",
     "Finding",
     "LintResult",
-    "ProgramRule",
     "Rule",
-    "all_program_rules",
     "all_rules",
     "lint_paths",
-    "program_rule",
     "resolve_rules",
     "rule",
 ]

@@ -1,9 +1,9 @@
 """Small AST helpers shared by the rule visitors.
 
 Besides the name-rendering helpers, this module owns the one piece of
-resolution machinery both the per-file rules and the whole-program pass
-need: :class:`ImportMap`, which maps every locally bound import alias back
-to the canonical dotted path it names.  ``from repro.obs import events as
+resolution machinery both the rules and the project model need:
+:class:`ImportMap`, which maps every locally bound import alias back to
+the canonical dotted path it names.  ``from repro.obs import events as
 ev`` binds ``ev`` -> ``repro.obs.events``, so a rule matching on receiver
 names can judge ``ev.record(...)`` exactly as it judges
 ``repro.obs.events.record(...)`` — closing the aliased-import loophole the
@@ -13,12 +13,11 @@ purely syntactic matchers had.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "dotted_name",
     "call_func_name",
-    "is_call_to",
     "ImportMap",
 ]
 
@@ -54,11 +53,6 @@ def call_func_name(call: ast.Call) -> Optional[str]:
     return None
 
 
-def is_call_to(node: ast.AST, *names: str) -> bool:
-    """Whether *node* is a call whose target's final name is in *names*."""
-    return isinstance(node, ast.Call) and call_func_name(node) in names
-
-
 class ImportMap:
     """Alias -> canonical dotted path for every import bound in one module.
 
@@ -74,8 +68,6 @@ class ImportMap:
         self.package = package
         #: locally bound name -> canonical dotted path.
         self.aliases: Dict[str, str] = {}
-        #: modules star-imported (``from m import *``), resolved.
-        self.star_imports: List[str] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -92,7 +84,6 @@ class ImportMap:
                     continue
                 for alias in node.names:
                     if alias.name == "*":
-                        self.star_imports.append(base)
                         continue
                     bound = alias.asname or alias.name
                     target = f"{base}.{alias.name}" if base else alias.name
@@ -129,7 +120,3 @@ class ImportMap:
         if target is None:
             return dotted
         return f"{target}.{rest}" if rest else target
-
-    def resolve_call(self, call: ast.Call) -> Optional[str]:
-        """Canonical dotted path of a call's target, or ``None``."""
-        return self.resolve(dotted_name(call.func))

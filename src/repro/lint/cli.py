@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..errors import ConfigurationError
-from .baseline import write_baseline
 from .engine import default_target, lint_paths
 from .registry import iter_rule_docs
 from .reporting import FORMATS, write_report
@@ -50,24 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--rules", action="store_true",
         help="list the available rules and exit",
     )
-    parser.add_argument(
-        "--no-program", action="store_true",
-        help="skip the whole-program pass (per-file rules only)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help=(
-            "filter out findings fingerprinted in FILE (accepted "
-            "pre-existing findings; see --write-baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", type=Path, default=None, metavar="FILE",
-        help=(
-            "record the current findings' fingerprints into FILE and "
-            "exit 0 (run without --baseline to capture everything)"
-        ),
-    )
 
 
 def _split(values: List[str]) -> List[str]:
@@ -80,10 +61,10 @@ def _split(values: List[str]) -> List[str]:
 
 def _list_rules(stream) -> int:
     docs = list(iter_rule_docs())
-    width = max(len(rule_id) for rule_id, _, _, _ in docs)
-    for rule_id, summary, scope, origin in docs:
+    width = max(len(rule_id) for rule_id, _, _ in docs)
+    for rule_id, summary, scope in docs:
         where = ", ".join(scope) if scope else "all files"
-        stream.write(f"{rule_id:<{width}}  [{origin}] {summary}\n")
+        stream.write(f"{rule_id:<{width}}  {summary}\n")
         stream.write(f"{'':<{width}}  scope: {where}\n")
     return 0
 
@@ -97,15 +78,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         paths=paths,
         select=_split(args.select) or None,
         ignore=_split(args.ignore) or None,
-        program=not args.no_program,
-        baseline=args.baseline,
     )
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, result.findings)
-        count = len(result.findings)
-        noun = "finding" if count == 1 else "findings"
-        print(f"baseline: {count} {noun} recorded in {args.write_baseline}")
-        return 0
     write_report(result, args.format, sys.stdout)
     return result.exit_code
 

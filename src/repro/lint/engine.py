@@ -1,78 +1,37 @@
 """The lint engine: walk files, parse, run rules, apply suppressions.
 
 The engine owns everything rule-independent: discovering Python files under
-the given paths, parsing them, computing each file's dotted module name
-(which drives rule scoping), building the parent map rules use for
-context-sensitive checks, and filtering findings through the suppression
-comments.  Rules stay tiny visitors over a prepared
-:class:`FileContext`.
+the given paths, parsing each into a
+:class:`~repro.lint.model.FileContext`, building the
+:class:`~repro.lint.model.ProjectModel` once, running every selected rule
+over it, and filtering findings through the suppression comments.  Rules
+stay tiny visitors over prepared data.
 
-Two passes run per invocation: the **per-file pass** (each rule sees one
-parsed file) and the **whole-program pass** (all parsed files become a
-:class:`~repro.lint.program.model.ProjectModel`; the program rules see the
-call graph, protocol flows, and symbol tables).  When the target set
-includes the ``repro`` package itself, the repository's ``tests/``,
-``benchmarks/``, and ``examples/`` trees are parsed as a *reference
-corpus*: their symbol references and message sends feed the model (so an
+When the target set includes the ``repro`` package itself, the
+repository's ``tests/``, ``benchmarks/``, and ``examples/`` trees are
+parsed as a *reference corpus*: their message sends feed the model (so an
 op only tests exercise is not a dead arm) but findings are never
 attributed to them.
 
 Determinism note — the linter holds itself to the contract it enforces:
 file discovery is sorted, rules run in registration order, the project
-model iterates modules and edges in sorted order, and findings are
-reported in (path, line, col, rule) order, so two runs over the same tree
-produce byte-identical output.
+model iterates modules in sorted order, and findings are reported in
+(path, line, col, rule) order, so two runs over the same tree produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from .baseline import apply_baseline, load_baseline
 from .findings import Finding
-from .registry import (
-    ProgramRule,
-    Rule,
-    resolve_program_rules,
-    resolve_rules,
-)
-from .suppress import Suppressions, parse_suppressions
+from .model import FileContext, ProjectModel, parse_file
+from .registry import resolve_rules
 
-__all__ = ["FileContext", "LintResult", "lint_paths", "default_target"]
-
-
-@dataclass
-class FileContext:
-    """Everything a rule may need about one parsed file."""
-
-    path: Path
-    display_path: str
-    module: str
-    source: str
-    tree: ast.Module
-    suppressions: Suppressions
-    _parents: Optional[Dict[int, ast.AST]] = field(default=None, repr=False)
-
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        """The syntactic parent of *node* (``None`` for the module)."""
-        if self._parents is None:
-            parents: Dict[int, ast.AST] = {}
-            for outer in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(outer):
-                    parents[id(child)] = outer
-            self._parents = parents
-        return self._parents.get(id(node))
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Parents of *node*, innermost first, up to the module."""
-        current = self.parent(node)
-        while current is not None:
-            yield current
-            current = self.parent(current)
+__all__ = ["LintResult", "lint_paths", "default_target"]
 
 
 @dataclass
@@ -81,8 +40,6 @@ class LintResult:
 
     findings: List[Finding]
     files_checked: int
-    #: findings filtered out by ``--baseline`` (accepted pre-existing ones).
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
@@ -92,24 +49,6 @@ class LintResult:
     def exit_code(self) -> int:
         """0 = clean, 1 = findings (2, config errors, is raised not returned)."""
         return 0 if self.clean else 1
-
-
-def module_name(path: Path) -> str:
-    """Dotted module name for *path*, or "" when it is not inside a package
-    rooted at a directory named ``repro``.
-
-    ``.../src/repro/net/tcp.py`` -> ``repro.net.tcp``; a fixture file in a
-    test corpus has no ``repro`` ancestor and maps to "" (every rule
-    applies there; see :mod:`repro.lint.registry`).
-    """
-    parts = list(path.resolve().parts)
-    if "repro" not in parts:
-        return ""
-    root = len(parts) - 1 - parts[::-1].index("repro")
-    dotted = parts[root:-1] + [path.stem]
-    if path.stem == "__init__":
-        dotted = dotted[:-1]
-    return ".".join(dotted)
 
 
 def default_target() -> Path:
@@ -138,57 +77,6 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     return unique
 
 
-def _display_path(path: Path) -> str:
-    """Path as reported: relative to cwd when possible, else absolute."""
-    try:
-        return str(path.resolve().relative_to(Path.cwd()))
-    except ValueError:
-        return str(path)
-
-
-def _parse_file(path: Path) -> Tuple[Optional[FileContext], List[Finding]]:
-    """Parse *path* into a context; a syntax error becomes a finding."""
-    display = _display_path(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read {display}: {exc}") from exc
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return None, [
-            Finding(
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1),
-                rule="syntax-error",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(
-        path=path,
-        display_path=display,
-        module=module_name(path),
-        source=source,
-        tree=tree,
-        suppressions=parse_suppressions(source),
-    )
-    return ctx, []
-
-
-def _run_per_file(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
-    if ctx.suppressions.skip_file:
-        return []
-    findings: List[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(ctx.module):
-            continue
-        for finding in rule.check(ctx):
-            if not ctx.suppressions.is_suppressed(finding.rule, finding.line):
-                findings.append(finding)
-    return findings
-
-
 def _repo_root(start: Path) -> Optional[Path]:
     """Nearest ancestor of *start* holding a ``pyproject.toml``."""
     current = start.resolve()
@@ -207,11 +95,11 @@ _REFERENCE_TREES = ("tests", "benchmarks", "examples")
 def _reference_contexts(
     target_contexts: Sequence[FileContext],
 ) -> List[FileContext]:
-    """The reference corpus for the program pass (see module docstring).
+    """The reference corpus (see module docstring).
 
     Only engaged when the target set includes the ``repro`` package:
-    fixture corpora and user trees stay self-contained, so their program
-    findings do not depend on this repository's tests.
+    fixture corpora and user trees stay self-contained, so their findings
+    do not depend on this repository's tests.
     """
     if not any(
         ctx.module == "repro" or ctx.module.startswith("repro.")
@@ -233,7 +121,7 @@ def _reference_contexts(
             if "fixtures" in path.parts:
                 continue  # synthetic lint corpora: not real usage evidence
             try:
-                ctx, _syntax = _parse_file(path)
+                ctx, _syntax = parse_file(path, reference=True)
             except ConfigurationError:
                 continue  # unreadable reference file: skip, never fail
             if ctx is not None:
@@ -241,65 +129,34 @@ def _reference_contexts(
     return out
 
 
-def _run_program(
-    contexts: Sequence[FileContext], program_rules: Sequence[ProgramRule]
-) -> List[Finding]:
-    """Build the project model and run the program rules over it."""
-    from .program import build_project_model  # local: rules import engine
-
-    model = build_project_model(contexts, _reference_contexts(contexts))
-    suppressions = {ctx.display_path: ctx.suppressions for ctx in contexts}
-    findings: List[Finding] = []
-    for rule in program_rules:
-        for finding in rule.check(model):
-            supp = suppressions.get(finding.path)
-            if supp is None:
-                continue  # never attribute findings outside the target set
-            if supp.skip_file:
-                continue
-            if supp.is_suppressed(finding.rule, finding.line):
-                continue
-            findings.append(finding)
-    return findings
-
-
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    program: bool = True,
-    baseline: Optional[Path] = None,
 ) -> LintResult:
     """Lint every Python file under *paths* (default: the repro package).
-
-    *program* toggles the whole-program pass (the ``--no-program`` escape
-    hatch); *baseline* filters findings whose fingerprints appear in the
-    given baseline file (see :mod:`repro.lint.baseline`).
 
     Raises :class:`~repro.errors.ConfigurationError` for unknown rules or
     unreadable paths — the CLI maps that to exit code 2, findings to 1.
     """
     rules = resolve_rules(select=select, ignore=ignore)
-    program_rules = (
-        resolve_program_rules(select=select, ignore=ignore) if program else []
-    )
     targets = [Path(p) for p in paths] if paths else [default_target()]
     files = iter_python_files(targets)
     findings: List[Finding] = []
     contexts: List[FileContext] = []
     for path in files:
-        ctx, parse_findings = _parse_file(path)
+        ctx, parse_findings = parse_file(path)
         findings.extend(parse_findings)
         if ctx is not None:
             contexts.append(ctx)
-            findings.extend(_run_per_file(ctx, rules))
-    if program_rules and contexts:
-        findings.extend(_run_program(contexts, program_rules))
+    model = ProjectModel(contexts + _reference_contexts(contexts))
+    suppressions = {ctx.display_path: ctx.suppressions for ctx in contexts}
+    for rule in rules:
+        for finding in rule.check(model):
+            supp = suppressions.get(finding.path)
+            if supp is None:
+                continue  # never attribute findings outside the target set
+            if not supp.is_suppressed(finding.rule, finding.line):
+                findings.append(finding)
     findings.sort()
-    baselined = 0
-    if baseline is not None:
-        fingerprints = load_baseline(baseline)
-        findings, baselined = apply_baseline(findings, fingerprints)
-    return LintResult(
-        findings=findings, files_checked=len(files), baselined=baselined
-    )
+    return LintResult(findings=findings, files_checked=len(files))

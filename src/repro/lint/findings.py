@@ -6,16 +6,10 @@ reporters (:mod:`repro.lint.reporting`) render them as text, JSON, or
 SARIF.  Rules never print — they only yield findings — so the same rule
 code serves the CLI, the CI job, and the test suite identically.
 
-Two classification fields ride along with the location:
-
-* ``severity`` — ``"error"`` (a contract violation; fails the build) or
-  ``"warning"`` (suspicious but survivable, e.g. a dead protocol arm);
-  both count toward the exit code, but reporters and the SARIF mapping
-  distinguish them;
-* ``origin`` — rule provenance: ``"per-file"`` for the single-file
-  visitors, ``"program"`` for the whole-program pass, so a reader of any
-  report can tell which analysis produced a finding (interprocedural
-  findings need different suppression judgement, see docs/lint.md).
+One classification field rides along with the location: ``severity`` —
+``"error"`` (a contract violation; fails the build) or ``"warning"``
+(suspicious but survivable, e.g. a dead protocol arm); both count toward
+the exit code, but reporters and the SARIF mapping distinguish them.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ class Finding:
     rule: str
     message: str
     severity: str = field(default="error")
-    origin: str = field(default="per-file")
 
     def render(self) -> str:
         """The canonical one-line textual form (compiler-style)."""
@@ -62,16 +55,4 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "severity": self.severity,
-            "origin": self.origin,
         }
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline mechanism.
-
-        Deliberately excludes ``line``/``col`` so an accepted finding
-        survives unrelated edits above it; path + rule + message is stable
-        because messages are deterministic functions of the code they
-        describe.
-        """
-        path = self.path.replace("\\", "/")
-        return f"{path}::{self.rule}::{self.message}"

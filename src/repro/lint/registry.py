@@ -1,16 +1,17 @@
-"""Rule base classes and the two rule registries.
+"""The rule base class and the rule registry.
 
-A **per-file rule** is a small object with an ``id``, a one-line
-``summary``, a package ``scope``, and a ``check(ctx)`` generator yielding
-:class:`~repro.lint.findings.Finding` objects for one parsed file.  A
-**program rule** has the same surface but its ``check(model)`` runs once
-over the whole-program :class:`~repro.lint.program.model.ProjectModel` —
-call graph, symbol tables, protocol flows — after every file is parsed.
+A **rule** is a small object with an ``id``, a one-line ``summary``, a
+package ``scope``, and a ``check(model)`` generator yielding
+:class:`~repro.lint.findings.Finding` objects over the
+:class:`~repro.lint.model.ProjectModel` of one lint run.  Most rules judge
+one file at a time: they leave ``check`` alone and implement
+``check_file(ctx, model)``, which the default ``check`` calls for every
+in-scope target file.  A rule that needs the whole program at once
+(``protocol-flow``) overrides ``check`` itself.
 
-Rules register themselves with the :func:`rule` / :func:`program_rule`
-class decorators at import time; :mod:`repro.lint.rules` and
-:mod:`repro.lint.program.rules` import every rule module, so importing
-those packages populates the registries.
+Rules register themselves with the :func:`rule` class decorator at import
+time; :mod:`repro.lint.rules` imports every rule module, so importing that
+package populates the registry.
 
 Scoping: each rule names the ``repro`` sub-packages it guards (e.g. the
 determinism rules guard the simulation-path packages but not
@@ -30,20 +31,11 @@ from typing import (
 from ..errors import ConfigurationError
 from .findings import Finding
 
-__all__ = [
-    "Rule",
-    "ProgramRule",
-    "rule",
-    "program_rule",
-    "all_rules",
-    "all_program_rules",
-    "resolve_rules",
-    "resolve_program_rules",
-]
+__all__ = ["Rule", "rule", "all_rules", "resolve_rules"]
 
 
-class _RuleBase:
-    """Shared identity/scoping surface of both rule kinds."""
+class Rule:
+    """Base class for every lint rule (see module docstring)."""
 
     #: Stable kebab-case identifier, used in reports and suppressions.
     id: str = ""
@@ -53,27 +45,33 @@ class _RuleBase:
     scope: Tuple[str, ...] = ()
 
     def applies_to(self, module: str) -> bool:
-        """Whether this rule guards *module* (dotted name, "" if unknown)."""
-        if not self.scope or not module:
+        """Whether this rule guards *module* (a dotted module name)."""
+        if not self.scope or not (
+            module == "repro" or module.startswith("repro.")
+        ):
             return True
         return any(
             module == prefix or module.startswith(prefix + ".")
             for prefix in self.scope
         )
 
+    def check(self, model) -> Iterator[Finding]:  # noqa: ANN001
+        """Yield findings for one lint run."""
+        for ctx in model.targets:
+            if self.applies_to(ctx.module):
+                yield from self.check_file(ctx, model)
 
-class Rule(_RuleBase):
-    """Base class for every per-file lint rule (see module docstring)."""
-
-    def check(self, ctx: "FileContext") -> Iterator[Finding]:  # noqa: F821
-        """Yield findings for one parsed file."""
+    def check_file(self, ctx, model) -> Iterator[Finding]:  # noqa: ANN001
+        """Yield findings for one in-scope target file."""
         raise NotImplementedError
 
     # ------------------------------------------------------------- helpers
     def finding(
         self, ctx, node: ast.AST, message: str, severity: str = "error"
     ) -> Finding:
-        """Build a finding for *node* attributed to this rule."""
+        """Build a finding for *node* inside *ctx*, attributed to this
+        rule.  *ctx* must be a target file: reference-corpus files never
+        receive findings."""
         return Finding(
             path=ctx.display_path,
             line=getattr(node, "lineno", 1),
@@ -81,112 +79,47 @@ class Rule(_RuleBase):
             rule=self.id,
             message=message,
             severity=severity,
-            origin="per-file",
-        )
-
-
-class ProgramRule(_RuleBase):
-    """Base class for whole-program rules.
-
-    ``check(model)`` receives the fully built
-    :class:`~repro.lint.program.model.ProjectModel` and yields findings
-    anchored in the model's *target* modules (reference-corpus modules —
-    tests pulled in only so cross-references resolve — must never receive
-    findings; use :meth:`finding` with a target module's info and the
-    invariant holds by construction).
-    """
-
-    def check(self, model) -> Iterator[Finding]:  # noqa: ANN001
-        """Yield findings for the whole program."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------- helpers
-    def finding(
-        self, module, node: ast.AST, message: str, severity: str = "error"
-    ) -> Finding:
-        """Build a finding for *node* inside *module* (a ModuleInfo)."""
-        return Finding(
-            path=module.ctx.display_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=self.id,
-            message=message,
-            severity=severity,
-            origin="program",
         )
 
 
 #: id -> rule class, in registration order.
 _REGISTRY: Dict[str, Type[Rule]] = {}
-_PROGRAM_REGISTRY: Dict[str, Type[ProgramRule]] = {}
-
-
-def _register(registry: Dict[str, type], cls: type) -> type:
-    if not cls.id:
-        raise ConfigurationError(f"rule {cls.__name__} has no id")
-    if cls.id in _REGISTRY or cls.id in _PROGRAM_REGISTRY:
-        raise ConfigurationError(f"duplicate rule id {cls.id!r}")
-    registry[cls.id] = cls
-    return cls
 
 
 def rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: register a per-file rule under its ``id``."""
-    return _register(_REGISTRY, cls)
-
-
-def program_rule(cls: Type[ProgramRule]) -> Type[ProgramRule]:
-    """Class decorator: register a program rule under its ``id``."""
-    return _register(_PROGRAM_REGISTRY, cls)
-
-
-def _import_rule_modules() -> None:
-    from . import rules  # noqa: F401 - importing registers per-file rules
-    from .program import rules as program_rules  # noqa: F401
+    """Class decorator: register a rule under its ``id``."""
+    if not cls.id:
+        raise ConfigurationError(f"rule {cls.__name__} has no id")
+    if cls.id in _REGISTRY:
+        raise ConfigurationError(f"duplicate rule id {cls.id!r}")
+    _REGISTRY[cls.id] = cls
+    return cls
 
 
 def all_rules() -> List[Rule]:
-    """Fresh instances of every per-file rule, in registration order."""
-    _import_rule_modules()
+    """Fresh instances of every rule, in registration order."""
+    from . import rules  # noqa: F401 - importing registers the rules
+
     return [cls() for cls in _REGISTRY.values()]
-
-
-def all_program_rules() -> List[ProgramRule]:
-    """Fresh instances of every program rule, in registration order."""
-    _import_rule_modules()
-    return [cls() for cls in _PROGRAM_REGISTRY.values()]
-
-
-def _validate_names(
-    names: Iterable[str], known: Iterable[str]
-) -> None:
-    known = set(known)
-    for name in names:
-        if name not in known:
-            raise ConfigurationError(
-                f"unknown lint rule {name!r}; known rules: "
-                + ", ".join(sorted(known))
-            )
-
-
-def _known_ids() -> List[str]:
-    _import_rule_modules()
-    return list(_REGISTRY) + list(_PROGRAM_REGISTRY)
 
 
 def resolve_rules(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Rule]:
-    """The active per-file rule set after ``--select``/``--ignore``.
+    """The active rule set after ``--select``/``--ignore``.
 
     Unknown rule ids are configuration errors (exit code 2), not silent
-    no-ops — a typo in a CI invocation must fail loudly.  Program-rule ids
-    are valid in both options (they filter the program pass, see
-    :func:`resolve_program_rules`).
+    no-ops — a typo in a CI invocation must fail loudly.
     """
     rules = all_rules()
-    _validate_names(list(select or []) + list(ignore or []), _known_ids())
+    known = {r.id for r in rules}
+    for name in list(select or []) + list(ignore or []):
+        if name not in known:
+            raise ConfigurationError(
+                f"unknown lint rule {name!r}; known rules: "
+                + ", ".join(sorted(known))
+            )
     if select:
         rules = [r for r in rules if r.id in set(select)]
     if ignore:
@@ -194,23 +127,7 @@ def resolve_rules(
     return rules
 
 
-def resolve_program_rules(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[ProgramRule]:
-    """The active program rule set after ``--select``/``--ignore``."""
-    rules = all_program_rules()
-    _validate_names(list(select or []) + list(ignore or []), _known_ids())
-    if select:
-        rules = [r for r in rules if r.id in set(select)]
-    if ignore:
-        rules = [r for r in rules if r.id not in set(ignore)]
-    return rules
-
-
-def iter_rule_docs() -> Iterable[Tuple[str, str, Tuple[str, ...], str]]:
-    """(id, summary, scope, pass) tuples for ``--rules`` listings."""
+def iter_rule_docs() -> Iterable[Tuple[str, str, Tuple[str, ...]]]:
+    """(id, summary, scope) tuples for ``--rules`` listings."""
     for r in all_rules():
-        yield r.id, r.summary, r.scope, "per-file"
-    for r in all_program_rules():
-        yield r.id, r.summary, r.scope, "program"
+        yield r.id, r.summary, r.scope

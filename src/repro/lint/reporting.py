@@ -27,8 +27,8 @@ __all__ = [
 FORMATS = ("text", "json", "sarif")
 
 #: Schema version of the JSON report (bump on incompatible change).
-#: v2 added per-finding ``severity``/``origin`` and top-level ``baselined``.
-JSON_VERSION = 2
+#: v3 dropped per-finding ``origin`` and top-level ``baselined``.
+JSON_VERSION = 3
 
 #: SARIF spec pinned by the GitHub code-scanning ingestion endpoint.
 _SARIF_VERSION = "2.1.0"
@@ -42,20 +42,15 @@ def render_text(result: LintResult) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [f.render() for f in result.findings]
     noun = "file" if result.files_checked == 1 else "files"
-    suffix = (
-        f" ({result.baselined} baselined)" if result.baselined else ""
-    )
     if result.clean:
         lines.append(
             f"clean: {result.files_checked} {noun} checked, no findings"
-            + suffix
         )
     else:
         count = len(result.findings)
         fnoun = "finding" if count == 1 else "findings"
         lines.append(
             f"{count} {fnoun} in {result.files_checked} {noun} checked"
-            + suffix
         )
     return "\n".join(lines)
 
@@ -66,7 +61,6 @@ def render_json(result: LintResult) -> str:
         "version": JSON_VERSION,
         "files_checked": result.files_checked,
         "clean": result.clean,
-        "baselined": result.baselined,
         "findings": [f.to_json() for f in result.findings],
     }
     return json.dumps(record, indent=2, sort_keys=True)
@@ -82,14 +76,10 @@ def render_sarif(result: LintResult) -> str:
     from .registry import iter_rule_docs  # local: avoid import cycle at load
 
     rule_docs = list(iter_rule_docs())
-    rule_index = {rule_id: i for i, (rule_id, _, _, _) in enumerate(rule_docs)}
+    rule_index = {rule_id: i for i, (rule_id, _, _) in enumerate(rule_docs)}
     rules: List[Dict[str, Any]] = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": summary},
-            "properties": {"pass": origin},
-        }
-        for rule_id, summary, _, origin in rule_docs
+        {"id": rule_id, "shortDescription": {"text": summary}}
+        for rule_id, summary, _ in rule_docs
     ]
     results: List[Dict[str, Any]] = []
     for f in result.findings:
@@ -110,7 +100,6 @@ def render_sarif(result: LintResult) -> str:
                     }
                 }
             ],
-            "properties": {"origin": f.origin},
         }
         if f.rule in rule_index:
             entry["ruleIndex"] = rule_index[f.rule]

@@ -1,6 +1,6 @@
 """Rule modules — importing this package registers every rule.
 
-Rule groups, by the package contract they enforce:
+Rule groups, by the contract they enforce:
 
 * :mod:`~repro.lint.rules.determinism` — the simulator-path packages must
   stay bit-for-bit replayable (no ambient clocks, no global randomness, no
@@ -9,29 +9,27 @@ Rule groups, by the package contract they enforce:
   stall, drop, or silence the event loop;
 * :mod:`~repro.lint.rules.payload` — protocol payloads must survive the
   wire codec;
-* :mod:`~repro.lint.rules.trace_schema` — trace emissions must match the
-  :mod:`repro.obs` event-schema registry;
-* :mod:`~repro.lint.rules.metrics_registry` — metric updates must match
-  the :mod:`repro.obs` metric-schema registry;
-* :mod:`~repro.lint.rules.proc_isolation` — OS-process spawning and
-  killing stays behind the :mod:`repro.proc` launcher, the single source
-  of truth for the failure pattern.
+* :mod:`~repro.lint.rules.records` — trace emissions and metric updates
+  must match the :mod:`repro.obs` event-schema and metric-schema
+  registries;
+* :mod:`~repro.lint.rules.protocol` — every message kind and service op
+  sent anywhere in the program has a dispatch arm, and every arm a
+  producer.
 """
 
+# Import order is registration order, which is the ``--rules`` listing order.
 from . import (  # noqa: F401
-    asyncio_hazards,
     determinism,
-    metrics_registry,
+    asyncio_hazards,
     payload,
-    proc_isolation,
-    trace_schema,
+    records,
+    protocol,
 )
 
 __all__ = [
-    "asyncio_hazards",
     "determinism",
-    "metrics_registry",
+    "asyncio_hazards",
     "payload",
-    "proc_isolation",
-    "trace_schema",
+    "records",
+    "protocol",
 ]

@@ -101,7 +101,7 @@ class BlockingCallRule(Rule):
     )
     scope = NET_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for func in _async_contexts(ctx.tree):
             for node in _walk_async_body(func):
                 if not isinstance(node, ast.Call):
@@ -131,7 +131,7 @@ class UnawaitedCoroutineRule(Rule):
     )
     scope = NET_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         # Receiver-aware matching: a bare `close()` name collides with sync
         # methods of other objects (StreamWriter.close, Server.close), so
         # only `self.X()` inside X's own class, module-level `X()`, and the
@@ -195,7 +195,7 @@ class DroppedTaskRule(Rule):
     )
     scope = NET_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Expr):
                 continue
@@ -224,7 +224,7 @@ class SwallowedExceptionRule(Rule):
     )
     scope = NET_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue

@@ -105,7 +105,7 @@ class WallClockRule(Rule):
     )
     scope = SIM_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -129,7 +129,7 @@ class GlobalRandomRule(Rule):
     )
     scope = SIM_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -251,7 +251,7 @@ class UnorderedIterationRule(Rule):
     )
     scope = SIM_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         tracker = _SetTracker(ctx.tree)
         # Walk function-by-function so local-name tracking stays scoped.
         funcs = [
@@ -354,7 +354,7 @@ class IdOrderingRule(Rule):
     summary = "no sorting/keying by id(); memory addresses are not stable"
     scope = SIM_SCOPE
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

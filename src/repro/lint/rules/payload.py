@@ -83,8 +83,8 @@ _BAD_CANONICAL = {
 def payload_expr(call: ast.Call, name: str) -> Optional[ast.AST]:
     """The payload expression of a messaging call, or ``None``.
 
-    Shared with the whole-program ``protocol-flow`` rule, which needs the
-    same argument extraction to find message-kind producers.
+    Shared with the ``protocol-flow`` rule, which needs the same argument
+    extraction to find message-kind producers.
     """
     for kw in call.keywords:
         if kw.arg == "payload":
@@ -117,11 +117,7 @@ class PayloadEncodabilityRule(Rule):
         "repro.svc", "repro.load",
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
-        # Package anchor only matters for relative imports; best-effort.
-        imports = ImportMap(
-            ctx.tree, package=ctx.module.rpartition(".")[0]
-        )
+    def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -131,7 +127,7 @@ class PayloadEncodabilityRule(Rule):
             payload = payload_expr(node, name)
             if payload is None:
                 continue
-            verdict = self._verdict(payload, imports)
+            verdict = self._verdict(payload, ctx.imports)
             if verdict is not None:
                 reason, offender = verdict
                 yield self.finding(

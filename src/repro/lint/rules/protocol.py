@@ -35,11 +35,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ...astutil import call_func_name
-from ...findings import Finding
-from ...registry import ProgramRule, program_rule
-from ...rules.payload import _PAYLOAD_ARG, payload_expr
-from ..callgraph import own_nodes
+from ..astutil import call_func_name
+from ..findings import Finding
+from ..model import own_nodes
+from ..registry import Rule, rule
+from .payload import _PAYLOAD_ARG, payload_expr
 
 __all__ = ["ProtocolFlowRule"]
 
@@ -58,9 +58,9 @@ class _Flow:
     """Produced and handled values of one protocol space."""
 
     def __init__(self) -> None:
-        #: value -> [(ModuleInfo, site node)], in collection order.
+        #: value -> [(FileContext, site node)], in collection order.
         self.produced: Dict[str, List[Tuple[object, ast.AST]]] = {}
-        #: value -> [(ModuleInfo, site node, strong)], in collection order.
+        #: value -> [(FileContext, site node, strong)], in collection order.
         self.handled: Dict[str, List[Tuple[object, ast.AST, bool]]] = {}
 
     def produce(self, value: str, module, node: ast.AST) -> None:
@@ -189,8 +189,8 @@ class _FunctionScan:
         return None
 
 
-@program_rule
-class ProtocolFlowRule(ProgramRule):
+@rule
+class ProtocolFlowRule(Rule):
     """Match produced message kinds / ops / statuses against dispatch arms."""
 
     id = "protocol-flow"
@@ -201,6 +201,8 @@ class ProtocolFlowRule(ProgramRule):
     scope = ()  # the send/handle conventions are name-based, not package-based
 
     def check(self, model) -> Iterator[Finding]:
+        # A send site and its dispatch arm never share a file, so this rule
+        # judges the whole model at once instead of one file at a time.
         kinds, ops, statuses = self._collect(model)
         yield from self._missing_handlers(
             kinds, "message kind",
@@ -241,8 +243,8 @@ class ProtocolFlowRule(ProgramRule):
     ) -> None:
         # The analyzer itself talks *about* op-keyed dicts (_FIELD_SPACE);
         # only protocol code builds them as commands.
-        in_lint = module.ctx.module.startswith("repro.lint")
-        for node in ast.walk(module.ctx.tree):
+        in_lint = module.module.startswith("repro.lint")
+        for node in ast.walk(module.tree):
             if isinstance(node, ast.Dict) and not in_lint:
                 # A wire command being built: {"op": "partition", ...}.
                 for key, value in zip(node.keys, node.values):
@@ -287,9 +289,9 @@ class ProtocolFlowRule(ProgramRule):
     ) -> None:
         flows = {"kind": kinds, "op": ops, "status": statuses}
         for qual in sorted(module.functions):
-            func = model.functions[module.functions[qual]]
+            func = module.functions[qual]
             nodes = own_nodes(func)
-            scan = _FunctionScan(func.node, nodes)
+            scan = _FunctionScan(func, nodes)
             for node in nodes:
                 if not isinstance(node, ast.Compare):
                     continue
@@ -343,7 +345,7 @@ class ProtocolFlowRule(ProgramRule):
             module, node = min(
                 sites,
                 key=lambda site: (
-                    site[0].ctx.display_path,
+                    site[0].display_path,
                     getattr(site[1], "lineno", 1),
                     getattr(site[1], "col_offset", 0),
                 ),
@@ -370,7 +372,7 @@ class ProtocolFlowRule(ProgramRule):
                 sites.append((module, node))
             sites.sort(
                 key=lambda site: (
-                    site[0].ctx.display_path,
+                    site[0].display_path,
                     getattr(site[1], "lineno", 1),
                     getattr(site[1], "col_offset", 0),
                 ),

@@ -1,5 +1,5 @@
-"""Every kind/name below is a *constant*, imported from names.py — exactly
-the sites the per-file literal-only rules cannot judge."""
+"""Every kind/name below is a *constant*, imported from names.py — the
+record-site rules judge them through the project model's constant table."""
 
 from .names import BAD_KIND, BAD_METRIC, DECIDE, SENT
 

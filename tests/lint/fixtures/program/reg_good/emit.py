@@ -1,13 +1,12 @@
-"""Near-misses for registry-flow: valid constants, a literal kind (the
-per-file rule's territory), and a genuinely dynamic kind."""
+"""Near-misses for the record-site rules: valid constants, a valid literal
+kind, and a genuinely dynamic kind."""
 
 from .names import DECIDE, SENT
 
 
 def record_events(trace, now, kind):
     trace.record(now, DECIDE, algo="ec", round=1, value="v")  # fine
-    trace.record(now, "decide", algo="ec", round=1, value="v")  # literal:
-    # the per-file trace-schema rule owns it, not the program pass
+    trace.record(now, "decide", algo="ec", round=1, value="v")  # literal
     trace.record(now, kind, pid=0)  # dynamic: checked at run time
 
 

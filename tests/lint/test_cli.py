@@ -8,7 +8,7 @@ from pathlib import Path
 
 from repro.cli import main as repro_main
 from repro.lint.cli import main as lint_main
-from repro.lint.registry import all_program_rules, all_rules
+from repro.lint.registry import all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOOD = str(FIXTURES / "good_wall_clock.py")
@@ -40,18 +40,16 @@ def test_exit_two_on_missing_path(capsys):
 def test_json_format_parses_and_carries_findings(capsys):
     assert lint_main(["--format", "json", BAD]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 2
+    assert payload["version"] == 3
     assert payload["clean"] is False
-    assert payload["baselined"] == 0
     assert payload["files_checked"] == 1
     rules = {f["rule"] for f in payload["findings"]}
     assert rules == {"wall-clock"}
     first = payload["findings"][0]
-    assert set(first) >= {
-        "path", "line", "col", "rule", "message", "severity", "origin",
+    assert set(first) == {
+        "path", "line", "col", "rule", "message", "severity",
     }
     assert first["severity"] == "error"
-    assert first["origin"] == "per-file"
 
 
 def test_rules_listing_names_every_rule(capsys):
@@ -59,23 +57,14 @@ def test_rules_listing_names_every_rule(capsys):
     out = capsys.readouterr().out
     for rule in all_rules():
         assert rule.id in out
-    for rule in all_program_rules():
-        assert rule.id in out
-    # Rule provenance is part of the listing.
-    assert "[per-file]" in out and "[program]" in out
-
-
-def test_no_program_flag_accepted(capsys):
-    bad_pkg = str(FIXTURES / "program" / "proto_bad")
-    assert lint_main(["--select", "protocol-flow", bad_pkg]) == 1
-    capsys.readouterr()
-    assert lint_main(["--no-program", "--select", "protocol-flow",
-                      bad_pkg]) == 0
+    # Each rule's scope is part of the listing.
+    assert "scope: all files" in out and "scope: repro.sim" in out
 
 
 def test_program_rule_ids_valid_in_select_and_ignore(capsys):
-    assert lint_main(["--select", "unreachable-public", GOOD]) == 0
-    assert lint_main(["--ignore", "protocol-flow", GOOD]) == 0
+    bad_pkg = str(FIXTURES / "program" / "proto_bad")
+    assert lint_main(["--select", "protocol-flow", bad_pkg]) == 1
+    assert lint_main(["--ignore", "protocol-flow", bad_pkg]) == 0
 
 
 def test_comma_separated_select(capsys):

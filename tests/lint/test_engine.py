@@ -8,18 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.lint import lint_paths
-from repro.lint.engine import default_target, iter_python_files, module_name
-
-
-def test_module_name_maps_package_paths(tmp_path):
-    net = tmp_path / "repro" / "net"
-    net.mkdir(parents=True)
-    assert module_name(net / "tcp.py") == "repro.net.tcp"
-    assert module_name(tmp_path / "repro" / "sim" / "world.py") == (
-        "repro.sim.world"
-    )
-    assert module_name(tmp_path / "repro" / "__init__.py") == "repro"
-    assert module_name(tmp_path / "fixture.py") == ""
+from repro.lint.engine import default_target, iter_python_files
+from repro.lint.model import model_module_name
 
 
 def _write(root: Path, rel: str, source: str) -> Path:
@@ -29,8 +19,37 @@ def _write(root: Path, rel: str, source: str) -> Path:
     return path
 
 
+def _package(root: Path, *rels: str) -> None:
+    for rel in rels:
+        _write(root, f"{rel}/__init__.py", "")
+
+
+def test_module_name_maps_package_paths(tmp_path):
+    _package(tmp_path, "repro", "repro/net")
+    assert model_module_name(tmp_path / "repro/net/tcp.py") == "repro.net.tcp"
+    assert model_module_name(tmp_path / "repro/net/__init__.py") == "repro.net"
+    assert model_module_name(tmp_path / "repro/__init__.py") == "repro"
+    # No __init__.py, no package: a directory merely *called* repro (or
+    # sim) contributes nothing to the name.
+    assert model_module_name(tmp_path / "repro/sim/world.py") == "world"
+    assert model_module_name(tmp_path / "fixture.py") == "fixture"
+
+
+def test_checkout_directory_name_does_not_change_findings(tmp_path):
+    # A benchmark that reads the wall clock is outside the repro package,
+    # so every rule applies to it — also in a clone that happens to be
+    # called repro/.
+    wall = "import time\n\ndef f():\n    return time.perf_counter()\n"
+    for checkout in ("other", "repro"):
+        bench = _write(tmp_path, f"{checkout}/benchmarks/bench.py", wall)
+        assert [f.rule for f in lint_paths([bench]).findings] == [
+            "wall-clock"
+        ], checkout
+
+
 def test_scope_limits_rules_to_their_packages(tmp_path):
     wall = "import time\n\ndef f():\n    return time.time()\n"
+    _package(tmp_path, "repro", "repro/net", "repro/sim")
     # Under repro.net, the determinism rules don't apply: reading the wall
     # clock is the runtime's job.
     net_file = _write(tmp_path, "repro/net/mod.py", wall)

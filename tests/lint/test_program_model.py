@@ -1,123 +1,89 @@
-"""The project model and call graph, exercised over the ``cg`` fixture
-package: structural module naming, aliased-import resolution, method and
-constructor edges, task-spawn/callback "ref" edges, and the memoized
-external-reachability query the reach rules are built on."""
+"""The project model, exercised over the ``proto_*`` fixture packages:
+structural module naming, the per-file function index, cross-module
+constant resolution, and the target/reference split."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-from repro.lint.engine import _parse_file
-from repro.lint.program.callgraph import reach_external
-from repro.lint.program.model import build_project_model, model_module_name
+from repro.lint.model import (
+    ProjectModel,
+    model_module_name,
+    own_nodes,
+    parse_file,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
 
 
 def _model(package: str, references=()):
-    targets = [
-        _parse_file(p)[0] for p in sorted((FIXTURES / package).rglob("*.py"))
+    files = [
+        parse_file(p)[0] for p in sorted((FIXTURES / package).rglob("*.py"))
     ]
-    refs = [
-        _parse_file(p)[0]
+    files += [
+        parse_file(p, reference=True)[0]
         for pkg in references
         for p in sorted((FIXTURES / pkg).rglob("*.py"))
     ]
-    return build_project_model(targets, refs)
-
-
-def _edges(model, key, how=None):
-    func = model.functions[key]
-    return [
-        callee for callee, _node, kind in func.calls
-        if how is None or kind == how
-    ]
+    return ProjectModel(files)
 
 
 def test_model_module_name_stops_at_package_root():
-    assert model_module_name(FIXTURES / "cg" / "work.py") == "cg.work"
-    assert model_module_name(FIXTURES / "cg" / "__init__.py") == "cg"
-    assert model_module_name(FIXTURES / "cg" / "helpers.py") == "cg.helpers"
+    pkg = FIXTURES / "proto_good"
+    assert model_module_name(pkg / "sender.py") == "proto_good.sender"
+    assert model_module_name(pkg / "__init__.py") == "proto_good"
+    assert model_module_name(pkg / "kinds.py") == "proto_good.kinds"
 
 
 def test_modules_functions_and_classes_indexed():
-    model = _model("cg")
-    assert set(model.modules) == {"cg", "cg.helpers", "cg.work"}
-    assert "cg.work.Worker" in model.classes
-    assert model.classes["cg.work.Worker"].methods["run"] == (
-        "cg.work.Worker.run"
+    model = _model("proto_good")
+    assert set(model.modules) == {
+        "proto_good", "proto_good.handler", "proto_good.kinds",
+        "proto_good.sender",
+    }
+    handler = model.modules["proto_good.handler"]
+    # Methods are indexed under their class-qualified name.
+    assert set(handler.functions) == {
+        "Replica.on_message", "Replica.on_request", "Reply.__init__",
+        "summarize", "pick",
+    }
+    assert handler.functions["pick"].name == "pick"
+    assert handler.constants == {}
+    assert model.modules["proto_good.kinds"].constants == {
+        "PING": "fixture-ping"
+    }
+    assert model.split_module("proto_good.kinds.PING") == (
+        "proto_good.kinds", "PING"
     )
-    assert model.functions["cg.work.driver"].is_async
-    assert not model.functions["cg.work.tick"].is_async
 
 
-def test_self_method_and_aliased_import_edges():
-    model = _model("cg")
-    # self.step() resolves through the owning class.
-    assert "cg.work.Worker.step" in _edges(model, "cg.work.Worker.run", "call")
-    # leaf() resolves through the from-import; h.sync_sleep() through the
-    # module alias.
-    assert "cg.helpers.leaf" in _edges(model, "cg.work.Worker.step", "call")
-    assert "cg.helpers.sync_sleep" in _edges(model, "cg.work.driver", "call")
-    # Worker() resolves to the constructor.
-    assert "cg.work.Worker.__init__" in _edges(model, "cg.work.driver", "call")
-
-
-def test_callback_and_nested_defs_become_ref_edges():
-    model = _model("cg")
-    refs = _edges(model, "cg.work.driver", "ref")
-    # loop.call_later(0.1, tick): tick is scheduled, not called.
-    assert "cg.work.tick" in refs
-    # The nested closure is a ref edge too (it may run later).
-    assert "cg.work.driver.finish" in refs
-    # create_task(pump()) is a direct call edge to the coroutine function.
-    assert "cg.work.pump" in _edges(model, "cg.work.driver", "call")
-
-
-def test_external_calls_recorded_canonically():
-    model = _model("cg")
-    externals = {
-        name for name, _ in model.functions["cg.helpers.sync_sleep"].external_calls
-    }
-    assert "time.sleep" in externals
-    externals = {
-        name for name, _ in model.functions["cg.work.pump"].external_calls
-    }
-    assert "asyncio.sleep" in externals
-
-
-def test_canonical_symbol_follows_reexport_chain():
-    model = _model("cg")
-    assert model.canonical_symbol("cg", "driver") == "cg.work.driver"
-    assert model.split_module("cg.helpers.leaf") == ("cg.helpers", "leaf")
+def test_own_nodes_stops_at_nested_scopes():
+    func = ast.parse(
+        "def outer():\n"
+        "    a = 1\n"
+        "    def inner():\n"
+        "        b = 2\n"
+        "    return a\n"
+    ).body[0]
+    names = {n.id for n in own_nodes(func) if isinstance(n, ast.Name)}
+    assert names == {"a"}
 
 
 def test_resolve_string_through_imported_constant():
     model = _model("proto_good")
     sender = model.modules["proto_good.sender"]
     # `PING` in sender.py is imported from kinds.py: the model resolves
-    # the cross-module constant the per-file rules cannot see.
+    # the cross-module constant no single file shows.
     name = ast.parse("PING", mode="eval").body
     assert model.resolve_string(sender, name) == "fixture-ping"
 
 
-def test_reach_external_traverses_sync_chains_only():
-    model = _model("cg")
-    reach = reach_external(
-        model, {"time.sleep"}, traverse=lambda f: not f.is_async
-    )
-    blocked = reach["cg.helpers.sync_sleep"]
-    assert blocked is not None and blocked[0] == "time.sleep"
-    assert reach["cg.helpers.leaf"] is None
-    # tick -> h.leaf() never blocks.
-    assert reach["cg.work.tick"] is None
-
-
 def test_reference_modules_feed_resolution_but_are_not_targets():
-    model = _model("exports_good", references=["exports_bad"])
-    names = {m.name for m in model.target_modules()}
-    assert "exports_bad" not in names and "exports_good" in names
+    model = _model("proto_good", references=["proto_bad"])
+    assert {ctx.module.split(".")[0] for ctx in model.targets} == {
+        "proto_good"
+    }
     # The reference module is still fully indexed for cross-referencing.
-    assert "exports_bad.impl.used_fn" in model.functions
-    assert model.modules["exports_bad"].reference
+    assert "Prober.probe" in model.modules["proto_bad.sender"].functions
+    assert model.modules["proto_bad"].reference

@@ -1,7 +1,8 @@
-"""Each program rule against its good/bad fixture pair: every bad package
-produces exactly the expected findings, every good package (a structural
-near-miss of the bad one) stays silent, and the engine-level knobs
-(``--no-program``, inline suppression, reference-corpus attribution) hold.
+"""The rules that need the project model against their good/bad fixture
+pairs: every bad package produces exactly the expected findings, every
+good package (a structural near-miss of the bad one) stays silent, and the
+engine-level contracts (inline suppression, reference-corpus attribution)
+hold.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_paths
-from repro.lint.engine import _parse_file
-from repro.lint.program.model import build_project_model
-from repro.lint.program.rules.exports import UnreachablePublicRule
+from repro.lint.model import ProjectModel, parse_file
+from repro.lint.rules.protocol import ProtocolFlowRule
 
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
 
@@ -24,16 +24,12 @@ def _lint(package: str, rule: str, **kwargs):
 
 CASES = [
     # (package, rule, #errors, #warnings)
-    ("reach_bad", "async-blocking-reach", 2, 0),
-    ("reach_good", "async-blocking-reach", 0, 0),
-    ("ambient_bad", "ambient-state-reach", 2, 0),
-    ("ambient_good", "ambient-state-reach", 0, 0),
     ("proto_bad", "protocol-flow", 2, 3),
     ("proto_good", "protocol-flow", 0, 0),
-    ("reg_bad", "registry-flow", 4, 0),
-    ("reg_good", "registry-flow", 0, 0),
-    ("exports_bad", "unreachable-public", 2, 1),
-    ("exports_good", "unreachable-public", 0, 0),
+    ("reg_bad", "trace-schema", 2, 0),
+    ("reg_bad", "metrics-registry", 2, 0),
+    ("reg_good", "trace-schema", 0, 0),
+    ("reg_good", "metrics-registry", 0, 0),
 ]
 
 
@@ -43,30 +39,10 @@ def test_fixture_pair_counts(package, rule, errors, warnings):
     by_severity = {"error": 0, "warning": 0}
     for finding in result.findings:
         assert finding.rule == rule
-        assert finding.origin == "program"
         by_severity[finding.severity] += 1
     assert (by_severity["error"], by_severity["warning"]) == (
         errors, warnings
     ), "\n".join(f.render() for f in result.findings)
-
-
-def test_async_blocking_reach_reports_the_chain():
-    rendered = [
-        f.render() for f in _lint("reach_bad", "async-blocking-reach").findings
-    ]
-    assert any(
-        "reach_bad.disk.flush -> reach_bad.disk._write -> time.sleep()" in r
-        for r in rendered
-    )
-    # The scheduled-callback edge is reported as a reference, not a call.
-    assert any("schedules/references" in r for r in rendered)
-
-
-def test_ambient_reach_names_both_ambient_sources():
-    messages = " ".join(
-        f.message for f in _lint("ambient_bad", "ambient-state-reach").findings
-    )
-    assert "time.time()" in messages and "random.random()" in messages
 
 
 def test_protocol_flow_covers_all_three_spaces():
@@ -79,55 +55,76 @@ def test_protocol_flow_covers_all_three_spaces():
     assert any("reply status 'fixture-stale'" in m for m in messages)
 
 
-def test_registry_flow_skips_literals_and_dynamics():
-    # reg_good contains a literal kind and a dynamic kind at record sites;
-    # both are out of this rule's jurisdiction (per-file rule / runtime).
-    assert _lint("reg_good", "registry-flow").findings == []
+_RECORD_SITES = """\
+from .names import KIND, METRIC
 
 
-def test_unreachable_public_split_between_layers():
-    findings = _lint("exports_bad", "unreachable-public").findings
-    by_rule = {(Path(f.path).name, f.severity) for f in findings}
-    # ghost: undefined on the package surface; phantom: undefined in a
-    # submodule (the error applies everywhere); dead_fn: unused, flagged
-    # only on the package surface.
-    assert ("__init__.py", "error") in by_rule
-    assert ("impl.py", "error") in by_rule
-    assert ("__init__.py", "warning") in by_rule
+def emit(trace, metrics, now, kind):
+    trace.record(now, {kind}, algo="ec")
+    metrics.inc({metric}, amount=8)
+    trace.record(now, kind, pid=0)  # dynamic: checked at run time
+"""
 
 
-def test_no_program_flag_disables_the_pass():
-    assert _lint("proto_bad", "protocol-flow", program=False).findings == []
+@pytest.mark.parametrize(
+    "kind,metric",
+    [("decide", "bytes_sent_total"), ("fixture-bogus", "fixture_bogus")],
+    ids=["schema-mismatch", "unregistered"],
+)
+def test_literal_and_constant_record_sites_get_the_same_message(
+    tmp_path, kind, metric
+):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "names.py").write_text(f"KIND = {kind!r}\nMETRIC = {metric!r}\n")
+    (pkg / "literal.py").write_text(
+        _RECORD_SITES.format(kind=repr(kind), metric=repr(metric))
+    )
+    (pkg / "constant.py").write_text(
+        _RECORD_SITES.format(kind="KIND", metric="METRIC")
+    )
+    by_file = {}
+    for finding in lint_paths(paths=[pkg]).findings:
+        by_file.setdefault(Path(finding.path).name, []).append(
+            (finding.line, finding.rule, finding.message)
+        )
+    assert [rule for _, rule, _ in by_file["literal.py"]] == [
+        "trace-schema", "metrics-registry",
+    ]
+    assert by_file["constant.py"] == by_file["literal.py"]
 
 
 def test_program_findings_respect_inline_suppressions(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
-    (pkg / "__init__.py").write_text(
-        "from .impl import used\n\n"
-        '__all__ = ["used", "ghost"]  # lint: ignore[unreachable-public]\n'
+    (pkg / "__init__.py").write_text("")
+    (pkg / "handler.py").write_text(
+        "def on_message(src, payload):\n"
+        '    return payload[0] == "fixture-ack"\n'
     )
-    (pkg / "impl.py").write_text("def used():\n    return 1\n")
-    (pkg / "consumer.py").write_text(
-        "from .impl import used\n\n\ndef run():\n    return used()\n"
-    )
-    result = lint_paths(paths=[pkg], select=["unreachable-public"])
-    assert result.findings == []
+    send = 'def probe(node, dst):\n    node.send(dst, ("fixture-nack", 1))'
+    (pkg / "sender.py").write_text(send + "\n")
+    assert [f.rule for f in lint_paths(paths=[pkg]).findings] == [
+        "protocol-flow", "protocol-flow",
+    ]
+    # The dead arm's finding sits in handler.py; only the send is waived.
+    (pkg / "sender.py").write_text(send + "  # lint: ignore[protocol-flow]\n")
+    result = lint_paths(paths=[pkg])
+    assert [Path(f.path).name for f in result.findings] == ["handler.py"]
 
 
 def test_reference_corpus_never_receives_findings():
-    # exports_bad as reference corpus: its ghost export must not surface
-    # when the target is the clean package.
-    targets = [
-        _parse_file(p)[0]
-        for p in sorted((FIXTURES / "exports_good").rglob("*.py"))
+    # proto_bad as reference corpus: its unhandled kinds and dead arms must
+    # not surface when the target is the clean package.
+    files = [
+        parse_file(p)[0]
+        for p in sorted((FIXTURES / "proto_good").rglob("*.py"))
+    ] + [
+        parse_file(p, reference=True)[0]
+        for p in sorted((FIXTURES / "proto_bad").rglob("*.py"))
     ]
-    refs = [
-        _parse_file(p)[0]
-        for p in sorted((FIXTURES / "exports_bad").rglob("*.py"))
-    ]
-    model = build_project_model(targets, refs)
-    assert list(UnreachablePublicRule().check(model)) == []
+    assert list(ProtocolFlowRule().check(ProjectModel(files))) == []
 
 
 def test_program_rules_run_by_default_on_fixtures():

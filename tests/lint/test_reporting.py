@@ -1,27 +1,22 @@
-"""Reporter and baseline contracts: SARIF for code scanning, the JSON
-schema bump, and the accepted-findings baseline round-trip."""
+"""Reporter contracts: SARIF for code scanning."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.lint import lint_paths
-from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.reporting import render_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
-BAD_PKG = str(FIXTURES / "exports_bad")
+BAD_PKG = str(FIXTURES / "proto_bad")
 
 
 class TestSarif:
     def _log(self, capsys):
         assert lint_main(
-            ["--format", "sarif", "--select", "unreachable-public", BAD_PKG]
+            ["--format", "sarif", "--select", "protocol-flow", BAD_PKG]
         ) == 1
         return json.loads(capsys.readouterr().out)
 
@@ -37,68 +32,20 @@ class TestSarif:
         run = log["runs"][0]
         rules = run["tool"]["driver"]["rules"]
         ids = [r["id"] for r in rules]
-        assert "unreachable-public" in ids and "wall-clock" in ids
+        assert "protocol-flow" in ids and "wall-clock" in ids
         for result in run["results"]:
             assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
 
-    def test_severity_maps_to_level_and_origin_rides_along(self, capsys):
+    def test_severity_maps_to_level(self, capsys):
         results = self._log(capsys)["runs"][0]["results"]
         levels = {r["level"] for r in results}
         assert levels == {"error", "warning"}
-        assert all(r["properties"]["origin"] == "program" for r in results)
         region = results[0]["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] >= 1 and region["startColumn"] >= 1
 
     def test_sarif_is_deterministic(self):
         result = lint_paths(
-            paths=[Path(BAD_PKG)], select=["unreachable-public"]
+            paths=[Path(BAD_PKG)], select=["protocol-flow"]
         )
         assert render_sarif(result) == render_sarif(result)
 
-
-class TestBaseline:
-    def test_write_then_filter_round_trip(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            ["--select", "unreachable-public", "--write-baseline",
-             str(baseline), BAD_PKG]
-        ) == 0
-        assert "3 findings recorded" in capsys.readouterr().out
-        # With the baseline applied, the same tree is clean — exit 0.
-        assert lint_main(
-            ["--select", "unreachable-public", "--baseline", str(baseline),
-             BAD_PKG]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "no findings (3 baselined)" in out
-
-    def test_baseline_does_not_hide_new_findings(self, tmp_path):
-        result = lint_paths(
-            paths=[Path(BAD_PKG)], select=["unreachable-public"]
-        )
-        write_baseline(tmp_path / "b.json", result.findings[:1])
-        filtered = lint_paths(
-            paths=[Path(BAD_PKG)], select=["unreachable-public"],
-            baseline=tmp_path / "b.json",
-        )
-        assert len(filtered.findings) == len(result.findings) - 1
-        assert filtered.baselined == 1
-
-    def test_fingerprints_are_line_independent_and_sorted(self, tmp_path):
-        result = lint_paths(
-            paths=[Path(BAD_PKG)], select=["unreachable-public"]
-        )
-        path = tmp_path / "b.json"
-        write_baseline(path, result.findings)
-        raw = json.loads(path.read_text())
-        assert raw["version"] == 1
-        assert raw["fingerprints"] == sorted(raw["fingerprints"])
-        assert all("::" in fp for fp in raw["fingerprints"])
-        assert load_baseline(path) == set(raw["fingerprints"])
-
-    def test_malformed_baseline_is_a_configuration_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"not": "a baseline"}')
-        with pytest.raises(ConfigurationError):
-            lint_paths(paths=[Path(BAD_PKG)], baseline=bad)
-        assert lint_main(["--baseline", str(bad), BAD_PKG]) == 2

@@ -1,9 +1,9 @@
 """Per-rule fixture tests: every rule has one bad and one good snippet.
 
-Fixture files live outside any ``repro`` package directory, so their module
-name resolves to ``""`` and *every* rule applies — which also makes these
-tests assert the absence of cross-rule false positives: a bad fixture must
-trigger exactly its target rule, a good fixture must be completely clean.
+Fixture files live outside the ``repro`` package, so *every* rule applies —
+which also makes these tests assert the absence of cross-rule false
+positives: a bad fixture must trigger exactly its target rule, a good
+fixture must be completely clean.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ CASES = [
         "bad_metrics_registry.py", 5,
         "good_metrics_registry.py",
     ),
-    ("proc-isolation", "bad_proc_isolation.py", 2, "good_proc_isolation.py"),
 ]
 
 
