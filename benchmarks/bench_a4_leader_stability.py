@@ -17,7 +17,6 @@ import pytest
 from repro.fd import LeaderBasedOmega, StableLeaderOmega
 from repro.sim import (
     FixedDelay,
-    NetworkController,
     ReliableLink,
     UniformDelay,
     World,
@@ -32,13 +31,12 @@ END = 3000.0
 def run_case(factory, seed=4):
     world = World(n=N, seed=seed, default_link=ReliableLink(FixedDelay(1.0)))
     dets = world.attach_all(factory)
-    ctl = NetworkController(world)
+    at, set_link = world.scheduler.schedule_at, world.network.set_link
     for start in range(100, int(END) - 200, 200):
         for dst in range(1, N):
-            ctl.degrade_between(
-                float(start), float(start + 100), 0, dst,
-                ReliableLink(UniformDelay(30.0, 60.0)),
-            )
+            flaky = ReliableLink(UniformDelay(30.0, 60.0))
+            at(float(start), set_link, 0, dst, flaky)
+            at(float(start + 100), set_link, 0, dst, world.network.link(0, dst))
     world.run(until=END)
     churn = 0
     for det in dets[1:]:

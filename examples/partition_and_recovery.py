@@ -11,11 +11,7 @@ shows suspicion sweeping across the cut and washing out after healing.
 Run:  python examples/partition_and_recovery.py
 """
 
-from repro import (
-    NetworkController,
-    ReplicatedStateMachine,
-    World,
-)
+from repro import ReplicatedStateMachine, World
 from repro.analysis import suspicion_timeline
 from repro.fd import HeartbeatEventuallyPerfect
 from repro.transform import PToC
@@ -40,7 +36,6 @@ def main() -> None:
             pid, ReplicatedStateMachine(
                 fd, rebroadcast_period=15.0,
                 consensus_kwargs={"stubborn_period": 15.0})))
-    controller = NetworkController(world)
     world.start()
 
     counters = {pid: 0 for pid in world.pids}
@@ -58,7 +53,8 @@ def main() -> None:
         world.scheduler.schedule_at(
             float(t), lambda r=replica: r.submit({"op": "inc", "by": 1}))
 
-    controller.partition_between(*PARTITION, MINORITY)
+    world.fault("partition", {"groups": [MINORITY]}, at=PARTITION[0])
+    world.fault("heal", {}, at=PARTITION[1])
     world.run(until=PARTITION[0] + 50.0)
     majority_mid = len(replicas[0].log)
     minority_mid = len(replicas[4].log)

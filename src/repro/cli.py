@@ -275,7 +275,7 @@ def _parse_degrade_specs(specs) -> list:
     """Parse repeated ``--degrade SRC:DST:LOSS[:DELAY]`` flags into
     ``(src, dst, loss, delay)`` tuples (``delay`` may be ``None``)."""
     from .errors import ConfigurationError
-    from .net.faults import check_fault
+    from .sim.faults import check_fault
 
     links = []
     for spec in specs:

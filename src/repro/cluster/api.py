@@ -25,7 +25,7 @@ Beyond ``crash``, the protocol carries the full fault surface in
 :data:`FAULT_VERBS` — stalls, partitions, link degradation, loss storms,
 clock skew — every verb schedulable via ``at=`` exactly like ``crash``.
 The verbs are sugar: each is one call of ``fault(op, args, at=None)``, the
-single entry point over the :data:`~repro.net.faults.FAULT_OPS`
+single entry point over the :data:`~repro.sim.faults.FAULT_OPS`
 vocabulary, written once in :class:`FaultVerbs` — which is what the
 declarative :mod:`repro.scenario` layer compiles to.
 
@@ -50,9 +50,9 @@ from typing import (
 from ..analysis import check_consensus, check_fd_class, extract_outcome
 from ..errors import ConfigurationError
 from ..fd.classes import EVENTUALLY_CONSISTENT, FDClass
-from ..net.faults import FAULT_OPS, check_fault
 from ..obs.reader import TraceSource, as_trace
 from ..obs.sinks import MemorySink
+from ..sim.faults import FAULT_OPS, check_fault
 from ..types import ProcessId, Time
 
 __all__ = [
@@ -109,7 +109,7 @@ class ClusterAPI(Protocol):
     def fault(
         self, op: str, args: Dict[str, Any], at: Optional[Time] = None
     ) -> None:
-        """Inject one fault of the :data:`~repro.net.faults.FAULT_OPS`
+        """Inject one fault of the :data:`~repro.sim.faults.FAULT_OPS`
         vocabulary — the entry point every named verb below is sugar
         over.  Validates eagerly (a bad fault raises here, not inside a
         timer callback), queues before :meth:`start`, arms after it."""

@@ -1,17 +1,16 @@
 """In-process clusters of :class:`~repro.net.host.NodeHost` nodes.
 
 :class:`LocalCluster` spins up *n* hosts sharing one clock and one trace
-recorder, wires a transport per node (loopback, UDP, or TCP — always
-wrapped in a fault-injection proxy over the cluster's
-:class:`~repro.net.faults.FaultPlan`, which the ClusterAPI fault verbs
-mutate), and drives the run:
+recorder, wires a transport per node (loopback, UDP, or TCP) and one
+shared :class:`~repro.sim.faults.FaultPlan` every host's send path
+consults (the ClusterAPI fault verbs mutate it), and drives the run:
 
 * **wall mode** (default) — an :class:`~repro.net.clock.AsyncioClock` and
   real sockets; drive it with ``await cluster.start() / run(seconds) /
   stop()`` inside ``asyncio.run``;
 * **virtual mode** (``clock="virtual"``, loopback only) — the simulator's
-  deterministic scheduler under the full runtime path (codec, transport
-  framing, fault proxy); drive it synchronously with ``start_virtual()`` /
+  deterministic scheduler under the full runtime path (fault step, codec,
+  transport framing); drive it synchronously with ``start_virtual()`` /
   ``run_virtual(until)``.  This is what the sim↔net parity tests use: same
   components, same seeds, bit-for-bit reproducible.
 
@@ -55,7 +54,6 @@ from ..fd.leader_based import LeaderBasedOmega
 from ..fd.ring import RingDetector
 from ..net.clock import AsyncioClock, SkewedClock, VirtualClock
 from ..net.codec import Codec, default_codec
-from ..net.faults import FaultPlan, FaultyTransport
 from ..net.host import NodeHost
 from ..net.tcp import TCPTransport
 from ..net.transport import LoopbackHub, LoopbackTransport, Transport
@@ -64,6 +62,7 @@ from ..obs.live import StreamingSink
 from ..obs.metrics import MetricsReporter
 from ..obs.sinks import JsonlSink, MemorySink, TeeSink, TraceSink
 from ..sim.component import Component
+from ..sim.faults import FaultPlan
 from ..transform.c_to_p import CToPTransformation
 from ..types import ProcessId, Time
 from .api import FaultVerbs, rsm_verdicts, standard_verdicts
@@ -181,13 +180,14 @@ class LocalCluster(FaultVerbs):
         # same object node 0 traces into, so combined/per-node JSONL
         # shipping sees the fault events too (not just the MemorySink).
         self._cluster_sink: TraceSink = host_traces[0]
-        #: The always-on fault surface; idle plans cost one flag read per
-        #: send (see FaultPlan.active), so every transport is wrapped
-        #: unconditionally and the ClusterAPI fault verbs are always live.
+        #: The always-on fault surface, shared by every host's send path;
+        #: an idle plan costs one flag read per send call (see
+        #: FaultPlan.active), so the ClusterAPI fault verbs are always live.
         self.plan = FaultPlan(n, seed=seed)
         self._hub = LoopbackHub(self.clock) if transport == "loopback" else None
         # (time, value-factory) proposal rounds from deploy_standard_stack.
         self._pending_proposals: List[Time] = []
+        self._pending_note: Optional[tuple] = None  # see note_scenario
         #: Components per role when `deploy_standard_stack` was used.
         self.stacks: Optional[Dict[str, List[Component]]] = None
         # In-flight async transport closes from kill(); referenced here so
@@ -195,21 +195,20 @@ class LocalCluster(FaultVerbs):
         self._closing: set = set()
         self.hosts: List[NodeHost] = []
         for pid in range(n):
-            real: Transport
+            wire: Transport
             if transport == "loopback":
-                real = LoopbackTransport(pid, self._hub)
+                wire = LoopbackTransport(pid, self._hub)
             elif transport == "udp":
-                real = UDPTransport(pid, host=bind_host)
+                wire = UDPTransport(pid, host=bind_host)
             else:
-                real = TCPTransport(pid, host=bind_host)
-            wire = FaultyTransport(real, self.plan, self.clock)
+                wire = TCPTransport(pid, host=bind_host)
             # Per-node clock proxy: zero-offset (exact) until the skew verb
             # steps it — every host keeps its *own* notion of time over
             # the one shared timeline.
             host_clock = self.plan.clocks[pid] = SkewedClock(self.clock)
             self.hosts.append(
                 NodeHost(
-                    pid, n, wire,
+                    pid, n, wire, self.plan,
                     clock=host_clock, codec=self.codec,
                     trace=host_traces[pid], seed=seed,
                 )
@@ -445,7 +444,14 @@ class LocalCluster(FaultVerbs):
     def note_scenario(
         self, name: str, events: int, seed: Optional[int] = None
     ) -> None:
-        """Record that a scenario schedule was armed (``scenario.run``)."""
+        """Record that a scenario schedule was armed (``scenario.run``).
+
+        A wall-clock run fixes its time zero (and its JSONL epochs) in
+        :meth:`start`, so a note taken before that is recorded there.
+        """
+        if not (self._started or self.virtual):
+            self._pending_note = (name, events, seed)
+            return
         extra = {} if seed is None else {"seed": seed}
         self._cluster_sink.record(
             self.clock.now, "scenario.run", None,
@@ -477,6 +483,8 @@ class LocalCluster(FaultVerbs):
     # -------------------------------------------------------------- internals
     def _flush_pending(self) -> None:
         """Move pre-start fault/proposal schedules onto the clock."""
+        if self._pending_note is not None:
+            self.note_scenario(*self._pending_note)
         self._arm_pending_faults()
         for at in self._pending_proposals:
             self.clock.schedule_at(at, self._propose_all)

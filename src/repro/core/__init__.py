@@ -60,7 +60,6 @@ from ..fd import (
 )
 from ..sim import (
     Component,
-    NetworkController,
     CrashSchedule,
     FairLossyLink,
     PartiallySynchronousLink,
@@ -124,7 +123,6 @@ __all__ = [
     "first_non_suspected",
     # simulation substrate
     "Component",
-    "NetworkController",
     "CrashSchedule",
     "FairLossyLink",
     "PartiallySynchronousLink",

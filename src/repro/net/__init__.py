@@ -12,9 +12,6 @@ loops and real sockets:
 * :mod:`~repro.net.transport` / :mod:`~repro.net.udp` /
   :mod:`~repro.net.tcp` — in-process loopback, UDP datagrams, and TCP with
   length-prefixed framing plus reconnect backoff;
-* :mod:`~repro.net.faults` — a fault-injection proxy transport
-  (loss/delay/partition) mirroring the simulator's link models and
-  :class:`~repro.sim.partition.NetworkController`;
 * :mod:`~repro.net.host` — the :class:`NodeHost` adapter that makes one
   live node look like one slot of a simulated
   :class:`~repro.sim.world.World`;
@@ -31,7 +28,7 @@ matrix, and ``python -m repro cluster`` for the end-to-end demo.
 from .clock import AsyncioClock, SkewedClock, VirtualClock
 from .codec import Codec, CodecError, JsonCodec, MsgpackCodec, default_codec
 from .control import FaultControlEndpoint, send_fault_command
-from .faults import FaultPlan, FaultyTransport
+from ..sim.faults import FaultPlan
 from .host import NodeHost, RuntimeNetwork, RuntimeWorld
 from .stats import StatsEndpoint, fetch_stats, parse_stats_addr
 from .tcp import TCPTransport
@@ -56,7 +53,6 @@ __all__ = [
     "MsgpackCodec",
     "default_codec",
     "FaultPlan",
-    "FaultyTransport",
     "NodeHost",
     "RuntimeNetwork",
     "RuntimeWorld",

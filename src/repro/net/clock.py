@@ -11,7 +11,7 @@ Two clocks cover the two ways the runtime is used:
 * :class:`VirtualClock` — a thin veneer over the simulator's deterministic
   :class:`~repro.sim.scheduler.Scheduler`.  Used with the loopback transport
   it makes an entire multi-node *runtime* cluster (host adapters, codec,
-  transport framing, fault proxy and all) bit-for-bit reproducible, which is
+  transport framing, fault step and all) bit-for-bit reproducible, which is
   what the sim↔net parity tests run on.
 
 :class:`SkewedClock` is the fault-injection veneer over either: a per-node

@@ -1,6 +1,6 @@
 """The per-node fault-control endpoint behind a process cluster's verbs.
 
-A :class:`LocalCluster` mutates its shared :class:`~repro.net.faults.FaultPlan`
+A :class:`LocalCluster` mutates its shared :class:`~repro.sim.faults.FaultPlan`
 directly, but a :class:`~repro.proc.ProcessCluster` owns no objects inside
 its nodes — network faults must travel over the wire.  Each ``repro node``
 binds a :class:`FaultControlEndpoint`: a tiny UDP request/reply service
@@ -9,7 +9,7 @@ fault command per datagram to the node's own fault plan and clock, records
 the matching ``scenario.*`` trace event, and acks.
 
 A command is one fault of the shared vocabulary
-(:data:`~repro.net.faults.FAULT_OPS`) spelled as a JSON object — ``op``
+(:data:`~repro.sim.faults.FAULT_OPS`) spelled as a JSON object — ``op``
 plus that op's args, exactly the shape of a scenario-document event:
 
 .. code-block:: json
@@ -39,7 +39,7 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .faults import FaultPlan, check_fault
+from ..sim.faults import check_fault
 
 __all__ = ["FaultControlEndpoint", "send_fault_command"]
 
@@ -48,9 +48,8 @@ class FaultControlEndpoint:
     """Applies JSON fault commands to one node's plan and clock over UDP.
 
     Parameters:
-        host: the node's :class:`~repro.net.host.NodeHost` (for the clock,
-            the trace sink, and the pid).
-        plan: the node's :class:`FaultPlan` (the one its transport wraps).
+        host: the node's :class:`~repro.net.host.NodeHost` (for its fault
+            plan, the clock, the trace sink, and the pid).
         listen_host / port: bind address; port 0 = ephemeral (the bound
             port is returned by :meth:`bind` and kept in :attr:`address`).
     """
@@ -58,12 +57,10 @@ class FaultControlEndpoint:
     def __init__(
         self,
         host: Any,
-        plan: FaultPlan,
         listen_host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.host = host
-        self.plan = plan
         self.listen_host = listen_host
         self.port = port
         self.commands_applied = 0
@@ -84,8 +81,8 @@ class FaultControlEndpoint:
             name: value for name, value in command.items()
             if name not in ("op", "record")
         }
-        check_fault(op, args, self.plan.n)
-        kind, pid, data = self.plan.apply(op, args)
+        check_fault(op, args, self.host.plan.n)
+        kind, pid, data = self.host.plan.apply(op, args)
         self.commands_applied += 1
         # One logical fault, one trace event: only the copy the launcher
         # flagged with "record" narrates (broadcasts reach every node).

@@ -6,8 +6,8 @@ This is the runtime's counterpart of one slot of the simulator's
 
 * a clock (:mod:`repro.net.clock`) in place of the virtual-time heap,
 * a :class:`RuntimeNetwork` — the one message path of
-  :mod:`repro.sim.network` (admit → record → self-send or cross → deliver)
-  whose crossing is a codec frame handed to a transport,
+  :mod:`repro.sim.network` (admit → record → self-send or fault → cross →
+  deliver) whose crossing is a codec frame handed to a transport,
 * any :class:`~repro.obs.TraceSink` (an analysis-facing
   :class:`~repro.obs.MemorySink` by default; a streaming
   :class:`~repro.obs.JsonlSink`, or a tee of both, for trace shipping),
@@ -29,16 +29,17 @@ out of band.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import MemorySink, TraceSink
+from ..sim.faults import FaultPlan
 from ..sim.message import Message
 from ..sim.network import _MessagePath
 from ..sim.process import Process
 from ..sim.rng import RandomSource
-from ..types import Channel, ProcessId
+from ..types import Channel, ProcessId, Time
 from .clock import AsyncioClock
 from .codec import Codec, CodecError, JsonCodec
 from .transport import Transport
@@ -51,17 +52,22 @@ class RuntimeNetwork(_MessagePath):
     of :mod:`repro.sim.network` with a codec + transport crossing."""
 
     def __init__(self, host: "NodeHost") -> None:
-        super().__init__(host.clock, host.trace, host.metrics)
+        super().__init__(host.clock, host.trace, host.plan, host.metrics)
         self._host = host
 
-    def _cross(self, msgs: List[Message]) -> None:
+    def _cross(self, msgs: List[Message], extra: Iterable[Time]) -> None:
         # Same-content messages: the codec encodes the shared part once.
+        # Bytes count at send time; only the transport hop is held back.
         host = self._host
-        for msg, frame in zip(msgs, host.codec.encode_message_batch(msgs)):
+        frames = host.codec.encode_message_batch(msgs)
+        for msg, frame, held in zip(msgs, frames, extra):
             self._metrics.inc(
                 "bytes_sent_total", amount=len(frame), channel=msg.channel
             )
-            host.transport.send(msg.dst, frame)
+            if held > 0.0:
+                host.clock.schedule(held, host.transport.send, msg.dst, frame)
+            else:
+                host.transport.send(msg.dst, frame)
 
 
 class RuntimeWorld:
@@ -113,9 +119,11 @@ class NodeHost:
 
     Parameters:
         pid / n: this node's id and the cluster size.
-        transport: a bound-later :class:`~repro.net.transport.Transport`
-            (wrap it in a :class:`~repro.net.faults.FaultyTransport` for
-            fault injection).
+        transport: a bound-later :class:`~repro.net.transport.Transport`.
+        plan: the :class:`~repro.sim.faults.FaultPlan` this node's sends
+            are judged by (kept as :attr:`plan`) — one shared by every
+            host of an in-process cluster, the node's own in a process
+            cluster.
         clock: any :class:`~repro.sim.api.SchedulerAPI`; defaults to a
             fresh wall-clock :class:`~repro.net.clock.AsyncioClock`.
         codec: wire codec; defaults to JSON (always available).
@@ -131,6 +139,7 @@ class NodeHost:
         pid: ProcessId,
         n: int,
         transport: Transport,
+        plan: FaultPlan,
         clock: Optional[Any] = None,
         codec: Optional[Codec] = None,
         trace: Optional[TraceSink] = None,
@@ -145,6 +154,7 @@ class NodeHost:
         self.pid = pid
         self.n = n
         self.transport = transport
+        self.plan = plan
         self.clock = clock if clock is not None else AsyncioClock()
         self.codec = codec if codec is not None else JsonCodec()
         self.trace: TraceSink = trace if trace is not None else MemorySink()

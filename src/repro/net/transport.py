@@ -5,8 +5,8 @@ process id.  It is deliberately dumber than the simulator's
 :class:`~repro.sim.network.Network`: no channels, no links, no delivery
 callback into processes — just frames out, frames in.  The
 :class:`~repro.net.host.NodeHost` layers the codec and the component-facing
-semantics on top, and :class:`~repro.net.faults.FaultyTransport` wraps any
-transport with loss/delay/partition injection.
+semantics on top; loss/delay/partition injection happens above it, in the
+send path (:mod:`repro.sim.faults`).
 
 Lifecycle (driven by :class:`~repro.cluster.LocalCluster` or by user
 code for multi-process deployments)::

@@ -191,7 +191,7 @@ register_event_kind(
 register_event_kind(
     "drop", required=("reason",), optional=("channel", "src", "dst"),
     doc="a message was lost (link loss, crashed receiver, undecodable or "
-        "misrouted frame)",
+        "misrouted frame, or an injected fault)",
 )
 register_event_kind(
     "parked", required=("channel", "src"),
@@ -199,13 +199,6 @@ register_event_kind(
 )
 register_event_kind(
     "crash", doc="the process crashed (crash-stop; event pid is the victim)",
-)
-register_event_kind(
-    "partition", required=("groups",),
-    doc="the network was partitioned into the given process groups",
-)
-register_event_kind(
-    "heal", doc="an active network partition was removed",
 )
 register_event_kind(
     "fd", required=("channel", "suspected", "trusted"),

@@ -491,7 +491,7 @@ register_metric(
 register_metric(
     "messages_dropped_total", "counter", ("reason",),
     doc="messages lost: link loss, crashed receiver, undecodable or misrouted "
-        "frame",
+        "frame, or an injected fault",
 )
 register_metric(
     "bytes_sent_total", "counter", ("channel",),

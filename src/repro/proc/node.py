@@ -14,9 +14,8 @@ observe genuine silence.  The node never traps signals, so there is no
 cooperative-shutdown path that could soften the failure model — stalls
 arrive the same way, as real ``SIGSTOP``/``SIGCONT``.  *Network* faults,
 by contrast, need the node's cooperation (only it can drop its own
-sends), so each node wraps its transport in a
-:class:`~repro.net.faults.FaultyTransport` over an idle per-node
-:class:`~repro.net.faults.FaultPlan` and — when the address book names a
+sends), so each node's send path consults an idle per-node
+:class:`~repro.sim.faults.FaultPlan` and — when the address book names a
 ``control_port`` — binds a :class:`~repro.net.control.FaultControlEndpoint`
 through which the launcher's partition/degrade/storm/skew verbs mutate
 that plan (and the node's clock) at runtime.
@@ -32,13 +31,13 @@ from ..errors import ConfigurationError
 from ..net.clock import AsyncioClock, SkewedClock
 from ..net.codec import default_codec
 from ..net.control import FaultControlEndpoint
-from ..net.faults import FaultPlan, FaultyTransport
 from ..net.host import NodeHost
 from ..net.stats import StatsEndpoint, parse_stats_addr
 from ..net.tcp import TCPTransport
 from ..net.udp import UDPTransport
 from ..obs.live import StreamingSink
 from ..obs.sinks import JsonlSink, MemorySink, TeeSink, TraceSink
+from ..sim.faults import FaultPlan
 from ..cluster.local import attach_node_stack
 from ..svc.frontend import ServiceFrontend
 from ..types import ProcessId
@@ -61,9 +60,9 @@ def build_node(
     """
     host_addr, port = book.address(pid)
     if book.transport == "udp":
-        real: Any = UDPTransport(pid, host=host_addr, port=port)
+        transport: Any = UDPTransport(pid, host=host_addr, port=port)
     else:
-        real = TCPTransport(pid, host=host_addr, port=port)
+        transport = TCPTransport(pid, host=host_addr, port=port)
     # The node's own fault surface: an (idle, near-free) plan its sends
     # run through and a steppable clock — the fault-control endpoint
     # mutates both on command from the launcher.  Decorrelate the plan's
@@ -71,13 +70,12 @@ def build_node(
     plan = FaultPlan(book.n, seed=book.seed * 1009 + pid)
     clock = plan.clocks[pid] = SkewedClock(AsyncioClock())
     host = NodeHost(
-        pid, book.n, FaultyTransport(real, plan, clock),
+        pid, book.n, transport, plan,
         clock=clock,
         codec=default_codec(book.codec),
         trace=trace if trace is not None else MemorySink(),
         seed=book.seed,
     )
-    host.fault_plan = plan  # type: ignore[attr-defined]
     host.stacks = attach_node_stack(  # type: ignore[attr-defined]
         host.attach, book.config
     )
@@ -130,8 +128,7 @@ async def run_node(
     control_at = book.control_address(pid)
     if control_at is not None:
         control = FaultControlEndpoint(
-            host, host.fault_plan,  # type: ignore[attr-defined]
-            listen_host=control_at[0], port=control_at[1],
+            host, listen_host=control_at[0], port=control_at[1]
         )
         await control.bind()
     stats: Optional[StatsEndpoint] = None

@@ -1,7 +1,7 @@
 """The scenario DSL: timed fault events and the :class:`Scenario` document.
 
 A scenario is a *compiled schedule*: a list of ``(time, op, args)``
-triples over the :data:`~repro.net.faults.FAULT_OPS` vocabulary, plus the
+triples over the :data:`~repro.sim.faults.FAULT_OPS` vocabulary, plus the
 run parameters the schedule was built for (``n``, ``period``,
 ``duration``, ``propose_after``).  It is declarative — nothing executes
 here; :func:`repro.scenario.runner.apply_scenario` turns each event into
@@ -28,7 +28,7 @@ testable statement about :meth:`Scenario.to_json`:
       "seed": null
     }
 
-Validation is eager and structural (:func:`~repro.net.faults.check_fault`):
+Validation is eager and structural (:func:`~repro.sim.faults.check_fault`):
 unknown ops, missing/unknown args, out-of-range pids (when ``n`` is set),
 and out-of-bounds probabilities are all
 :class:`~repro.errors.ConfigurationError` at construction, not mid-run.
@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..cluster.config import NodeConfig
 from ..errors import ConfigurationError
-from ..net.faults import FAULT_OPS as OP_SPECS, check_fault
+from ..sim.faults import FAULT_OPS as OP_SPECS, check_fault
 from ..types import Time
 
 __all__ = ["ScenarioEvent", "Scenario", "OP_SPECS"]

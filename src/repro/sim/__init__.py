@@ -41,7 +41,6 @@ from .links import (
 )
 from .message import Message
 from .network import Network
-from .partition import NetworkController
 from .process import Process
 from .rng import RandomSource
 from .scheduler import Scheduler
@@ -74,7 +73,6 @@ __all__ = [
     "DeadLink",
     "Message",
     "Network",
-    "NetworkController",
     "Process",
     "RandomSource",
     "Scheduler",

@@ -1,34 +1,33 @@
-"""Fault injection for live transports — the runtime twin of
-:mod:`repro.sim.links` and :class:`repro.sim.partition.NetworkController`.
+"""The fault step of the message path — one vocabulary, one plan.
 
-A :class:`FaultPlan` is the cluster-wide control surface: per-directed-pair
-loss probability, delay models, partitions, process stalls, and loss
-storms, with the same verbs the simulator's controller exposes
-(``partition`` / ``heal`` / ``isolate`` / ``degrade`` / ``restore``) plus
-the scenario-layer additions (``stall`` / ``resume`` / ``storm`` /
-``calm``).  A :class:`FaultyTransport` wraps any real transport and
-consults the shared plan on every send: drop, delay (through the host
-clock, so virtual-clock runs stay deterministic), or pass through.
+A :class:`FaultPlan` is what the network does to a message between send
+and deliver, beyond its static :mod:`~repro.sim.links` model:
+per-directed-pair loss probability and delay models, partitions, process
+stalls and loss storms (``partition`` / ``heal`` / ``isolate`` /
+``degrade`` / ``restore`` / ``stall`` / ``resume`` / ``storm`` /
+``calm``).  The one send path (:mod:`repro.sim.network`) consults it once
+per network message, on every substrate: a ``None`` verdict is a counted,
+recorded ``drop`` with ``reason="fault"``, anything else is extra delay
+the substrate's crossing realises on its own clock.
 
-Injecting at the *sender* mirrors the simulator, where the outgoing link
-decides a message's fate at send time; it also means a partition is
-symmetric only if the plan says so — directed pairs are first-class, as in
-:mod:`repro.sim.links`.
+Injecting at the *sender* means a partition is symmetric only if the plan
+says so — directed pairs are first-class, as in :mod:`repro.sim.links` —
+and that a process cluster, where every node holds its own plan, must
+install a partition on both sides.
 
 The fault *vocabulary* is defined here too, once: :data:`FAULT_OPS` names
 every op and its argument shape, :func:`check_fault` is the only validator
 of those arguments, and :meth:`FaultPlan.apply` is the only op → plan
 dispatch — it also returns the ``scenario.*`` trace payload, so the event
-a fault records is defined once as well.  Every substrate (the cluster
-verbs, the scenario layer, the per-node control endpoint, the CLI) is a
-thin driver of these three.
+a fault records is defined once as well.  Every substrate (``World.fault``,
+the cluster verbs, the scenario layer, the per-node control endpoint, the
+CLI) is a thin driver of these three.
 
 An idle plan (no partition, no stalls, no loss, no delay) costs one
-attribute read per send: :attr:`FaultPlan.active` is maintained by the
-mutating verbs, and :meth:`FaultyTransport.send` forwards straight to the
-wrapped transport while it is ``False``.  That is what lets every cluster
-wrap its transports unconditionally — the fault surface is always
-reachable, and the no-fault hot path stays as fast as a bare transport.
+attribute read per ``send_many`` call: :attr:`FaultPlan.active` is
+maintained by the mutating verbs, and the send path skips the step while
+it is ``False`` — the fault surface is always reachable, and the no-fault
+hot path pays nothing per message.
 """
 
 from __future__ import annotations
@@ -38,13 +37,11 @@ import random
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.delays import DelayModel, FixedDelay
-from ..sim.partition import resolve_groups
 from ..types import ProcessId, Time
-from .transport import Transport
+from .delays import DelayModel, FixedDelay
 
 __all__ = [
-    "FAULT_OPS", "PID_ARGS", "check_fault", "FaultPlan", "FaultyTransport",
+    "FAULT_OPS", "PID_ARGS", "check_fault", "resolve_groups", "FaultPlan",
 ]
 
 Pair = Tuple[ProcessId, ProcessId]
@@ -86,12 +83,43 @@ def _check_loss(loss: float) -> float:
     return loss
 
 
+def resolve_groups(
+    groups: Iterable[Iterable[ProcessId]], n: Optional[int] = None
+) -> List[List[ProcessId]]:
+    """The explicit, sorted group list a partition over *n* processes names.
+
+    Pids named in no group form an implicit final group (only computable —
+    and pid ranges only checkable — when *n* is known).  This is the one
+    definition of what a ``groups`` argument means.
+    """
+    try:
+        named = [sorted(set(group)) for group in groups]
+    except TypeError:
+        named = None
+    if named is None or not all(
+        isinstance(pid, int) for group in named for pid in group
+    ):
+        raise ConfigurationError(
+            f"partition groups must be a list of pid lists, got {groups!r}"
+        )
+    seen: set = set()
+    for pid in (pid for group in named for pid in group):
+        if pid in seen:
+            raise ConfigurationError(f"pid {pid} in two groups")
+        if n is not None and pid not in range(n):
+            raise ConfigurationError(f"pid {pid} out of range for n={n}")
+        seen.add(pid)
+    rest = [] if n is None else [pid for pid in range(n) if pid not in seen]
+    return named + ([rest] if rest else [])
+
+
 def check_fault(op: Any, args: Dict[str, Any], n: Optional[int] = None) -> None:
     """Validate one ``(op, args)`` fault against :data:`FAULT_OPS`.
 
     The single place arg shapes, pid ranges (when the cluster size *n* is
-    known), ``loss`` in [0, 1], ``delay`` >= 0 and partition-group
-    disjointness are checked; raises :class:`ConfigurationError`.
+    known), ``src != dst`` (a self-send never crosses the network),
+    ``loss`` in [0, 1], ``delay`` >= 0 and partition-group disjointness
+    are checked; raises :class:`ConfigurationError`.
     """
     if not isinstance(op, str) or op not in FAULT_OPS:
         raise ConfigurationError(
@@ -126,6 +154,11 @@ def check_fault(op: Any, args: Dict[str, Any], n: Optional[int] = None) -> None:
             _check_loss(value)
         elif name == "delay" and value < 0:
             raise ConfigurationError(f"negative delay {value}")
+    if "src" in args and args["src"] == args["dst"]:
+        raise ConfigurationError(
+            f"fault op {op!r}: src and dst are both {args['src']}; a "
+            f"self-send never crosses the network"
+        )
 
 
 class FaultPlan:
@@ -144,23 +177,20 @@ class FaultPlan:
         self.default_delay = delay
         self._pair_loss: Dict[Pair, float] = {}
         self._pair_delay: Dict[Pair, Optional[DelayModel]] = {}
-        self._cut: Dict[Pair, bool] = {}
-        self._partition_groups: Optional[List[List[ProcessId]]] = None
+        self._cut: Set[Pair] = set()
         self._stalled: Set[ProcessId] = set()
         self._storm_loss: Optional[float] = None
         self._storm_delay: Optional[DelayModel] = None
         #: pid -> that node's steppable clock (anything with ``skew(offset)``),
         #: registered by whoever owns the node; the ``skew`` op steps it.
         self.clocks: Dict[ProcessId, Any] = {}
-        self.dropped = 0
-        self.delayed = 0
         self._refresh_active()
 
     # ------------------------------------------------------------- fast path
     @property
     def active(self) -> bool:
         """``False`` while the plan would pass every send through untouched
-        (the :class:`FaultyTransport` fast path)."""
+        (the send path then skips the fault step)."""
         return self._active
 
     def _refresh_active(self) -> None:
@@ -228,21 +258,20 @@ class FaultPlan:
     def partition(self, *groups: Iterable[ProcessId]) -> List[List[ProcessId]]:
         """Cut every directed pair crossing group boundaries (now).
 
-        Processes not named in any group form an implicit final group —
-        the exact contract of
-        :meth:`repro.sim.partition.NetworkController.partition`.  Returns
-        the full, explicit group list (implicit rest group included) so
-        callers can record exactly what was applied.
+        Processes not named in any group form an implicit final group.
+        Replaces any previous partition; a single group cuts nothing and
+        leaves the plan idle.  Returns the full, explicit group list
+        (implicit rest group included) so callers can record exactly what
+        was applied.
         """
         all_groups = resolve_groups(groups, self.n)
         membership = {
             pid: idx for idx, group in enumerate(all_groups) for pid in group
         }
-        for src in range(self.n):
-            for dst in range(self.n):
-                if src != dst:
-                    self._cut[(src, dst)] = membership[src] != membership[dst]
-        self._partition_groups = all_groups
+        self._cut = {
+            (src, dst) for src in membership for dst in membership
+            if membership[src] != membership[dst]
+        }
         self._refresh_active()
         return all_groups
 
@@ -253,13 +282,12 @@ class FaultPlan:
     def heal(self) -> None:
         """Remove any active partition."""
         self._cut.clear()
-        self._partition_groups = None
         self._refresh_active()
 
     @property
     def partitioned(self) -> bool:
-        """True while a partition is in force."""
-        return self._partition_groups is not None
+        """True while a partition is in force (some pair is cut)."""
+        return bool(self._cut)
 
     # ---------------------------------------------------------------- stalls
     def stall(self, pid: ProcessId) -> None:
@@ -341,94 +369,19 @@ class FaultPlan:
         """Decide one send's fate: ``None`` = drop, else extra delay (>= 0).
 
         Same shape as :meth:`repro.sim.links.Link.plan`, minus the message
-        (injection here is content-blind).
+        (injection here is content-blind).  Counting and recording the
+        outcome is the send path's business.
         """
         if self._stalled and (src in self._stalled or dst in self._stalled):
-            self.dropped += 1
             return None
-        if self._cut.get((src, dst), False):
-            self.dropped += 1
+        if (src, dst) in self._cut:
             return None
         loss = self._pair_loss.get((src, dst), self.default_loss)
         if self._storm_loss is not None and self._storm_loss > loss:
             loss = self._storm_loss
         if loss and (loss >= 1.0 or self.rng.random() < loss):
-            self.dropped += 1
             return None
         model = self._pair_delay.get((src, dst), self._storm_delay)
         if model is None:
             model = self.default_delay
-        if model is None:
-            return 0.0
-        delay = model.sample(self.rng, 0.0)
-        if delay > 0:
-            self.delayed += 1
-        return delay
-
-
-class FaultyTransport(Transport):
-    """A proxy transport applying a :class:`FaultPlan` to every send.
-
-    Wraps the real transport of one node; the clock is used to realize
-    injected delays, so wrapping loopback-on-virtual-clock keeps runs
-    deterministic while still exercising the full fault machinery.  While
-    the plan is idle (:attr:`FaultPlan.active` is ``False``) a send is
-    one extra attribute read plus a delegated call.
-    """
-
-    def __init__(self, inner: Transport, plan: FaultPlan, clock: Any) -> None:
-        # Deliberately not calling ``super().__init__``: the traffic
-        # counters must live on ``inner`` — it is the transport actually
-        # putting frames on the wire — and are re-exposed as read-only
-        # properties below so stats read off the proxy stay truthful.
-        self.pid = inner.pid
-        self.closed = False
-        self.inner = inner
-        self.plan = plan
-        self.clock = clock
-        self.injected_drops = 0
-
-    frames_sent = property(lambda self: self.inner.frames_sent)
-    frames_received = property(lambda self: self.inner.frames_received)
-    bytes_sent = property(lambda self: self.inner.bytes_sent)
-    bytes_received = property(lambda self: self.inner.bytes_received)
-    send_errors = property(lambda self: self.inner.send_errors)
-
-    # Receiver, observer, and peers pass straight through to the wrapped
-    # transport.
-    def set_receiver(self, receiver) -> None:
-        self.inner.set_receiver(receiver)
-
-    def set_observer(self, observer) -> None:
-        self.inner.set_observer(observer)
-
-    def set_peers(self, addresses: Dict[ProcessId, Any]) -> None:
-        self.inner.set_peers(addresses)
-
-    @property
-    def local_address(self) -> Any:
-        return self.inner.local_address
-
-    def bind(self):
-        return self.inner.bind()
-
-    def close(self):
-        self.closed = True
-        return self.inner.close()
-
-    def send(self, dst: ProcessId, data: bytes) -> None:
-        plan = self.plan
-        if not plan.active:
-            self.inner.send(dst, data)
-            return
-        verdict = plan.plan(self.pid, dst)
-        if verdict is None:
-            self.injected_drops += 1
-            return
-        if verdict <= 0.0:
-            self.inner.send(dst, data)
-        else:
-            self.clock.schedule(verdict, self.inner.send, dst, data)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<FaultyTransport over {self.inner!r}>"
+        return 0.0 if model is None else model.sample(self.rng, 0.0)

@@ -1,58 +1,70 @@
 """The message path: every message any substrate carries goes through here.
 
-One path, written once, in four steps — **admit → record → self-send or
-cross → deliver**:
+One path, written once, in five steps — **admit → record → self-send or
+fault → cross → deliver**:
 
 1. *admit*: :meth:`send_many` builds one :class:`Message` per destination
    and bumps ``sent_total`` / ``sent_by_channel``;
 2. *record*: a ``send`` trace event per destination, flagged ``loopback``
    for a self-send;
-3. *self-send or cross*: a self-send (``src == dst``) is scheduled at +0 —
+3. *self-send or fault*: a self-send (``src == dst``) is scheduled at +0 —
    local, never lost, never a network message; anything else counts in
    ``sent_network`` and, once every destination of the call has been
-   admitted, is handed in destination order to the substrate's one hook,
-   :meth:`_cross`;
-4. *deliver*: :meth:`_finish_delivery` counts, records ``deliver`` and
+   admitted and while the :class:`~repro.sim.faults.FaultPlan` is active,
+   asks it for a verdict in destination order — ``None`` is a ``drop``
+   with ``reason="fault"``, anything else is extra delay;
+4. *cross*: the surviving messages and their extra delays are handed to
+   the substrate's one hook, :meth:`_cross`, which realises the delay on
+   its own clock;
+5. *deliver*: :meth:`_finish_delivery` counts, records ``deliver`` and
    runs the deliver callback.
 
-So one call emits all its ``send`` records before anything its crossing
-records (a ``drop``), and its self-send is queued ahead of its network
-sends — visible only where a link has zero delay.  The simulator's
-crossing is :class:`Network` below (a link decides loss and delay); the
-live runtime's is :class:`repro.net.host.RuntimeNetwork` (codec frame →
-transport).  The paper's per-round message counts (e.g. "4n for the ◇C
-protocol") are network messages, so the metrics layer reads
-``sent_network`` by default.
+So one call emits all its ``send`` records before any ``drop``, and its
+self-send is queued ahead of its network sends — visible only where a
+link has zero delay.  The simulator's crossing is :class:`Network` below
+(a link decides loss and delay); the live runtime's is
+:class:`repro.net.host.RuntimeNetwork` (codec frame → transport).  The
+paper's per-round message counts (e.g. "4n for the ◇C protocol") are
+network messages, so the metrics layer reads ``sent_network`` by default.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import TraceSink
-from ..types import Channel, ProcessId
+from ..types import Channel, ProcessId, Time
 from .api import SchedulerAPI
+from .faults import FaultPlan
 from .links import Link, ReliableLink
 from .message import Message
 
 __all__ = ["Network"]
 
+#: The extra delays of a crossing while the plan is idle.
+_NO_EXTRA: Iterable[Time] = repeat(0.0)
+
 
 class _MessagePath:
-    """Steps 1, 2 and 4 plus the self-send rule; subclasses add :meth:`_cross`."""
+    """Every step but the crossing; subclasses add :meth:`_cross`."""
 
     def __init__(
         self,
         scheduler: SchedulerAPI,
         trace: TraceSink,
+        plan: FaultPlan,
         metrics: Optional[MetricsRegistry] = None,
         deliver: Optional[Callable[[Message], None]] = None,
     ) -> None:
         self._scheduler = scheduler
         self._trace = trace
+        self._plan = plan
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._deliver = deliver
         # Counters, cheap enough to keep always-on.
@@ -112,13 +124,35 @@ class _MessagePath:
                 self.sent_network += 1
                 self._metrics.inc("messages_sent_total", channel=channel)
                 network.append(msg)
+        extra = _NO_EXTRA
+        if network and self._plan.active:
+            crossing, extra = [], []
+            for msg in network:
+                verdict = self._plan.plan(src, msg.dst)
+                if verdict is None:
+                    self._drop(msg, "fault")
+                else:
+                    crossing.append(msg)
+                    extra.append(verdict)
+            network = crossing
         if network:
-            self._cross(network)
+            self._cross(network, extra)
         return msgs
 
-    def _cross(self, msgs: List[Message]) -> None:
-        """Carry same-content network messages towards their destinations."""
+    def _cross(self, msgs: List[Message], extra: Iterable[Time]) -> None:
+        """Carry same-content network messages towards their destinations,
+        each held back by its *extra* delay."""
         raise NotImplementedError
+
+    def _drop(self, msg: Message, reason: str) -> None:
+        """Count and record a message lost between send and deliver."""
+        self.dropped_total += 1
+        self._metrics.inc("messages_dropped_total", reason=reason)
+        if self._trace.wants("drop"):
+            self._trace.record(
+                msg.send_time, "drop", msg.src, channel=msg.channel,
+                src=msg.src, dst=msg.dst, reason=reason,
+            )
 
     def _finish_delivery(self, msg: Message) -> None:
         self.delivered_total += 1
@@ -145,13 +179,14 @@ class Network(_MessagePath):
         scheduler: SchedulerAPI,
         trace: TraceSink,
         rng: random.Random,
+        plan: FaultPlan,
         default_link: Optional[Link] = None,
         deliver: Optional[Callable[[Message], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if n < 1:
             raise ConfigurationError(f"need at least one process, got n={n}")
-        super().__init__(scheduler, trace, metrics, deliver)
+        super().__init__(scheduler, trace, plan, metrics, deliver)
         self.n = n
         self._rng = rng
         self._default_link = default_link if default_link is not None else ReliableLink()
@@ -179,17 +214,13 @@ class Network(_MessagePath):
         return self._links.get((src, dst), self._default_link)
 
     # -------------------------------------------------------------- crossing
-    def _cross(self, msgs: List[Message]) -> None:
+    def _cross(self, msgs: List[Message], extra: Iterable[Time]) -> None:
         now = self._scheduler.now
-        for msg in msgs:
+        for msg, held in zip(msgs, extra):
             delay = self.link(msg.src, msg.dst).plan(msg, now, self._rng)
-            if delay is not None:
-                self._scheduler.schedule(delay, self._finish_delivery, msg)
-                continue
-            self.dropped_total += 1
-            self._metrics.inc("messages_dropped_total", reason="link")
-            if self._trace.wants("drop"):
-                self._trace.record(
-                    now, "drop", msg.src, channel=msg.channel, src=msg.src,
-                    dst=msg.dst, reason="link",
+            if delay is None:
+                self._drop(msg, "link")
+            else:
+                self._scheduler.schedule(
+                    delay + held, self._finish_delivery, msg
                 )

@@ -14,13 +14,14 @@ Everything in a world is deterministic given ``(topology, seed)``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import MemorySink, TraceSink
 from ..types import ProcessId, Time, validate_pid
 from .component import Component
+from .faults import FaultPlan, check_fault
 from .links import Link
 from .message import Message
 from .network import Network
@@ -68,11 +69,15 @@ class World:
         #: Callables run right before each metrics snapshot (live hosts
         #: register a transport-counter sampler here; empty in the sim).
         self.metrics_samplers: List[Callable[[MetricsRegistry], None]] = []
+        #: What the network does to messages beyond its static links —
+        #: partitions, stalls, loss, delay; mutate it through :meth:`fault`.
+        self.plan = FaultPlan(n, seed)
         self.network = Network(
             n=n,
             scheduler=self.scheduler,
             trace=self.trace,
             rng=self.rng.stream("network"),
+            plan=self.plan,
             default_link=default_link,
             metrics=self.metrics,
         )
@@ -146,6 +151,28 @@ class World:
         """Crash *pid* at absolute simulated *time*."""
         validate_pid(pid, self.n)
         self.scheduler.schedule_at(time, self.crash, pid)
+
+    # --------------------------------------------------------------- faults
+    def fault(
+        self, op: str, args: Dict[str, Any], at: Optional[Time] = None
+    ) -> None:
+        """Inject one fault of the :data:`~repro.sim.faults.FAULT_OPS`
+        vocabulary at absolute simulated time *at* (``None`` = now) — the
+        same entry point every cluster runtime has.  Validated here; a
+        ``crash`` crashes the process, anything else mutates :attr:`plan`
+        and is narrated as one ``scenario.*`` event."""
+        check_fault(op, args, self.n)
+        if at is not None:
+            self.scheduler.schedule_at(at, self._apply_fault, op, args)
+        else:
+            self._apply_fault(op, args)
+
+    def _apply_fault(self, op: str, args: Dict[str, Any]) -> None:
+        if op == "crash":
+            self.crash(args["pid"])
+            return
+        kind, pid, data = self.plan.apply(op, args)
+        self.trace.record(self.now, kind, pid, **data)
 
     @property
     def correct_pids(self) -> frozenset[ProcessId]:

@@ -19,7 +19,7 @@ from repro.cluster import (
     verdicts_ok,
 )
 from repro.errors import ConfigurationError
-from repro.net.faults import FAULT_OPS
+from repro.sim.faults import FAULT_OPS
 from repro.obs.sinks import MemorySink
 from repro.proc import AddressBook
 

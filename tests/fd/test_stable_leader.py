@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.fd import LeaderBasedOmega, OMEGA, StableLeaderOmega
 from repro.sim import (
     FixedDelay,
-    NetworkController,
     ReliableLink,
     UniformDelay,
     World,
@@ -69,14 +68,14 @@ class TestStability:
         good period: the classic stability stressor."""
         world = World(n=n, seed=seed, default_link=ReliableLink(FixedDelay(1.0)))
         dets = world.attach_all(detector_factory)
-        ctl = NetworkController(world)
+        at, set_link = world.scheduler.schedule_at, world.network.set_link
         # Recurring degradation windows for p0's output links.
         for start in range(100, 2000, 200):
             for dst in range(1, n):
-                ctl.degrade_between(
-                    float(start), float(start + 100), 0, dst,
-                    ReliableLink(UniformDelay(30.0, 60.0)),
-                )
+                flaky = ReliableLink(UniformDelay(30.0, 60.0))
+                at(float(start), set_link, 0, dst, flaky)
+                at(float(start + 100), set_link, 0, dst,
+                   world.network.link(0, dst))
         world.run(until=2500.0)
         return dets
 

@@ -18,7 +18,6 @@ from repro.fd import (
 )
 from repro.sim import (
     FixedDelay,
-    NetworkController,
     ReliableLink,
     World,
     crash_at,
@@ -68,8 +67,7 @@ class TestReliableLinksAssumption:
         """A permanent partition leaves no side with a majority: nobody
         decides, nobody diverges."""
         world, protos = build(n=4, seed=2)
-        ctl = NetworkController(world)
-        ctl.partition([0, 1], [2, 3])
+        world.fault("partition", {"groups": [[0, 1], [2, 3]]})
         world.run(until=1500.0)
         assert all(not p.decided for p in protos)
         outcome = extract_outcome(world.trace, "ec")
@@ -95,10 +93,10 @@ class TestReliableLinksAssumption:
                 channel="consensus.rb", retransmit_period=10.0))
             protos.append(world.attach(pid, ECConsensus(
                 fd, rb, stubborn_period=10.0)))
-        ctl = NetworkController(world)
         world.start()
         propose_all(protos)
-        ctl.partition_between(0.5, 300.0, [3, 4])
+        world.fault("partition", {"groups": [[3, 4]]}, at=0.5)
+        world.fault("heal", {}, at=300.0)
         world.run(until=250.0)
         majority = [protos[i] for i in (0, 1, 2)]
         minority = [protos[i] for i in (3, 4)]

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import (
     AsyncioClock,
+    FaultPlan,
     JsonCodec,
     LoopbackHub,
     LoopbackTransport,
@@ -38,7 +39,7 @@ def _pair(clock):
     hosts = []
     for pid in range(2):
         transport = LoopbackTransport(pid, hub)
-        host = NodeHost(pid, 2, transport, clock=clock)
+        host = NodeHost(pid, 2, transport, FaultPlan(2), clock=clock)
         transport.bind()
         hosts.append(host)
     addresses = {h.pid: h.transport.local_address for h in hosts}
@@ -130,9 +131,9 @@ def test_runtime_world_rejects_oracle_surface():
 def test_host_validates_pid_and_transport_pid():
     hub = LoopbackHub(VirtualClock())
     with pytest.raises(ConfigurationError):
-        NodeHost(5, 3, LoopbackTransport(5, hub))
+        NodeHost(5, 3, LoopbackTransport(5, hub), FaultPlan(3))
     with pytest.raises(ConfigurationError):
-        NodeHost(0, 3, LoopbackTransport(1, hub))
+        NodeHost(0, 3, LoopbackTransport(1, hub), FaultPlan(3))
 
 
 # ---------------------------------------------------------------- AsyncioClock

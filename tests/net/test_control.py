@@ -43,7 +43,7 @@ NETWORK_OPS = [
 def plan_state(plan):
     """Everything a fault can change, in comparable form."""
     return {
-        "cut": {pair for pair, cut in plan._cut.items() if cut},
+        "cut": set(plan._cut),
         "partitioned": plan.partitioned,
         "stalled": plan.stalled,
         "pair_loss": dict(plan._pair_loss),
@@ -65,7 +65,7 @@ def make_node():
     """A FaultPlan + the slice of NodeHost the endpoint uses."""
     plan = FaultPlan(N)
     clock = plan.clocks[NODE] = SkewedClock(VirtualClock())
-    host = SimpleNamespace(pid=NODE, clock=clock, trace=MemorySink())
+    host = SimpleNamespace(pid=NODE, plan=plan, clock=clock, trace=MemorySink())
     return plan, host
 
 
@@ -96,7 +96,7 @@ def serve(body):
 
     async def main():
         plan, host = make_node()
-        endpoint = FaultControlEndpoint(host, plan)
+        endpoint = FaultControlEndpoint(host)
         await endpoint.bind()
         try:
             return await body(endpoint, plan, host)
@@ -212,7 +212,7 @@ def test_rejected_command_raises_configuration_error_at_the_sender():
 def test_send_to_a_closed_port_raises_after_paced_attempts():
     async def main():
         plan, host = make_node()
-        endpoint = FaultControlEndpoint(host, plan)
+        endpoint = FaultControlEndpoint(host)
         address = await endpoint.bind()
         endpoint.close()
         await asyncio.sleep(0)  # let the socket actually close

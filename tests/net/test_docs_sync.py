@@ -1,5 +1,5 @@
 """docs/scenarios.md and docs/runtime.md describe the fault vocabulary —
-keep them in sync with the one op table (``repro.net.faults.FAULT_OPS``),
+keep them in sync with the one op table (``repro.sim.faults.FAULT_OPS``),
 the way tests/obs/test_docs_sync.py guards docs/traces.md."""
 
 import json
@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.net.faults import FAULT_OPS, check_fault
+from repro.sim.faults import FAULT_OPS, check_fault
 
 DOCS = Path(__file__).parents[2] / "docs"
-BEGIN = "<!-- BEGIN FAULT OP TABLE (checked against repro.net.faults.FAULT_OPS) -->"
+BEGIN = "<!-- BEGIN FAULT OP TABLE (checked against repro.sim.faults.FAULT_OPS) -->"
 END = "<!-- END FAULT OP TABLE -->"
 
 

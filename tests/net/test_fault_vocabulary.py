@@ -9,9 +9,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.clock import SkewedClock, VirtualClock
-from repro.net.faults import FAULT_OPS, PID_ARGS, FaultPlan, check_fault
-from repro.sim import World
-from repro.sim.partition import NetworkController, resolve_groups
+from repro.sim.faults import (
+    FAULT_OPS, PID_ARGS, FaultPlan, check_fault, resolve_groups,
+)
 
 #: One legal arg value per arg name, for a cluster of n=3.
 LEGAL = {
@@ -96,16 +96,27 @@ def test_numbers_must_be_numbers(name):
 @pytest.mark.parametrize("name", PID_ARGS)
 def test_pid_args_are_ranged_against_n(name):
     for op in ops_taking(name):
+        base = legal_args(op)
+        if name != "pid":  # the other end sits at 1, so src != dst throughout
+            base.update(src=1, dst=1)
         for pid in (0, 2):
-            check_fault(op, dict(legal_args(op), **{name: pid}), n=3)
+            check_fault(op, dict(base, **{name: pid}), n=3)
         for pid in (3, -1):  # pid n itself is the first illegal one
             with pytest.raises(ConfigurationError, match="out of range"):
-                check_fault(op, dict(legal_args(op), **{name: pid}), n=3)
+                check_fault(op, dict(base, **{name: pid}), n=3)
         for junk in ("1", 1.0, True, None):
             with pytest.raises(ConfigurationError):
-                check_fault(op, dict(legal_args(op), **{name: junk}), n=3)
+                check_fault(op, dict(base, **{name: junk}), n=3)
         # Without n only the shape can be judged (a ScenarioEvent alone).
-        check_fault(op, dict(legal_args(op), **{name: 99}))
+        check_fault(op, dict(base, **{name: 99}))
+
+
+def test_a_directed_pair_needs_two_ends():
+    # A self-send never crosses the network: nothing to degrade or restore.
+    for op in ops_taking("src"):
+        for n in (3, None):
+            with pytest.raises(ConfigurationError, match="both 1"):
+                check_fault(op, dict(legal_args(op), src=1, dst=1), n)
 
 
 # --------------------------------------------------------- partition groups
@@ -131,26 +142,15 @@ def test_resolve_groups_names_the_implicit_rest_group():
     assert resolve_groups([{1}], None) == [[1]]  # no n, no rest group
 
 
-def test_sim_controller_and_fault_plan_resolve_groups_identically():
-    """One group-resolution function: the simulator's switchboard and the
-    runtime plan cut exactly the same pairs and reject the same inputs."""
-    world = World(n=4, seed=0)
-    controller = NetworkController(world)
-    plan = FaultPlan(4)
-    controller.partition([3], [0])
-    applied = plan.partition([3], [0])
-    assert applied == [[3], [0], [1, 2]]
-    assert world.trace.events[-1].get("groups") == applied
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                cut = world.network.link(src, dst).cut
-                assert cut == (plan.plan(src, dst) is None), (src, dst)
-    for bad in ([[0, 9]], [[0, 1], [1]], [0]):
-        with pytest.raises(ConfigurationError):
-            controller.partition(*bad)
-        with pytest.raises(ConfigurationError):
-            plan.partition(*bad)
+def test_a_one_group_partition_cuts_nothing_and_leaves_the_plan_idle():
+    for groups in ([], [[0, 1, 2]], [[], [2, 0, 1]]):
+        plan = FaultPlan(3)
+        check_fault("partition", {"groups": groups}, n=3)
+        plan.apply("partition", {"groups": groups})
+        assert not plan.active and not plan.partitioned, groups
+    plan.partition([0])
+    plan.partition([0, 1, 2])  # a new partition replaces the old cut
+    assert not plan.active and plan.plan(0, 1) == 0.0
 
 
 # ------------------------------------------------------------ FaultPlan.apply

@@ -1,40 +1,17 @@
-"""Fault injection: the live twin of the simulator's link/partition model."""
+"""``FaultPlan.plan`` verdicts, as units.  What the send path does with a
+verdict (count, record, delay) is ``tests/test_message_path.py``."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import (
-    FaultPlan,
-    FaultyTransport,
-    LoopbackHub,
-    LoopbackTransport,
-    VirtualClock,
-)
+from repro.net import FaultPlan
 from repro.sim.delays import FixedDelay
 
 
-def _wired(n, plan, clock):
-    """n loopback endpoints wrapped in FaultyTransports, plus inboxes."""
-    hub = LoopbackHub(clock)
-    inboxes = {pid: [] for pid in range(n)}
-    wires = []
-    for pid in range(n):
-        real = LoopbackTransport(pid, hub)
-        wire = FaultyTransport(real, plan, clock)
-        wire.set_receiver(inboxes[pid].append)
-        wire.bind()
-        wires.append(wire)
-    addresses = {w.pid: w.local_address for w in wires}
-    for w in wires:
-        w.set_peers(addresses)
-    return wires, inboxes
-
-
 # -------------------------------------------------------------- plan verdicts
-def test_default_plan_passes_everything_through():
+def test_idle_plan_passes_everything_through():
     plan = FaultPlan(3)
-    assert plan.plan(0, 1) == 0.0
-    assert plan.dropped == 0 and plan.delayed == 0
+    assert plan.plan(0, 1) == 0.0 and not plan.active
 
 
 def test_partition_cuts_cross_group_pairs_both_ways():
@@ -70,7 +47,6 @@ def test_degrade_and_restore_are_per_directed_pair():
 def test_delay_model_verdicts_count_delays():
     plan = FaultPlan(2, delay=FixedDelay(1.5))
     assert plan.plan(0, 1) == 1.5
-    assert plan.delayed == 1
 
 
 def test_plan_validates_inputs():
@@ -122,8 +98,8 @@ def test_storm_floors_every_pair_until_calm():
 
 
 def test_active_flag_tracks_every_fault_family():
-    # The FaultyTransport fast path: an idle plan must read as inactive,
-    # and every verb pair must restore that state when undone.
+    # The send path's fast path: an idle plan must read as inactive, and
+    # every verb pair must restore that state when undone.
     plan = FaultPlan(3)
     assert not plan.active
     for arm, undo in (
@@ -137,42 +113,3 @@ def test_active_flag_tracks_every_fault_family():
         assert plan.active
         undo()
         assert not plan.active
-
-
-# --------------------------------------------------- proxy over the transport
-def test_faulty_transport_drops_across_partition():
-    clock = VirtualClock()
-    plan = FaultPlan(2)
-    wires, inboxes = _wired(2, plan, clock)
-    plan.partition([0])
-    wires[0].send(1, b"lost")
-    plan.heal()
-    wires[0].send(1, b"heard")
-    clock.run(until=1.0)
-    assert inboxes[1] == [b"heard"]
-    assert plan.dropped == 1
-
-
-def test_faulty_transport_realizes_delay_through_the_clock():
-    clock = VirtualClock()
-    plan = FaultPlan(2, delay=FixedDelay(3.0))
-    wires, inboxes = _wired(2, plan, clock)
-    wires[0].send(1, b"slow")
-    clock.run(until=2.9)
-    assert inboxes[1] == []  # still in flight at t < 3
-    clock.run(until=3.1)
-    assert inboxes[1] == [b"slow"]
-
-
-def test_loss_is_deterministic_under_a_seed():
-    def outcomes(seed):
-        clock = VirtualClock()
-        plan = FaultPlan(2, seed=seed, loss_prob=0.5)
-        wires, inboxes = _wired(2, plan, clock)
-        for i in range(30):
-            wires[0].send(1, b"%d" % i)
-        clock.run(until=1.0)
-        return list(inboxes[1])
-
-    assert outcomes(3) == outcomes(3)
-    assert outcomes(3) != outcomes(4)  # and the seed actually matters

@@ -169,7 +169,12 @@ def test_virtual_smoke_trace_and_verdict_block_match_the_parent(
                  "--trace-out", str(trace)]) == 0
     out = capsys.readouterr().out
     key = "scenario run --file examples/scenarios/smoke.json (virtual): "
-    assert sha256(trace.read_bytes()) == PARENT[key + "--trace-out file"]
+    # A fault-plan loss is a recorded `drop` now; nothing else may move.
+    lines = trace.read_bytes().splitlines(keepends=True)
+    drops = [line for line in lines if b'"k":"drop"' in line]
+    assert drops and all(b'"reason":"fault"' in line for line in drops)
+    rest = b"".join(line for line in lines if b'"k":"drop"' not in line)
+    assert sha256(rest) == PARENT[key + "--trace-out file"]
     # Only the header above `verdicts:` may change (it gained
     # propose_after= and the armed faults).
     block = out[out.index("verdicts:"):]

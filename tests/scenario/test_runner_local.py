@@ -130,6 +130,24 @@ def test_scenario_run_event_is_traced():
     assert runs[0].get("seed") == 9
 
 
+def test_wall_clock_scenario_ships_a_jsonl_trace_with_its_fault_drops(tmp_path):
+    # `scenario.run` is noted before start(); a wall run fixes its JSONL
+    # epoch in start(), so the note must wait for it (it used to write the
+    # header early and start() then refused to rebase).
+    scenario = Scenario(n=3, period=PERIOD, duration=0.3, events=[
+        {"t": 0.05, "op": "isolate", "pid": 2}, {"t": 0.2, "op": "heal"},
+    ])
+    out = tmp_path / "wall.jsonl"
+    cluster = LocalCluster(n=3, duration=scenario.duration, trace_out=out)
+    cluster.deploy_standard_stack(stack="ring", period=PERIOD)
+    asyncio.run(run_scenario(cluster, scenario))
+    text = out.read_text()
+    assert text.count('"k":"scenario.run"') == 1
+    drops = cluster.trace.select(kind="drop")
+    assert drops and all(ev.get("reason") == "fault" for ev in drops)
+    assert text.count('"k":"drop"') == len(drops)
+
+
 # ----------------------------------------------------- one event per fault
 def test_every_fault_family_is_narrated_with_one_literal_event_shape():
     """The (kind, pid, data) of each fault's trace event is defined once,

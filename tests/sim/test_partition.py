@@ -1,15 +1,11 @@
-"""Tests for the dynamic network controller (partitions, degradation)."""
+"""Dynamic network conditions on a simulated world: swapping a link model
+for a window (``Network.set_link``) and a partition under a real detector.
+The fault step itself (partition / isolate / heal / stall / delay / loss)
+is tested once for every substrate in ``tests/test_message_path.py``."""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.sim import (
-    Component,
-    FixedDelay,
-    NetworkController,
-    ReliableLink,
-    World,
-)
+from repro.sim import Component, FixedDelay, ReliableLink, World
 
 
 class Sink(Component):
@@ -27,93 +23,32 @@ class Sink(Component):
 def setup():
     world = World(n=4, seed=0, default_link=ReliableLink(FixedDelay(1.0)))
     comps = world.attach_all(lambda pid: Sink())
-    controller = NetworkController(world)
     world.start()
-    return world, comps, controller
-
-
-class TestPartition:
-    def test_cross_group_messages_dropped(self, setup):
-        world, comps, ctl = setup
-        ctl.partition([0, 1], [2, 3])
-        comps[0].send(1, "same-side")
-        comps[0].send(2, "other-side")
-        world.run()
-        assert comps[1].messages[0][:2] == (0, "same-side")
-        assert comps[2].messages == []
-
-    def test_heal_restores_traffic(self, setup):
-        world, comps, ctl = setup
-        ctl.partition([0], [1, 2, 3])
-        assert ctl.partitioned
-        ctl.heal()
-        assert not ctl.partitioned
-        comps[0].send(2, "after-heal")
-        world.run()
-        assert comps[2].messages[0][:2] == (0, "after-heal")
-
-    def test_implicit_rest_group(self, setup):
-        world, comps, ctl = setup
-        ctl.partition([0, 1])  # 2, 3 form the implicit rest group
-        comps[2].send(3, "rest-to-rest")
-        comps[2].send(0, "rest-to-named")
-        world.run()
-        assert comps[3].messages[0][1] == "rest-to-rest"
-        assert comps[0].messages == []
-
-    def test_isolate(self, setup):
-        world, comps, ctl = setup
-        ctl.isolate(3)
-        comps[3].send(0, "trapped")
-        comps[0].send(3, "unreachable")
-        comps[0].send(1, "fine")
-        world.run()
-        assert comps[0].messages == []
-        assert comps[3].messages == []
-        assert len(comps[1].messages) == 1
-
-    def test_partition_window_scheduling(self, setup):
-        world, comps, ctl = setup
-        ctl.partition_between(5.0, 10.0, [0, 1])
-        world.scheduler.schedule_at(6.0, lambda: comps[0].send(2, "during"))
-        world.scheduler.schedule_at(11.0, lambda: comps[0].send(2, "after"))
-        world.run()
-        assert [m[1] for m in comps[2].messages] == ["after"]
-
-    def test_validation(self, setup):
-        world, comps, ctl = setup
-        with pytest.raises(ConfigurationError):
-            ctl.partition([0, 1], [1, 2])  # overlapping
-        with pytest.raises(ConfigurationError):
-            ctl.partition([99])
-
-    def test_partition_recorded_in_trace(self, setup):
-        world, comps, ctl = setup
-        ctl.partition([0], [1, 2, 3])
-        ctl.heal()
-        assert world.trace.count("partition") == 1
-        assert world.trace.count("heal") == 1
+    return world, comps
 
 
 class TestDegrade:
     def test_degrade_changes_delay(self, setup):
-        world, comps, ctl = setup
-        ctl.degrade(0, 1, ReliableLink(FixedDelay(20.0)))
+        world, comps = setup
+        world.network.set_link(0, 1, ReliableLink(FixedDelay(20.0)))
         comps[0].send(1, "slow")
         world.run()
         assert comps[1].messages[0][2] == 20.0
 
     def test_restore(self, setup):
-        world, comps, ctl = setup
-        ctl.degrade(0, 1, ReliableLink(FixedDelay(20.0)))
-        ctl.restore(0, 1)
+        world, comps = setup
+        normal = world.network.link(0, 1)
+        world.network.set_link(0, 1, ReliableLink(FixedDelay(20.0)))
+        world.network.set_link(0, 1, normal)
         comps[0].send(1, "fast-again")
         world.run()
         assert comps[1].messages[0][2] == 1.0
 
     def test_degrade_window(self, setup):
-        world, comps, ctl = setup
-        ctl.degrade_between(5.0, 10.0, 0, 1, ReliableLink(FixedDelay(50.0)))
+        world, comps = setup
+        at, set_link = world.scheduler.schedule_at, world.network.set_link
+        at(5.0, set_link, 0, 1, ReliableLink(FixedDelay(50.0)))
+        at(10.0, set_link, 0, 1, world.network.link(0, 1))
         world.scheduler.schedule_at(6.0, lambda: comps[0].send(1, "slow"))
         world.scheduler.schedule_at(12.0, lambda: comps[0].send(1, "fast"))
         world.run()
@@ -132,8 +67,8 @@ class TestPartitionWithDetectors:
         dets = world.attach_all(
             lambda pid: HeartbeatEventuallyPerfect(initial_timeout=8.0)
         )
-        ctl = NetworkController(world)
-        ctl.partition_between(40.0, 120.0, [0, 1], [2, 3])
+        world.fault("partition", {"groups": [[0, 1], [2, 3]]}, at=40.0)
+        world.fault("heal", {}, at=120.0)
         world.run(until=600.0)
         # During the partition, suspicion across the split appeared...
         during = world.trace.select(

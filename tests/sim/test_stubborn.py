@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     Component,
     FixedDelay,
-    NetworkController,
     ReliableLink,
     World,
 )
@@ -26,20 +25,19 @@ class Chatter(Component):
 def setup():
     world = World(n=3, seed=0, default_link=ReliableLink(FixedDelay(1.0)))
     comps = world.attach_all(lambda pid: Chatter())
-    ctl = NetworkController(world)
     world.start()
-    return world, comps, ctl
+    return world, comps
 
 
 class TestStubbornResend:
     def test_off_by_default(self, setup):
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].send(1, ("hello", None), tag="t")
         world.run(until=50.0)
         assert len(comps[1].received) == 1
 
     def test_retransmits_last_message_per_tag(self, setup):
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].enable_stubborn_resend(5.0)
         comps[0].send(1, "m", tag="a")
         world.run(until=21.0)
@@ -48,7 +46,7 @@ class TestStubbornResend:
         assert all(payload == "m" for _, _, payload in comps[1].received)
 
     def test_newer_message_replaces_slot(self, setup):
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].enable_stubborn_resend(5.0)
         comps[0].send(1, "old", tag="a")
         world.scheduler.schedule_at(7.0, lambda: comps[0].send(1, "new", tag="a"))
@@ -60,7 +58,7 @@ class TestStubbornResend:
         assert "old" not in payloads[3:]
 
     def test_separate_tags_keep_separate_slots(self, setup):
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].enable_stubborn_resend(5.0)
         comps[0].send(1, "first-stream", tag="coord")
         comps[0].send(1, "second-stream", tag="prop")
@@ -75,19 +73,19 @@ class TestStubbornResend:
     def test_survives_partition(self, setup):
         """The whole point: a message lost to a partition arrives after
         healing thanks to retransmission."""
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].enable_stubborn_resend(5.0)
-        ctl.partition([0], [1, 2])
+        world.fault("partition", {"groups": [[0], [1, 2]]})
         comps[0].send(1, "through-the-cut", tag="x")
         world.run(until=20.0)
         assert comps[1].received == []
-        ctl.heal()
+        world.fault("heal", {})
         world.run(until=40.0)
         assert comps[1].received
         assert comps[1].received[0][2] == "through-the-cut"
 
     def test_idempotent_enable(self, setup):
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].enable_stubborn_resend(5.0)
         comps[0].enable_stubborn_resend(5.0)  # no double timers
         comps[0].send(1, "m", tag="a")
@@ -95,7 +93,7 @@ class TestStubbornResend:
         assert len(comps[1].received) == 3  # original + 2, not + 4
 
     def test_stops_on_crash(self, setup):
-        world, comps, ctl = setup
+        world, comps = setup
         comps[0].enable_stubborn_resend(5.0)
         comps[0].send(1, "m", tag="a")
         world.schedule_crash(0, 7.0)

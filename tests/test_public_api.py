@@ -18,6 +18,7 @@ from repro.analysis import (
 from repro.cluster import STACKS, TRANSPORTS
 from repro.lint import all_rules
 from repro.net import (
+    FaultPlan,
     LoopbackHub,
     LoopbackTransport,
     NodeHost,
@@ -177,7 +178,10 @@ class TestReexportIntegrity:
 
     def test_one_send_path_behind_both_networks(self):
         clock = VirtualClock()
-        host = NodeHost(0, 2, LoopbackTransport(0, LoopbackHub(clock)), clock=clock)
+        host = NodeHost(
+            0, 2, LoopbackTransport(0, LoopbackHub(clock)), FaultPlan(2),
+            clock=clock,
+        )
         for network in (World(n=2).network, host.world.network):
             assert isinstance(network, NetworkAPI)
         # The runtime adds only the crossing: send / send_many are the
@@ -187,6 +191,8 @@ class TestReexportIntegrity:
         )
         assert not hasattr(RuntimeNetwork, "set_link")
         assert RuntimeNetwork.send_many is Network.send_many
+        # One plan class for both; repro.net re-exports the simulator's.
+        assert FaultPlan is type(World(n=2).plan) is type(host.plan)
 
     def test_obs_schema_types_and_trace_alias(self):
         assert Trace is MemorySink  # the historical name stays importable
