@@ -11,9 +11,10 @@ transformed detector loses eventual strong accuracy.
 
 import pytest
 
-from repro.analysis import build_histories, check_eventual_strong_accuracy
+from repro.analysis import check_fd_class
 from repro.fd import (
     EVENTUALLY_CONSISTENT,
+    EVENTUALLY_PERFECT,
     OracleConfig,
     OracleFailureDetector,
 )
@@ -57,10 +58,10 @@ def run_case(increment, seed=3):
             else:
                 episodes_late += len(new)
         previous = ev.get("suspected")
-    histories = build_histories(world.trace, channel="fdp")
-    accuracy = check_eventual_strong_accuracy(
-        histories, world.correct_pids, END, margin=0.1
-    )
+    accuracy = check_fd_class(
+        world.trace, EVENTUALLY_PERFECT, world.correct_pids, channel="fdp",
+        end_time=END,
+    )["accuracy"]
     max_delta = max(leader.delta_of(q) for q in range(N) if q != LEADER)
     return episodes_early, episodes_late, max_delta, accuracy.ok
 

@@ -11,15 +11,8 @@ from .fd_properties import (
     FDRecord,
     PropertyCheck,
     build_histories,
-    check_eventual_strong_accuracy,
-    check_eventual_weak_accuracy,
     check_fd_class,
     check_fd_class_on_world,
-    check_omega,
-    check_strong_completeness,
-    check_trusted_not_suspected,
-    check_weak_completeness,
-    crash_times,
     require_fd_class,
 )
 from .metrics import (
@@ -32,7 +25,6 @@ from .metrics import (
     round_at,
     rounds_after,
     rounds_after_system,
-    steady_state_message_rate,
 )
 from .qos import (
     IncrementalQoS,
@@ -53,15 +45,8 @@ __all__ = [
     "FDRecord",
     "PropertyCheck",
     "build_histories",
-    "check_eventual_strong_accuracy",
-    "check_eventual_weak_accuracy",
     "check_fd_class",
     "check_fd_class_on_world",
-    "check_omega",
-    "check_strong_completeness",
-    "check_trusted_not_suspected",
-    "check_weak_completeness",
-    "crash_times",
     "require_fd_class",
     "channel_message_count",
     "detection_latency",
@@ -72,7 +57,6 @@ __all__ = [
     "round_at",
     "rounds_after",
     "rounds_after_system",
-    "steady_state_message_rate",
     "IncrementalQoS",
     "Mistake",
     "QoSReport",

@@ -11,33 +11,33 @@ adaptive timeouts) happens well before the margin.
 All checkers quantify over *correct* processes only, exactly like the
 definitions in Section 1.1 of the paper.
 
-Every checker takes any :data:`~repro.obs.reader.TraceSource` — a live
-in-memory trace, a ``.jsonl`` file path, or a merged postmortem stream —
-and coerces it with :func:`repro.obs.as_trace` (free for the in-memory
-case), so live and shipped traces are checked by the same code.
+There is no second reader of detector output here: :func:`check_fd_class`
+folds the trace's ``fd`` and ``crash`` events into the one
+:class:`~repro.analysis.qos.IncrementalQoS` engine and reads every
+property off its per-observer stretch starts — a property's stabilization
+time is the latest, over the correct processes, of the start of their
+current clean stretch.  It takes any :data:`~repro.obs.reader.TraceSource`
+— a live in-memory trace, a ``.jsonl`` file path, or a merged postmortem
+stream — so live and shipped traces are checked by the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from ..errors import PropertyViolation
 from ..fd.classes import FDClass
 from ..obs.reader import TraceSource, as_trace
 from ..types import ProcessId, Time
+from .qos import fold_detector
 
 __all__ = [
     "FDRecord",
     "PropertyCheck",
     "build_histories",
-    "crash_times",
-    "check_strong_completeness",
-    "check_weak_completeness",
-    "check_eventual_strong_accuracy",
-    "check_eventual_weak_accuracy",
-    "check_omega",
-    "check_trusted_not_suspected",
     "check_fd_class",
     "require_fd_class",
 ]
@@ -61,10 +61,6 @@ class PropertyCheck:
         return self.ok
 
 
-# --------------------------------------------------------------------------
-# Trace extraction
-# --------------------------------------------------------------------------
-
 def build_histories(
     trace: TraceSource, channel: str = "fd"
 ) -> Dict[ProcessId, List[FDRecord]]:
@@ -78,194 +74,32 @@ def build_histories(
     return histories
 
 
-def crash_times(trace: TraceSource) -> Dict[ProcessId, Time]:
-    """``pid -> crash time`` for every crash recorded in *trace*."""
-    return {
-        ev.pid: ev.time for ev in as_trace(trace).events if ev.kind == "crash"
-    }
-
-
-# --------------------------------------------------------------------------
-# Core suffix machinery
-# --------------------------------------------------------------------------
-
-def _stabilization(
-    histories: Dict[ProcessId, List[FDRecord]],
-    pids: FrozenSet[ProcessId],
-    violated,
+def _settled(
+    read: Callable[..., Optional[Time]], pids: Iterable[ProcessId], *args: Any
 ) -> Optional[Time]:
-    """Earliest time from which ``violated(pid, suspected, trusted)`` is
-    false at every process in *pids* for the remainder of the run.
-
-    Histories are step functions: a record's value holds until the next
-    record, so the stabilization point is the timestamp of the first record
-    opening the final clean stretch.  Returns ``None`` when some process is
-    still violating at its last record (never stabilizes) or has no records
-    at all (nothing can be verified about it).
-    """
+    """When ``read(pid, *args)`` — the start of a clean stretch — has held
+    at every process of *pids*: the latest start (0.0 for none); ``None``
+    if one process is not clean now."""
     worst = 0.0
     for pid in pids:
-        records = histories.get(pid, [])
-        clean_since: Optional[Time] = None
-        for time, suspected, trusted in records:
-            if violated(pid, suspected, trusted):
-                clean_since = None
-            elif clean_since is None:
-                clean_since = time
-        if clean_since is None:
+        since = read(pid, *args)
+        if since is None:
             return None
-        if clean_since > worst:
-            worst = clean_since
+        if since > worst:
+            worst = since
     return worst
 
 
-def _result(
-    name: str,
-    stabilized_at: Optional[Time],
-    end_time: Time,
-    margin: float,
-    witness: Optional[ProcessId] = None,
-    detail: str = "",
-) -> PropertyCheck:
-    if stabilized_at is None:
-        return PropertyCheck(name, False, None, end_time, witness, detail)
-    ok = stabilized_at <= end_time * (1.0 - margin)
-    return PropertyCheck(name, ok, stabilized_at, end_time, witness, detail)
+def _earliest(
+    candidates: Iterable[Tuple[Optional[Time], ProcessId]]
+) -> Tuple[Optional[Time], Optional[ProcessId]]:
+    """The earliest settled ``(time, witness)``; ties go to the first."""
+    best: Tuple[Optional[Time], Optional[ProcessId]] = (None, None)
+    for since, witness in candidates:
+        if since is not None and (best[0] is None or since < best[0]):
+            best = (since, witness)
+    return best
 
-
-# --------------------------------------------------------------------------
-# Individual properties
-# --------------------------------------------------------------------------
-
-def check_strong_completeness(
-    histories: Dict[ProcessId, List[FDRecord]],
-    crashed: Dict[ProcessId, Time],
-    correct: FrozenSet[ProcessId],
-    end_time: Time,
-    margin: float = 0.1,
-) -> PropertyCheck:
-    """Eventually every crashed process is permanently suspected by *every*
-    correct process."""
-    if not crashed:
-        return PropertyCheck("strong-completeness", True, 0.0, end_time,
-                             detail="vacuous: no crashes")
-    crashed_set = frozenset(crashed)
-
-    def violated(pid, suspected, trusted):
-        return not crashed_set <= suspected
-
-    worst = _stabilization(histories, correct, violated)
-    if worst is not None:
-        worst = max(worst, max(crashed.values()))
-    return _result("strong-completeness", worst, end_time, margin)
-
-
-def check_weak_completeness(
-    histories: Dict[ProcessId, List[FDRecord]],
-    crashed: Dict[ProcessId, Time],
-    correct: FrozenSet[ProcessId],
-    end_time: Time,
-    margin: float = 0.1,
-) -> PropertyCheck:
-    """Eventually every crashed process is permanently suspected by *some*
-    correct process."""
-    if not crashed:
-        return PropertyCheck("weak-completeness", True, 0.0, end_time,
-                             detail="vacuous: no crashes")
-    crashed_set = frozenset(crashed)
-    best: Optional[Tuple[Time, ProcessId]] = None
-    for pid in correct:
-        worst = _stabilization(
-            histories, frozenset({pid}),
-            lambda _p, suspected, _t: not crashed_set <= suspected,
-        )
-        if worst is None:
-            continue
-        worst = max(worst, max(crashed.values()))
-        if best is None or worst < best[0]:
-            best = (worst, pid)
-    if best is None:
-        return PropertyCheck("weak-completeness", False, None, end_time)
-    return _result("weak-completeness", best[0], end_time, margin,
-                   witness=best[1])
-
-
-def check_eventual_strong_accuracy(
-    histories: Dict[ProcessId, List[FDRecord]],
-    correct: FrozenSet[ProcessId],
-    end_time: Time,
-    margin: float = 0.1,
-) -> PropertyCheck:
-    """Eventually *no* correct process is suspected by any correct process."""
-
-    def violated(pid, suspected, trusted):
-        return bool(suspected & correct)
-
-    worst = _stabilization(histories, correct, violated)
-    return _result("eventual-strong-accuracy", worst, end_time, margin)
-
-
-def check_eventual_weak_accuracy(
-    histories: Dict[ProcessId, List[FDRecord]],
-    correct: FrozenSet[ProcessId],
-    end_time: Time,
-    margin: float = 0.1,
-) -> PropertyCheck:
-    """Eventually *some* correct process is suspected by no correct process."""
-    best: Optional[Tuple[Time, ProcessId]] = None
-    for q in correct:
-        worst = _stabilization(
-            histories, correct,
-            lambda _p, suspected, _t, q=q: q in suspected,
-        )
-        if worst is not None and (best is None or worst < best[0]):
-            best = (worst, q)
-    if best is None:
-        return PropertyCheck("eventual-weak-accuracy", False, None, end_time)
-    return _result("eventual-weak-accuracy", best[0], end_time, margin,
-                   witness=best[1])
-
-
-def check_omega(
-    histories: Dict[ProcessId, List[FDRecord]],
-    correct: FrozenSet[ProcessId],
-    end_time: Time,
-    margin: float = 0.1,
-) -> PropertyCheck:
-    """Property 1: eventually every correct process permanently trusts the
-    same *correct* process."""
-    best: Optional[Tuple[Time, ProcessId]] = None
-    for q in correct:
-        worst = _stabilization(
-            histories, correct,
-            lambda _p, _s, trusted, q=q: trusted != q,
-        )
-        if worst is not None and (best is None or worst < best[0]):
-            best = (worst, q)
-    if best is None:
-        return PropertyCheck("omega", False, None, end_time)
-    return _result("omega", best[0], end_time, margin, witness=best[1])
-
-
-def check_trusted_not_suspected(
-    histories: Dict[ProcessId, List[FDRecord]],
-    correct: FrozenSet[ProcessId],
-    end_time: Time,
-    margin: float = 0.1,
-) -> PropertyCheck:
-    """Definition 1, third clause: eventually ``trusted ∉ suspected`` at
-    every correct process."""
-
-    def violated(pid, suspected, trusted):
-        return trusted is not None and trusted in suspected
-
-    worst = _stabilization(histories, correct, violated)
-    return _result("trusted-not-suspected", worst, end_time, margin)
-
-
-# --------------------------------------------------------------------------
-# Whole-class checks
-# --------------------------------------------------------------------------
 
 def check_fd_class(
     trace: TraceSource,
@@ -278,38 +112,60 @@ def check_fd_class(
     """Check every property required by *fd_class* on one run's trace.
 
     Returns a mapping ``property name -> PropertyCheck``; the run satisfies
-    the class iff every entry is ok.
+    the class iff every entry is ok.  A property holds when it stabilized
+    by ``end × (1 − margin)``; *end* is the trace's last timestamp unless
+    *end_time* is given.  Per property, a process is clean since:
+
+    * strong completeness — it suspects every crashed process (and the
+      last crash happened); weak — the same at one witness;
+    * eventual strong accuracy — it suspects no correct process; weak —
+      it does not suspect one witness;
+    * Ω — it trusts the one correct leader every correct process trusts;
+    * trusted ∉ suspected — its trusted process is not in its suspects.
     """
     trace = as_trace(trace)
-    histories = build_histories(trace, channel=channel)
-    crashed = crash_times(trace)
+    engine = fold_detector(trace, channel)
     end = end_time if end_time is not None else trace.end_time
+    crashes = engine.crashes
     results: Dict[str, PropertyCheck] = {}
 
-    if fd_class.completeness == "strong":
-        results["completeness"] = check_strong_completeness(
-            histories, crashed, correct, end, margin
-        )
-    elif fd_class.completeness == "weak":
-        results["completeness"] = check_weak_completeness(
-            histories, crashed, correct, end, margin
-        )
+    def check(
+        name: str, since: Optional[Time], witness: Optional[ProcessId] = None
+    ) -> PropertyCheck:
+        ok = since is not None and since <= end * (1.0 - margin)
+        return PropertyCheck(name, ok, since, end, witness)
+
+    def completed(pids: Iterable[ProcessId]) -> Optional[Time]:
+        since = _settled(engine.suspecting_all_since, pids, crashes)
+        return None if since is None else max(since, *crashes.values())
+
+    if fd_class.completeness in ("strong", "weak"):
+        name = f"{fd_class.completeness}-completeness"
+        if not crashes:
+            results["completeness"] = PropertyCheck(
+                name, True, 0.0, end, detail="vacuous: no crashes")
+        elif fd_class.completeness == "strong":
+            results["completeness"] = check(name, completed(correct))
+        else:
+            results["completeness"] = check(name, *_earliest(
+                (completed((pid,)), pid) for pid in correct))
 
     if fd_class.accuracy in ("eventual-strong", "strong"):
-        results["accuracy"] = check_eventual_strong_accuracy(
-            histories, correct, end, margin
-        )
+        results["accuracy"] = check("eventual-strong-accuracy", _settled(
+            engine.suspecting_none_since, correct, correct))
     elif fd_class.accuracy == "eventual-weak":
-        results["accuracy"] = check_eventual_weak_accuracy(
-            histories, correct, end, margin
-        )
+        results["accuracy"] = check("eventual-weak-accuracy", *_earliest(
+            (_settled(engine.suspecting_none_since, correct, (q,)), q)
+            for q in correct
+        ))
 
     if fd_class.leader:
-        results["omega"] = check_omega(histories, correct, end, margin)
+        results["omega"] = check("omega", *engine.stable_leader(correct))
 
     if fd_class.trusted_not_suspected:
-        results["trusted-not-suspected"] = check_trusted_not_suspected(
-            histories, correct, end, margin
+        results["trusted-not-suspected"] = check(
+            "trusted-not-suspected",
+            _settled(engine.consistent_since, correct),
         )
     return results
 

@@ -2,18 +2,17 @@
 
 These are the measurement functions behind the benchmark harnesses:
 messages per round, phases per round, rounds to (and after) stabilization,
-steady-state message rates of failure detectors, and crash-detection
-latency.  Everything is computed from trace events the protocols emit —
-nothing is hard-coded from the paper's analysis.
+and crash-detection latency.  Everything is computed from trace events the
+protocols emit — nothing is hard-coded from the paper's analysis.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 from ..obs.reader import TraceSource, as_trace
 from ..types import ProcessId, Time
-from .fd_properties import build_histories
+from .qos import fold_detector
 
 __all__ = [
     "messages_per_round",
@@ -22,7 +21,6 @@ __all__ = [
     "max_phases_per_round",
     "round_at",
     "rounds_after",
-    "steady_state_message_rate",
     "detection_latency",
     "channel_message_count",
 ]
@@ -172,22 +170,6 @@ def rounds_after_system(trace: TraceSource, time: Time, algo: str) -> Optional[i
 # Failure-detector metrics
 # --------------------------------------------------------------------------
 
-def steady_state_message_rate(
-    trace: TraceSource,
-    channels: Tuple[str, ...],
-    window: Tuple[Time, Time],
-    period: Time,
-) -> float:
-    """Messages per *period* sent on *channels* during *window* — the
-    "messages periodically sent" cost measure of Section 4."""
-    t0, t1 = window
-    total = sum(
-        channel_message_count(trace, ch, after=t0, before=t1) for ch in channels
-    )
-    spans = (t1 - t0) / period
-    return total / spans if spans > 0 else 0.0
-
-
 def detection_latency(
     trace: TraceSource,
     crashed_pid: ProcessId,
@@ -196,20 +178,7 @@ def detection_latency(
     channel: str = "fd",
 ) -> Optional[Time]:
     """Time from the crash until *every* correct process suspects the
-    crashed process permanently (None if some never does)."""
-    histories = build_histories(trace, channel=channel)
-    worst: Time = crash_time
-    for pid in correct:
-        # Start of the final (permanent) suspicion period at this process.
-        permanent_since: Optional[Time] = None
-        for time, suspected, _ in histories.get(pid, []):
-            if crashed_pid in suspected:
-                if permanent_since is None:
-                    permanent_since = time
-            else:
-                permanent_since = None
-        if permanent_since is None:
-            return None
-        if permanent_since > worst:
-            worst = permanent_since
-    return worst - crash_time
+    crashed process permanently (None if some never does): the QoS
+    engine's T_D."""
+    return fold_detector(trace, channel).detection(
+        crashed_pid, crash_time, correct)

@@ -28,7 +28,11 @@ run is still going (``repro watch``); :func:`qos_report` is the offline
 front end and nothing but a fold of the same machine over a recorded
 trace (``repro trace qos``, ``repro scenario run``,
 ``benchmarks/bench_n2_live_qos.py``) — so a scoring rule is written once
-and a live report equals the postmortem one over the same events.
+and a live report equals the postmortem one over the same events.  The
+class verdicts of Definition 1
+(:func:`~repro.analysis.fd_properties.check_fd_class`) and
+:func:`~repro.analysis.metrics.detection_latency` are reads of the same
+machine too, fed by :func:`fold_detector`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from ..obs.events import TraceEvent
@@ -47,6 +52,7 @@ __all__ = [
     "IncrementalQoS",
     "Mistake",
     "QoSReport",
+    "fold_detector",
     "qos_report",
     "transformation_bound",
 ]
@@ -213,6 +219,13 @@ class IncrementalQoS:
     opened it) and screened against the crashes known when the report is
     taken — intervals whose suspect had already crashed are discarded,
     intervals whose suspect crashed mid-mistake end at the crash.
+
+    The *stretch reads* (:meth:`suspecting_all_since`,
+    :meth:`suspecting_none_since`, :meth:`consistent_since`,
+    :meth:`stable_leader`) answer "since when has observer p's output
+    satisfied this predicate at every record" — the building block of
+    every "eventually permanently" property.  They assume each observer's
+    records arrive in time order, as every trace source delivers them.
     """
 
     def __init__(self, channel: str = "fd") -> None:
@@ -225,13 +238,19 @@ class IncrementalQoS:
         #: channel -> times of non-loopback sends (sorted lazily at report).
         self._sends: Dict[Any, List[Time]] = {}
         # Per-observer detector state for `channel`:
+        #: observer -> time of its first output record.
+        self._first_output: Dict[ProcessId, Time] = {}
         self._previous: Dict[ProcessId, FrozenSet[ProcessId]] = {}
         #: observer -> {suspect: open time} — tentatively open mistakes.
         self._open_since: Dict[ProcessId, Dict[ProcessId, Time]] = {}
-        #: observer -> [(suspect, start, retraction time)] — closed ones.
+        #: observer -> [(suspect, start, retraction time)] — closed ones,
+        #: in record order.
         self._closed: Dict[ProcessId, List[Tuple[ProcessId, Time, Time]]] = {}
         #: observer -> {suspect: start of its current suspicion stretch}.
         self._suspect_since: Dict[ProcessId, Dict[ProcessId, Time]] = {}
+        #: observer -> start of its current trusted ∉ suspected stretch
+        #: (``None`` while its latest output trusts a suspect).
+        self._consistent_since: Dict[ProcessId, Optional[Time]] = {}
         #: observer -> last trusted output / start of that constant run.
         self._trusted: Dict[ProcessId, Optional[ProcessId]] = {}
         self._run_start: Dict[ProcessId, Time] = {}
@@ -280,9 +299,12 @@ class IncrementalQoS:
         trusted: Optional[ProcessId],
     ) -> None:
         # Leader-run tracking (suspected-less records still carry trusted).
-        if observer not in self._trusted or self._trusted[observer] != trusted:
-            self._trusted[observer] = trusted
+        if observer not in self._trusted:
+            self._first_output[observer] = t
             self._run_start[observer] = t
+        elif self._trusted[observer] != trusted:
+            self._run_start[observer] = t
+        self._trusted[observer] = trusted
         if suspected is None:
             return
         suspected = frozenset(suspected)
@@ -298,6 +320,10 @@ class IncrementalQoS:
                 self._closed.setdefault(observer, []).append((q, start, t))
             stretch.pop(q, None)
         self._previous[observer] = suspected
+        if trusted is not None and trusted in suspected:
+            self._consistent_since[observer] = None
+        elif self._consistent_since.get(observer) is None:
+            self._consistent_since[observer] = t
 
     # ------------------------------------------------------------ reporting
     @property
@@ -308,6 +334,41 @@ class IncrementalQoS:
     @property
     def event_count(self) -> int:
         return self._event_count
+
+    @property
+    def crashes(self) -> Dict[ProcessId, Time]:
+        """``pid -> crash time`` for every crash seen (do not mutate)."""
+        return self._crashes
+
+    # --------------------------------------------------------- stretch reads
+    def suspecting_all_since(
+        self, pid: ProcessId, victims: Iterable[ProcessId]
+    ) -> Optional[Time]:
+        """Start of *pid*'s current stretch suspecting every process of
+        (non-empty) *victims*; ``None`` if its latest output misses one."""
+        stretch = self._suspect_since.get(pid, {})
+        starts = [stretch.get(victim) for victim in victims]
+        return None if None in starts else max(starts)
+
+    def suspecting_none_since(
+        self, pid: ProcessId, innocents: Collection[ProcessId]
+    ) -> Optional[Time]:
+        """Start of *pid*'s current stretch suspecting no process of
+        *innocents*: its latest retraction of one, else its first output;
+        ``None`` if its latest output suspects one (or it has none)."""
+        if pid not in self._first_output or not self._previous.get(
+            pid, frozenset()
+        ).isdisjoint(innocents):
+            return None
+        for suspect, _start, retracted in reversed(self._closed.get(pid, ())):
+            if suspect in innocents:
+                return retracted
+        return self._first_output[pid]
+
+    def consistent_since(self, pid: ProcessId) -> Optional[Time]:
+        """Start of *pid*'s current trusted ∉ suspected stretch; ``None``
+        if its latest output trusts a suspect (or it has none)."""
+        return self._consistent_since.get(pid)
 
     def report(
         self,
@@ -329,14 +390,14 @@ class IncrementalQoS:
         correct = frozenset(correct)
 
         detection = {
-            victim: self._detection(victim, at, correct)
+            victim: self.detection(victim, at, correct)
             for victim, at in crashes.items()
         }
         mistakes = self._mistakes(correct, crashes)
         mistake_rate = len(mistakes) / end_time if end_time > 0 else None
         durations = [m.duration for m in mistakes if m.duration is not None]
         mean_duration = sum(durations) / len(durations) if durations else None
-        stabilized_at, leader = self._leader(correct)
+        stabilized_at, leader = self.stable_leader(correct)
 
         report = QoSReport(
             n=n, channel=self.channel, end_time=end_time, correct=correct,
@@ -380,17 +441,17 @@ class IncrementalQoS:
                 )
         return report
 
-    def _detection(
+    def detection(
         self,
         victim: ProcessId,
         crash_time: Time,
-        correct: FrozenSet[ProcessId],
+        correct: Iterable[ProcessId],
     ) -> Optional[Time]:
         """T_D: crash until the last correct observer's final (permanent)
         suspicion stretch of *victim* began; ``None`` if one never did."""
         worst = crash_time
         for pid in correct:
-            since = self._suspect_since.get(pid, {}).get(victim)
+            since = self.suspecting_all_since(pid, (victim,))
             if since is None:
                 return None
             if since > worst:
@@ -427,11 +488,12 @@ class IncrementalQoS:
         mistakes.sort(key=lambda m: (m.start, m.observer, m.suspect))
         return mistakes
 
-    def _leader(
+    def stable_leader(
         self, correct: FrozenSet[ProcessId]
     ) -> Tuple[Optional[Time], Optional[ProcessId]]:
         """Earliest time from which all correct trusted outputs permanently
-        agree on one correct leader; ``(None, None)`` if they never do."""
+        agree on one correct leader, and that leader; ``(None, None)`` if
+        they never do."""
         if not correct or not all(pid in self._trusted for pid in correct):
             return None, None
         finals = {self._trusted[pid] for pid in correct}
@@ -511,3 +573,14 @@ def qos_report(
         correct=correct, period=period, cost_channels=cost_channels,
         bound_channel=bound_channel, n=n, bound_tolerance=bound_tolerance,
     )
+
+
+def fold_detector(trace: TraceSource, channel: str = "fd") -> IncrementalQoS:
+    """An :class:`IncrementalQoS` fed *trace*'s ``fd`` and ``crash``
+    events only — all its stretch reads, :meth:`~IncrementalQoS.detection`
+    and :meth:`~IncrementalQoS.stable_leader` need."""
+    engine = IncrementalQoS(channel=channel)
+    for event in as_trace(trace).events:
+        if event.kind == "fd" or event.kind == "crash":
+            engine.observe_event(event)
+    return engine

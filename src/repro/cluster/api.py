@@ -37,7 +37,8 @@ recovers and is excluded from the correct set (no restart semantics).
 completeness, eventual weak accuracy, Ω eventual leader agreement,
 trusted ∉ suspected) plus the four Uniform Consensus properties over any
 trace source, so an in-memory live trace and a merged multi-process trace
-are judged by exactly the same code.
+are judged by exactly the same code; :func:`stack_verdicts` is the one
+dispatch (``rsm`` stack → :func:`rsm_verdicts`) every substrate calls.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "ClusterAPI",
     "FAULT_VERBS",
     "FaultVerbs",
+    "stack_verdicts",
     "standard_verdicts",
     "rsm_verdicts",
     "verdicts_ok",
@@ -292,6 +294,42 @@ class FaultVerbs:
         self.fault("skew", {"pid": pid, "offset": offset}, at)
 
 
+def stack_verdicts(
+    stack: str,
+    trace: TraceSource,
+    correct: FrozenSet[ProcessId],
+    channel: str = "fd",
+    algo: str = "ec",
+    end_time: Optional[Time] = None,
+) -> Dict[str, Any]:
+    """Judge a run of a deployment of *stack* — the one dispatch every
+    substrate's ``verdicts()`` calls: an ``rsm`` stack by
+    :func:`rsm_verdicts` (log-level agreement/prefix/progress), anything
+    else by :func:`standard_verdicts` (one-shot Uniform Consensus)."""
+    if stack == "rsm":
+        return rsm_verdicts(trace, correct, channel=channel, end_time=end_time)
+    return standard_verdicts(
+        trace, correct, channel=channel, algo=algo, end_time=end_time)
+
+
+def _fd_verdicts(
+    trace: TraceSource,
+    correct: FrozenSet[ProcessId],
+    channel: str,
+    fd_class: FDClass,
+    end_time: Optional[Time],
+    margin: float,
+) -> Dict[str, Any]:
+    """The ``fd.<property>`` block both judges open with."""
+    return {
+        f"fd.{name}": result
+        for name, result in check_fd_class(
+            trace, fd_class, correct,
+            channel=channel, margin=margin, end_time=end_time,
+        ).items()
+    }
+
+
 def standard_verdicts(
     trace: TraceSource,
     correct: FrozenSet[ProcessId],
@@ -309,13 +347,7 @@ def standard_verdicts(
     :func:`verdicts_ok` for the single pass/fail bit.
     """
     trace = as_trace(trace)
-    verdicts: Dict[str, Any] = {}
-    fd_results = check_fd_class(
-        trace, fd_class, correct,
-        channel=channel, margin=margin, end_time=end_time,
-    )
-    for name, result in fd_results.items():
-        verdicts[f"fd.{name}"] = result
+    verdicts = _fd_verdicts(trace, correct, channel, fd_class, end_time, margin)
     outcome = extract_outcome(trace, algo)
     for name, ok in check_consensus(outcome, correct).items():
         verdicts[f"consensus.{name}"] = ok
@@ -348,13 +380,7 @@ def rsm_verdicts(
       command whenever any replica did.
     """
     trace = as_trace(trace)
-    verdicts: Dict[str, Any] = {}
-    fd_results = check_fd_class(
-        trace, fd_class, correct,
-        channel=channel, margin=margin, end_time=end_time,
-    )
-    for name, result in fd_results.items():
-        verdicts[f"fd.{name}"] = result
+    verdicts = _fd_verdicts(trace, correct, channel, fd_class, end_time, margin)
     # Log positions are (slot, index): batched slots apply several
     # commands, each traced with its position inside the batch (older
     # traces without the key collapse to index 0, the unbatched shape).

@@ -65,7 +65,7 @@ from ..sim.component import Component
 from ..sim.faults import FaultPlan
 from ..transform.c_to_p import CToPTransformation
 from ..types import ProcessId, Time
-from .api import FaultVerbs, rsm_verdicts, standard_verdicts
+from .api import FaultVerbs, stack_verdicts
 from .config import NodeConfig
 
 __all__ = [
@@ -464,19 +464,10 @@ class LocalCluster(FaultVerbs):
         return self.trace
 
     def verdicts(self, channel: str = "fd", algo: str = "ec") -> Dict[str, Any]:
-        """Machine-checked FD + consensus properties of the run so far.
-
-        An ``rsm`` deployment is judged by :func:`rsm_verdicts` (log-level
-        agreement/prefix/progress); anything else by
-        :func:`standard_verdicts` (one-shot Uniform Consensus).
-        """
-        if self.config.stack == "rsm":
-            return rsm_verdicts(
-                self.trace, self.correct_pids,
-                channel=channel, end_time=self.now,
-            )
-        return standard_verdicts(
-            self.trace, self.correct_pids,
+        """Machine-checked FD + consensus properties of the run so far
+        (:func:`~repro.cluster.api.stack_verdicts`)."""
+        return stack_verdicts(
+            self.config.stack, self.trace, self.correct_pids,
             channel=channel, algo=algo, end_time=self.now,
         )
 

@@ -128,7 +128,7 @@ class OracleFailureDetector(FailureDetector):
     def _recompute(self) -> None:
         cfg = self.config
         if self.now < cfg.stabilize_time and cfg.pre_behavior != "ideal":
-            suspected, trusted = self._pre_stabilization_output()
+            suspected, trusted = self._pre_stable_output()
             self._ideal_epoch = -1
         else:
             # Ideal output depends only on the failure pattern (unless a
@@ -145,7 +145,7 @@ class OracleFailureDetector(FailureDetector):
                 self._ideal_epoch = self.world.crash_epoch
         self._set_output(suspected=suspected, trusted=trusted)
 
-    def _pre_stabilization_output(self):
+    def _pre_stable_output(self):
         cfg = self.config
         others = [q for q in range(self.n) if q != self.pid]
         if cfg.pre_behavior == "suspect-all":

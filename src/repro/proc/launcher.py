@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..cluster.api import FaultVerbs, rsm_verdicts, standard_verdicts
+from ..cluster.api import FaultVerbs, stack_verdicts
 from ..net.control import send_fault_command
 from ..obs.events import TraceEvent
 from ..obs.merge import MergeReport, merge_traces
@@ -537,18 +537,11 @@ class ProcessCluster(FaultVerbs):
         return path
 
     def verdicts(self, channel: str = "fd", algo: str = "ec") -> Dict[str, Any]:
-        """Machine-checked FD + consensus properties of the merged run.
-
-        An ``rsm`` cluster is judged by :func:`rsm_verdicts` (log-level
-        agreement/prefix/progress over ``apply`` events); anything else
-        by :func:`standard_verdicts`.
-        """
-        if self.config.stack == "rsm":
-            return rsm_verdicts(
-                self.traces(), self.correct_pids, channel=channel,
-            )
-        return standard_verdicts(
-            self.traces(), self.correct_pids, channel=channel, algo=algo,
+        """Machine-checked FD + consensus properties of the merged run
+        (:func:`~repro.cluster.api.stack_verdicts`)."""
+        return stack_verdicts(
+            self.config.stack, self.traces(), self.correct_pids,
+            channel=channel, algo=algo,
         )
 
     def __repr__(self) -> str:

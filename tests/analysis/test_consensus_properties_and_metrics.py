@@ -18,7 +18,6 @@ from repro.analysis import (
     require_consensus,
     round_at,
     rounds_after,
-    steady_state_message_rate,
     summarize,
 )
 from repro.errors import PropertyViolation
@@ -139,13 +138,6 @@ class TestMetrics:
         trace = consensus_trace()
         extra = rounds_after(trace, 1.2, "x")
         assert extra == {0: 1, 1: 1, 2: 1}
-
-    def test_steady_state_rate(self):
-        trace = self.make_trace()
-        rate = steady_state_message_rate(
-            trace, ("consensus",), (0.0, 10.0), period=5.0
-        )
-        assert rate == pytest.approx((5) / 2.0)
 
 
 class TestStats:

@@ -1,32 +1,57 @@
-"""Unit tests for the FD property checkers on synthetic histories."""
+"""Unit tests for the FD property checkers on hand-built traces."""
 
 import pytest
 
-from repro.analysis import (
-    build_histories,
-    check_eventual_strong_accuracy,
-    check_eventual_weak_accuracy,
-    check_omega,
-    check_strong_completeness,
-    check_trusted_not_suspected,
-    check_weak_completeness,
-    crash_times,
-)
+from repro.analysis import build_histories, check_fd_class, require_fd_class
+from repro.analysis.qos import fold_detector
 from repro.errors import PropertyViolation
-from repro.fd import EVENTUALLY_PERFECT
-from repro.analysis import check_fd_class, require_fd_class
+from repro.fd import (
+    EVENTUALLY_CONSISTENT,
+    EVENTUALLY_PERFECT,
+    EVENTUALLY_WEAK,
+    OMEGA,
+)
 from repro.sim import Trace
 
 S = frozenset
 
 
 def hist(*records):
-    """Build a single-process history from (time, suspected, trusted)."""
+    """A single-process history from (time, suspected, trusted)."""
     return [(t, S(susp), trusted) for t, susp, trusted in records]
 
 
 CORRECT = S({0, 1})
 END = 100.0
+
+#: property name -> (a class requiring it, its key in check_fd_class).
+PROPERTY = {
+    "strong-completeness": (EVENTUALLY_PERFECT, "completeness"),
+    "weak-completeness": (EVENTUALLY_WEAK, "completeness"),
+    "eventual-strong-accuracy": (EVENTUALLY_PERFECT, "accuracy"),
+    "eventual-weak-accuracy": (EVENTUALLY_WEAK, "accuracy"),
+    "omega": (OMEGA, "omega"),
+    "trusted-not-suspected": (EVENTUALLY_CONSISTENT, "trusted-not-suspected"),
+}
+
+
+def judge(name, histories, crashed=None):
+    """Check property *name* on the trace of *histories* (pid -> records)
+    and *crashed* (pid -> crash time), over ``CORRECT`` up to ``END``."""
+    events = [(t, "crash", pid, {}) for pid, t in (crashed or {}).items()]
+    for pid, records in histories.items():
+        events += [
+            (t, "fd", pid, {"channel": "fd", "suspected": susp,
+                            "trusted": trusted})
+            for t, susp, trusted in records
+        ]
+    trace = Trace()
+    for t, kind, pid, data in sorted(events, key=lambda e: e[0]):
+        trace.record(t, kind, pid, **data)
+    fd_class, key = PROPERTY[name]
+    result = check_fd_class(trace, fd_class, CORRECT, end_time=END)[key]
+    assert result.name == name and result.end_time == END
+    return result
 
 
 class TestStrongCompleteness:
@@ -35,19 +60,19 @@ class TestStrongCompleteness:
             0: hist((0, [], None), (15, [2], None)),
             1: hist((0, [], None), (12, [2], None)),
         }
-        result = check_strong_completeness(histories, {2: 10.0}, CORRECT, END)
+        result = judge("strong-completeness", histories, {2: 10.0})
         assert result.ok
         assert result.stabilized_at == 15.0
 
     def test_vacuous_without_crashes(self):
-        assert check_strong_completeness({}, {}, CORRECT, END).ok
+        assert judge("strong-completeness", {}, {}).ok
 
     def test_violated_when_one_process_never_suspects(self):
         histories = {
             0: hist((0, [], None), (15, [2], None)),
             1: hist((0, [], None)),  # never suspects 2
         }
-        result = check_strong_completeness(histories, {2: 10.0}, CORRECT, END)
+        result = judge("strong-completeness", histories, {2: 10.0})
         assert not result.ok
 
     def test_late_stabilization_fails_margin(self):
@@ -55,7 +80,7 @@ class TestStrongCompleteness:
             0: hist((0, [], None), (95, [2], None)),
             1: hist((0, [], None), (95, [2], None)),
         }
-        result = check_strong_completeness(histories, {2: 10.0}, CORRECT, END)
+        result = judge("strong-completeness", histories, {2: 10.0})
         assert not result.ok  # 95 > 100 * 0.9
 
     def test_unsuspecting_blip_moves_stabilization(self):
@@ -64,7 +89,7 @@ class TestStrongCompleteness:
                     (50, [2], None)),
             1: hist((0, [2], None)),
         }
-        result = check_strong_completeness(histories, {2: 10.0}, CORRECT, END)
+        result = judge("strong-completeness", histories, {2: 10.0})
         assert result.ok
         assert result.stabilized_at == 50.0
 
@@ -75,13 +100,13 @@ class TestWeakCompleteness:
             0: hist((0, [], None), (15, [2], None)),
             1: hist((0, [], None)),  # never suspects — fine for weak
         }
-        result = check_weak_completeness(histories, {2: 10.0}, CORRECT, END)
+        result = judge("weak-completeness", histories, {2: 10.0})
         assert result.ok
         assert result.witness == 0
 
     def test_violated_when_nobody_suspects(self):
         histories = {0: hist((0, [], None)), 1: hist((0, [], None))}
-        result = check_weak_completeness(histories, {2: 10.0}, CORRECT, END)
+        result = judge("weak-completeness", histories, {2: 10.0})
         assert not result.ok
 
 
@@ -91,7 +116,7 @@ class TestAccuracy:
             0: hist((0, [1], None), (20, [], None)),
             1: hist((0, [], None)),
         }
-        result = check_eventual_strong_accuracy(histories, CORRECT, END)
+        result = judge("eventual-strong-accuracy", histories)
         assert result.ok
         assert result.stabilized_at == 20.0
 
@@ -100,7 +125,7 @@ class TestAccuracy:
             0: hist((0, [1], None), (90, [1], None)),
             1: hist((0, [], None)),
         }
-        result = check_eventual_strong_accuracy(histories, CORRECT, END)
+        result = judge("eventual-strong-accuracy", histories)
         assert not result.ok
 
     def test_weak_accuracy_needs_only_one_clean_process(self):
@@ -109,7 +134,7 @@ class TestAccuracy:
             1: hist((0, [], None)),
         }
         # 0 is never suspected by anyone: weak accuracy holds with witness 0.
-        result = check_eventual_weak_accuracy(histories, CORRECT, END)
+        result = judge("eventual-weak-accuracy", histories)
         assert result.ok
         assert result.witness == 0
 
@@ -118,7 +143,7 @@ class TestAccuracy:
             0: hist((90, [1], None)),
             1: hist((90, [0], None)),
         }
-        result = check_eventual_weak_accuracy(histories, CORRECT, END)
+        result = judge("eventual-weak-accuracy", histories)
         assert not result.ok
 
 
@@ -128,7 +153,7 @@ class TestOmegaAndConsistency:
             0: hist((0, [], 1), (10, [], 0)),
             1: hist((0, [], 0)),
         }
-        result = check_omega(histories, CORRECT, END)
+        result = judge("omega", histories)
         assert result.ok
         assert result.witness == 0
         assert result.stabilized_at == 10.0
@@ -138,7 +163,7 @@ class TestOmegaAndConsistency:
             0: hist((95, [], 0)),
             1: hist((95, [], 1)),
         }
-        assert not check_omega(histories, CORRECT, END).ok
+        assert not judge("omega", histories).ok
 
     def test_omega_requires_correct_leader(self):
         # Both trust 2 forever, but 2 is not in the correct set.
@@ -146,14 +171,14 @@ class TestOmegaAndConsistency:
             0: hist((0, [], 2)),
             1: hist((0, [], 2)),
         }
-        assert not check_omega(histories, CORRECT, END).ok
+        assert not judge("omega", histories).ok
 
     def test_trusted_not_suspected(self):
         histories = {
             0: hist((0, [1], 1), (30, [], 1)),
             1: hist((0, [], 1)),
         }
-        result = check_trusted_not_suspected(histories, CORRECT, END)
+        result = judge("trusted-not-suspected", histories)
         assert result.ok
         assert result.stabilized_at == 30.0
 
@@ -162,7 +187,7 @@ class TestOmegaAndConsistency:
             0: hist((95, [1], 1)),
             1: hist((0, [], 1)),
         }
-        assert not check_trusted_not_suspected(histories, CORRECT, END).ok
+        assert not judge("trusted-not-suspected", histories).ok
 
 
 class TestTraceIntegration:
@@ -185,7 +210,7 @@ class TestTraceIntegration:
         assert all(S({1}) != susp for _, susp, _ in histories[0])
 
     def test_crash_times(self):
-        assert crash_times(self.make_trace()) == {2: 5.0}
+        assert fold_detector(self.make_trace()).crashes == {2: 5.0}
 
     def test_check_fd_class_dp(self):
         results = check_fd_class(

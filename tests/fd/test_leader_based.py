@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.analysis import build_histories, check_omega
+from repro.analysis import check_fd_class_on_world
 from repro.errors import ConfigurationError
 from repro.fd import LeaderBasedOmega, OMEGA
-from repro.analysis import check_fd_class_on_world
 from repro.sim import FixedDelay, ReliableLink, World
 from repro.workloads import partially_synchronous_link
 
@@ -94,6 +93,4 @@ class TestLeaderBasedOmegaProperty:
         world.run(until=1500.0)
         results = check_fd_class_on_world(world, OMEGA)
         assert all(results.values()), results
-        histories = build_histories(world.trace)
-        omega = check_omega(histories, world.correct_pids, world.trace.end_time)
-        assert omega.witness == 1
+        assert results["omega"].witness == 1

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.analysis import (
+    check_fd_class,
     check_fd_class_on_world,
-    check_omega,
-    build_histories,
     detection_latency,
 )
 from repro.errors import ConfigurationError
-from repro.fd import EVENTUALLY_PERFECT, EVENTUALLY_CONSISTENT, RingDetector
+from repro.fd import EVENTUALLY_PERFECT, OMEGA, RingDetector
 from repro.sim import FixedDelay, ReliableLink, World
 from repro.workloads import partially_synchronous_link
 
@@ -113,7 +112,6 @@ class TestRingClassProperties:
         world.attach_all(lambda pid: RingDetector(initial_timeout=10.0))
         world.schedule_crash(0, 100.0)
         world.run(until=2500.0)
-        histories = build_histories(world.trace, channel="fd")
-        result = check_omega(histories, world.correct_pids, world.trace.end_time)
+        result = check_fd_class(world.trace, OMEGA, world.correct_pids)["omega"]
         assert result.ok
         assert result.witness == 1

@@ -132,6 +132,14 @@ def test_the_smoke_document_is_judged_the_same_on_every_runtime(
     assert render_run(result).endswith("result: OK")
 
 
+def test_the_omega_verdict_and_the_qos_report_share_one_leader_stabilization():
+    result = run_smoke("virtual")
+    omega, qos = result["verdicts"]["fd.omega"], result["qos"]
+    assert omega.stabilized_at is not None
+    assert omega.stabilized_at == qos.leader_stabilized_at
+    assert omega.witness == qos.stable_leader
+
+
 def test_a_violated_verdict_renders_as_a_failed_run():
     result = run_smoke("virtual")
     result["verdicts"]["consensus.validity"] = False

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    build_histories,
-    check_fd_class_on_world,
-    check_strong_completeness,
-    crash_times,
-)
+from repro.analysis import check_fd_class_on_world
 from repro.fd import (
     EVENTUALLY_CONSISTENT,
     EVENTUALLY_STRONG,
@@ -45,11 +40,8 @@ class TestWToS:
         for det in dets:
             if det.pid != 4:
                 assert 4 in det.suspected()
-        histories = build_histories(world.trace, channel="fd")
-        result = check_strong_completeness(
-            histories, crash_times(world.trace), world.correct_pids, world.now
-        )
-        assert result.ok
+        result = check_fd_class_on_world(world, EVENTUALLY_STRONG)
+        assert result["completeness"].ok
 
     def test_senders_are_cleared(self):
         world, dets = w_to_s_world(seed=1)
