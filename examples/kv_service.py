@@ -56,6 +56,9 @@ async def main() -> None:
     assert store == {"lang": "ml", "paper": "JPDC-65"}
     assert survivors[0].state.locks == {"release-lock": "alice"}
 
+    # The detector verdicts are eventual: the run can finish before every
+    # survivor has timed out on the dead leader, so give them time to hold.
+    await cluster.run_until(lambda: verdicts_ok(cluster.verdicts()), timeout=5.0)
     verdicts = cluster.verdicts()
     for front in frontends:
         await front.close()

@@ -141,28 +141,25 @@ def rounds_after(
 def rounds_after_system(trace: TraceSource, time: Time, algo: str) -> Optional[int]:
     """Rounds needed after *time*, measured from the *system frontier*.
 
-    ``decision_round − max_p round_at(p, time) `` — i.e. how many fresh
-    rounds (rounds started entirely after *time*) were needed.  Rounds that
-    were already in flight when the detector stabilized inevitably drain
-    first; the paper's "one round after stabilization" claim is about fresh
+    ``decision_round − frontier``, the frontier being the highest round any
+    process entered strictly before *time* — i.e. how many fresh rounds
+    (rounds started at or after *time*) were needed.  Rounds that were
+    already in flight when the detector stabilized inevitably drain first;
+    the paper's "one round after stabilization" claim is about fresh
     rounds, and this is the E6 measure (1 = decided in the first fresh
     round).  ``None`` if nobody decided.
     """
     decision_round: Optional[int] = None
-    pids = set()
-    trace = as_trace(trace)
-    for ev in trace.events:
-        if ev.kind == "round" and ev.get("algo") == algo:
-            pids.add(ev.pid)
-        if ev.kind == "decide" and ev.get("algo") == algo:
-            if ev.get("round") is not None:
-                r = ev.get("round")
+    frontier = 0
+    for ev in as_trace(trace).events:
+        if ev.kind == "round" and ev.time < time and ev.get("algo") == algo:
+            frontier = max(frontier, ev.get("round"))
+        elif ev.kind == "decide" and ev.get("algo") == algo:
+            r = ev.get("round")
+            if r is not None:
                 decision_round = r if decision_round is None else min(decision_round, r)
     if decision_round is None:
         return None
-    frontier = max(
-        (round_at(trace, pid, time, algo) for pid in pids), default=0
-    )
     return decision_round - frontier
 
 

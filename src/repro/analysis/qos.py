@@ -20,7 +20,8 @@ into the standard quality-of-service numbers of Chen, Toueg & Aguilera
   measured "eventually agree on a correct leader" instant, cf. Section 6);
 * **message cost** — per-channel network messages per period over the
   post-stabilization window, checked against the paper's 2(n−1) bound for
-  the transformation channel (Section 4).
+  the transformation channel (Section 4); a replicated log's per-slot
+  channels count as one row per family (``rsm.c*``, ``rsm.c*.rb``).
 
 There is one implementation: :class:`IncrementalQoS`, an event-at-a-time
 state machine.  :class:`~repro.obs.live.LiveCollector` feeds it while a
@@ -45,6 +46,7 @@ from typing import (
 )
 
 from ..obs.events import TraceEvent
+from ..obs.metrics import channel_family
 from ..obs.reader import TraceSource, as_trace
 from ..types import ProcessId, Time
 
@@ -235,7 +237,8 @@ class IncrementalQoS:
         self._kind_counts: Dict[str, int] = {}
         self._pids: Set[ProcessId] = set()
         self._crashes: Dict[ProcessId, Time] = {}
-        #: channel -> times of non-loopback sends (sorted lazily at report).
+        #: channel family -> times of non-loopback sends (sorted lazily at
+        #: report).
         self._sends: Dict[Any, List[Time]] = {}
         # Per-observer detector state for `channel`:
         #: observer -> time of its first output record.
@@ -275,7 +278,8 @@ class IncrementalQoS:
             if dst is not None:
                 self._pids.add(dst)
             if kind == "send" and not event.get("loopback"):
-                self._sends.setdefault(event.get("channel"), []).append(t)
+                channel = channel_family(event.get("channel") or "")
+                self._sends.setdefault(channel, []).append(t)
         elif kind == "crash":
             self._crashes[event.pid] = t
         elif kind == "fd" and event.get("channel") == self.channel:

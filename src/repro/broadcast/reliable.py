@@ -62,6 +62,12 @@ class ReliableBroadcast(Component):
         if self.retransmit_period is not None:
             self.periodically(self.retransmit_period, self._retransmit)
 
+    def on_detach(self) -> None:
+        # A detached broadcast delivers nothing more.  Its subscriber (a
+        # retired consensus instance) holds it too; dropping the callbacks
+        # lets reference counting free both at once.
+        self._callbacks.clear()
+
     def _retransmit(self) -> None:
         for mid, payload in self._payloads.items():
             self.broadcast((mid, payload), tag="rb-retransmit")

@@ -405,6 +405,7 @@ def _cluster_adaptive(args: argparse.Namespace) -> int:
     reports the schedule it ended up playing like every other run."""
     import asyncio
 
+    from .cluster import verdicts_ok
     from .scenario import Scenario, ScenarioEvent, judge_run
 
     base = Scenario(name="kill-the-leader").resolved(
@@ -449,6 +450,10 @@ def _cluster_adaptive(args: argparse.Namespace) -> int:
                 lambda: all(p.decided for p in protocols if not p.crashed),
                 timeout=args.timeout,
             )
+            # The detector verdicts are eventual: survivors may decide
+            # before every one of them has timed out on the dead leader.
+            await cluster.run_until(
+                lambda: verdicts_ok(cluster.verdicts()), timeout=args.timeout)
             await cluster.run(2 * period)  # flush trailing frames
             return leader, round(crash_time, 3), round(cluster.now, 3)
         finally:

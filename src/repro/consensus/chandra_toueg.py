@@ -79,10 +79,10 @@ class ChandraTouegConsensus(ConsensusProtocol):
     def _main(self):
         majority = self.n // 2 + 1
         while not self.decided:
-            if self.round_step:
+            if self.r > 1 and self.round_step:
                 yield Sleep(self.round_step)
-            if self.decided:
-                return
+                if self.decided:
+                    return
             r = self.r
             coord = self.coordinator_of(r)
             self.mark_round(r)

@@ -102,10 +102,12 @@ class ECConsensus(ConsensusProtocol):
         # resend): lets the protocol survive runs that violate the
         # reliable-links model, e.g. network partitions.  None = off.
         self.stubborn_period = stubborn_period
-        # Local processing cost charged at each round start.  Without it, a
-        # process whose detector simultaneously elects and suspects the same
-        # coordinator could start unboundedly many rounds at one simulated
-        # instant (every wait already satisfied) — real processors cannot.
+        # Local processing cost charged before every round after the first.
+        # Without it, a process whose detector simultaneously elects and
+        # suspects the same coordinator could start unboundedly many rounds
+        # at one simulated instant (every wait already satisfied) — real
+        # processors cannot.  Round 1 cannot spin: it is entered once, on
+        # propose, so charging it would only delay every decision.
         self.round_step = round_step
         # Round-indexed message state.  Entries are never discarded: a round
         # may receive messages long after the process moved on.
@@ -138,10 +140,10 @@ class ECConsensus(ConsensusProtocol):
     def _main(self):
         majority = self.n // 2 + 1
         while not self.decided:
-            if self.round_step:
+            if self.r > 1 and self.round_step:
                 yield Sleep(self.round_step)
-            if self.decided:
-                return
+                if self.decided:
+                    return
             r = self.r
             self.mark_round(r)
             if self.merged_phase01:

@@ -16,7 +16,10 @@ exactly that on top of any of the library's consensus algorithms
   of queueing behind it — while applies stay strictly in slot order;
 * when slot *i* decides, its commands are applied in batch order (exactly
   once — commands re-decided by an overlapping batch are skipped), the
-  queue is trimmed, and the window slides forward.
+  queue is trimmed, and the window slides forward;
+* an applied slot is retired: its consensus instance and broadcast are
+  detached from the process, so a long-running replica holds only the
+  slots in its window, not one pair of components per slot ever decided.
 
 Batches are an ordering optimization, not a new trust boundary: a decided
 batch fans back out to per-command ``on_apply`` callbacks, so everything
@@ -293,9 +296,21 @@ class ReplicatedStateMachine(Component):
             self._apply_value(
                 self._apply_next, self._decided.pop(self._apply_next)
             )
+            # One tick later: the decision is delivered inside the slot's
+            # own running task, which cannot be stopped from within.
+            self.set_timer(0.0, self._retire, self._apply_next)
             self._apply_next += 1
         self._fill_window()
         self._reconsider_open_slots()
+
+    def _retire(self, slot: int) -> None:
+        """Release an applied slot: detach its consensus instance and its
+        broadcast — unless the broadcast retransmits, which is what lets a
+        replica cut off by a partition learn the decision once it heals."""
+        instance = self._instances.pop(slot)
+        self.process.detach(instance)
+        if instance.rb.retransmit_period is None:
+            self.process.detach(instance.rb)
 
     def _apply_value(self, slot: int, value: Any) -> None:
         commands = self._commands_in(value)

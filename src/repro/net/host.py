@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Optional
 
 from ..errors import ConfigurationError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, channel_family
 from ..obs.sinks import MemorySink, TraceSink
 from ..sim.faults import FaultPlan
 from ..sim.message import Message
@@ -60,9 +60,10 @@ class RuntimeNetwork(_MessagePath):
         # Bytes count at send time; only the transport hop is held back.
         host = self._host
         frames = host.codec.encode_message_batch(msgs)
+        family = channel_family(msgs[0].channel)
         for msg, frame, held in zip(msgs, frames, extra):
             self._metrics.inc(
-                "bytes_sent_total", amount=len(frame), channel=msg.channel
+                "bytes_sent_total", amount=len(frame), channel=family
             )
             if held > 0.0:
                 host.clock.schedule(held, host.transport.send, msg.dst, frame)
@@ -220,7 +221,8 @@ class NodeHost:
             )
             return
         self.metrics.inc(
-            "bytes_received_total", amount=len(data), channel=msg.channel
+            "bytes_received_total", amount=len(data),
+            channel=channel_family(msg.channel),
         )
         self.world.network._finish_delivery(msg)
 

@@ -190,8 +190,8 @@ register_event_kind(
 )
 register_event_kind(
     "drop", required=("reason",), optional=("channel", "src", "dst"),
-    doc="a message was lost (link loss, crashed receiver, undecodable or "
-        "misrouted frame, or an injected fault)",
+    doc="a message was lost (link loss, crashed receiver, retired channel, "
+        "undecodable or misrouted frame, or an injected fault)",
 )
 register_event_kind(
     "parked", required=("channel", "src"),

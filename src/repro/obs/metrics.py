@@ -36,7 +36,9 @@ CLI and the live exposition share one aggregation path.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -53,6 +55,7 @@ __all__ = [
     "render_prometheus",
     "aggregate_trace_kinds",
     "TraceKindStats",
+    "channel_family",
 ]
 
 _KINDS = ("counter", "gauge", "histogram")
@@ -112,6 +115,18 @@ def metric_schema_for(name: str) -> Optional[MetricSchema]:
 def known_metrics() -> Tuple[str, ...]:
     """Every registered metric name, sorted."""
     return tuple(sorted(METRIC_SCHEMAS))
+
+
+_SLOT = re.compile(r"\.c\d+\b")
+
+
+@lru_cache(maxsize=1024)
+def channel_family(channel: str) -> str:
+    """What per-channel counts go under: a per-slot channel reads as its
+    family (``rsm.c17`` → ``rsm.c*``, ``rsm.c17.rb`` → ``rsm.c*.rb``), so
+    label sets stay bounded however many slots a run opens; any other
+    channel is its own family."""
+    return _SLOT.sub(".c*", channel)
 
 
 #: Log-spaced (factor 2) histogram bucket upper bounds, 1e-6 .. ~8.8e6 —
@@ -490,8 +505,8 @@ register_metric(
 )
 register_metric(
     "messages_dropped_total", "counter", ("reason",),
-    doc="messages lost: link loss, crashed receiver, undecodable or misrouted "
-        "frame, or an injected fault",
+    doc="messages lost: link loss, crashed receiver, retired channel, "
+        "undecodable or misrouted frame, or an injected fault",
 )
 register_metric(
     "bytes_sent_total", "counter", ("channel",),

@@ -23,9 +23,7 @@ both, once, for every cluster-running command, example and test:
 
 from __future__ import annotations
 
-import re
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
 
@@ -247,15 +245,9 @@ def render_run(result: Dict[str, Any]) -> str:
     ]
     for name, verdict in result["verdicts"].items():
         lines.append(f"  {name:32s} {'ok' if verdict else 'VIOLATED'}")
-    # An rsm run opens a channel pair per consensus slot (thousands under
-    # load); their costs read as one row each, not one per slot.
-    cost: Dict[str, float] = {}
-    for channel, value in qos.message_cost.items():
-        name = re.sub(r"\.c\d+\b", ".c*", channel)
-        cost[name] = cost.get(name, 0.0) + value
     why = "" if result["quiescent"] else " (nodes still running at timeout)"
     lines += [
-        "", replace(qos, message_cost=cost).format(), "",
+        "", qos.format(), "",
         "result: OK" if result["ok"] else f"result: FAILED{why}",
     ]
     return "\n".join(lines)

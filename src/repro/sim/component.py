@@ -102,6 +102,11 @@ class Component:
     def on_crash(self) -> None:
         """Called when the host process crashes (after tasks are stopped)."""
 
+    def on_detach(self) -> None:
+        """Called when the component is detached from its process (after
+        its tasks are stopped).  Drop references that would keep other
+        detached components alive."""
+
     def on_fd_change(self) -> None:
         """Called when a failure detector on the same process changes output.
 
@@ -191,11 +196,13 @@ class Component:
     def set_timer(
         self, delay: Time, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Run *callback(*args)* after *delay*, unless the process crashes."""
+        """Run *callback(*args)* after *delay*, unless the process crashes
+        or the component is detached first."""
         return self.world.scheduler.schedule(delay, self._guarded, callback, args)
 
     def _guarded(self, callback: Callable[..., None], args: tuple) -> None:
-        if not self.crashed:
+        # Crash and detach both stop the task runtime (see Process).
+        if not self.tasks.stopped:
             callback(*args)
 
     def periodically(
@@ -229,7 +236,7 @@ class Component:
 
 
 class Periodic:
-    """A repeating timer bound to a component (stops on crash)."""
+    """A repeating timer bound to a component (stops on crash or detach)."""
 
     def __init__(
         self,
@@ -270,8 +277,8 @@ class Periodic:
         self._handle = self._component.world.scheduler.schedule(delay, self._tick)
 
     def _tick(self) -> None:
-        if not self._running or self._component.crashed:
+        if not self._running or self._component.tasks.stopped:
             return
         self.callback()
-        if self._running and not self._component.crashed:
+        if self._running and not self._component.tasks.stopped:
             self._arm()

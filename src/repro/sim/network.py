@@ -4,7 +4,8 @@ One path, written once, in five steps — **admit → record → self-send or
 fault → cross → deliver**:
 
 1. *admit*: :meth:`send_many` builds one :class:`Message` per destination
-   and bumps ``sent_total`` / ``sent_by_channel``;
+   and bumps ``sent_total`` / ``sent_by_channel`` (keyed, like every
+   per-channel counter, by :func:`~repro.obs.metrics.channel_family`);
 2. *record*: a ``send`` trace event per destination, flagged ``loopback``
    for a self-send;
 3. *self-send or fault*: a self-send (``src == dst``) is scheduled at +0 —
@@ -37,7 +38,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, channel_family
 from ..obs.sinks import TraceSink
 from ..types import Channel, ProcessId, Time
 from .api import SchedulerAPI
@@ -103,6 +104,7 @@ class _MessagePath:
         for the order of effects); returns one record per destination."""
         now = self._scheduler.now
         trace_sends = self._trace.wants("send")
+        family = channel_family(channel)
         msgs: List[Message] = []
         network: List[Message] = []
         for dst in dsts:
@@ -112,7 +114,7 @@ class _MessagePath:
             )
             msgs.append(msg)
             self.sent_total += 1
-            self.sent_by_channel[channel] = self.sent_by_channel.get(channel, 0) + 1
+            self.sent_by_channel[family] = self.sent_by_channel.get(family, 0) + 1
             if trace_sends:
                 self._trace.record(
                     now, "send", src, channel=channel, src=src, dst=dst,
@@ -122,7 +124,7 @@ class _MessagePath:
                 self._scheduler.schedule(0.0, self._finish_delivery, msg)
             else:
                 self.sent_network += 1
-                self._metrics.inc("messages_sent_total", channel=channel)
+                self._metrics.inc("messages_sent_total", channel=family)
                 network.append(msg)
         extra = _NO_EXTRA
         if network and self._plan.active:
@@ -156,7 +158,9 @@ class _MessagePath:
 
     def _finish_delivery(self, msg: Message) -> None:
         self.delivered_total += 1
-        self._metrics.inc("messages_delivered_total", channel=msg.channel)
+        self._metrics.inc(
+            "messages_delivered_total", channel=channel_family(msg.channel)
+        )
         if self._trace.wants("deliver"):
             self._trace.record(
                 self._scheduler.now, "deliver", msg.dst,

@@ -10,7 +10,7 @@ which is the standard asynchronous-crash semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from ..errors import ConfigurationError
 from ..types import Channel, ProcessId, Time
@@ -39,6 +39,9 @@ class Process:
         # instance per replicated-log slot), and a fast replica can send on
         # a new channel before a slow one has created it.
         self._pending: Dict[Channel, List[Message]] = {}
+        # Channels whose component was detached: a message arriving on one
+        # later is dropped, never parked (nobody will claim it again).
+        self._retired: Set[Channel] = set()
 
     # -------------------------------------------------------------- wiring
     def attach(self, component: Component) -> Component:
@@ -49,6 +52,8 @@ class Process:
                 f"{component.channel!r}"
             )
         component._attach(self)
+        if self.crashed:
+            component.tasks.stop()  # as crash() did to every earlier one
         self.components[component.channel] = component
         self._order.append(component)
         if self._started and not self.crashed:
@@ -64,6 +69,17 @@ class Process:
                     0.0, self._flush_pending, component
                 )
         return component
+
+    def detach(self, component: Component) -> None:
+        """The inverse of :meth:`attach`: stop *component*'s tasks, call its
+        ``on_detach`` and remove it.  Its channel is retired — a message arriving on it later is a
+        ``drop`` with ``reason="retired"``.  Must not run inside one of the
+        component's own tasks (defer it by a scheduler tick)."""
+        component.tasks.stop()
+        component.on_detach()
+        del self.components[component.channel]
+        self._order.remove(component)
+        self._retired.add(component.channel)
 
     def _flush_pending(self, component: Component) -> None:
         for msg in self._pending.pop(component.channel, []):
@@ -115,14 +131,13 @@ class Process:
     def deliver(self, msg: Message) -> None:
         """Hand a delivered message to the component owning its channel."""
         if self.crashed:
-            self.world.metrics.inc("messages_dropped_total", reason="crashed")
-            self.world.trace.record(
-                self.world.scheduler.now, "drop", self.pid,
-                channel=msg.channel, src=msg.src, dst=msg.dst, reason="crashed",
-            )
+            self._drop(msg, "crashed")
             return
         component = self.components.get(msg.channel)
         if component is None:
+            if msg.channel in self._retired:
+                self._drop(msg, "retired")
+                return
             # Hold the message until a component claims the channel (see
             # __init__).  Messages parked on channels nobody ever attaches
             # indicate a wiring bug; they stay visible via pending_channels.
@@ -133,6 +148,13 @@ class Process:
             )
             return
         component._handle_message(msg.src, msg.payload)
+
+    def _drop(self, msg: Message, reason: str) -> None:
+        self.world.metrics.inc("messages_dropped_total", reason=reason)
+        self.world.trace.record(
+            self.world.scheduler.now, "drop", self.pid,
+            channel=msg.channel, src=msg.src, dst=msg.dst, reason=reason,
+        )
 
     # -------------------------------------------------------- notifications
     def notify_fd_change(self, source: Any = None) -> None:

@@ -92,13 +92,14 @@ class TaskRuntime:
     def __init__(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
         self._tasks: List[Task] = []
-        self._stopped = False
+        #: ``True`` once :meth:`stop` has run.
+        self.stopped = False
         self._poking = False
 
     # ----------------------------------------------------------- life cycle
     def spawn(self, gen: TaskGen, name: str = "task") -> Task:
         """Start *gen* as a new task and run it until its first suspension."""
-        if self._stopped:
+        if self.stopped:
             raise TaskError("runtime already stopped")
         task = Task(gen, name)
         self._tasks.append(task)
@@ -106,11 +107,15 @@ class TaskRuntime:
         return task
 
     def stop(self) -> None:
-        """Kill all tasks (used when the owning process crashes)."""
-        self._stopped = True
+        """Kill all tasks (the owning process crashed, or the component was
+        detached)."""
+        self.stopped = True
         for task in self._tasks:
             if task._sleep_handle is not None:
                 task._sleep_handle.cancel()
+                # The handle holds the task (its wake-up argument): a kept
+                # handle would leave the pair for the cycle collector.
+                task._sleep_handle = None
             task.gen.close()
             task.done = True
         self._tasks.clear()
@@ -129,7 +134,7 @@ class TaskRuntime:
         pokes (a resumed task delivering a loopback that pokes us again) are
         flattened into the current pass.
         """
-        if self._stopped or self._poking:
+        if self.stopped or self._poking:
             return
         self._poking = True
         try:
@@ -148,7 +153,7 @@ class TaskRuntime:
 
     def _advance(self, task: Task) -> None:
         """Drive *task* forward until it suspends or finishes."""
-        while not self._stopped and not task.done:
+        while not self.stopped and not task.done:
             try:
                 directive = task.gen.send(None)
             except StopIteration:
@@ -173,7 +178,7 @@ class TaskRuntime:
 
     def _wake(self, task: Task) -> None:
         task._sleep_handle = None
-        if not self._stopped and not task.done:
+        if not self.stopped and not task.done:
             self._advance(task)
             # Waking may have changed state other parked tasks wait on.
             self.poke()

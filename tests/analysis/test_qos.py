@@ -113,9 +113,10 @@ def test_no_stabilization_when_final_leaders_disagree():
     assert report.leader_stabilized_at is None
 
 
-def _with_cost(sends_per_period: int, period: float = 5.0):
-    """Clean detection at t=14, then *sends_per_period* fdp sends/period
-    over the measurement window [19, 49]."""
+def _with_cost(sends_per_period: int, period: float = 5.0,
+               channel=lambda i: "fdp"):
+    """Clean detection at t=14, then *sends_per_period* sends/period (the
+    i-th on ``channel(i)``) over the measurement window [19, 49]."""
     sink = _base()
     sink.record(10.0, "crash", 0)
     sink.record(13.0, "fd", 1, channel="fd",
@@ -128,7 +129,7 @@ def _with_cost(sends_per_period: int, period: float = 5.0):
     total = int(sends_per_period * periods)
     for i in range(total):
         t = start + (i + 0.5) * (end - start) / total
-        sink.record(t, "send", 1, channel="fdp", src=1, dst=2, tag="list")
+        sink.record(t, "send", 1, channel=channel(i), src=1, dst=2, tag="list")
     sink.record(end, "fd", 1, channel="fd",
                 suspected=frozenset({0}), trusted=1)
     return qos_report(sink, period=period)
@@ -147,6 +148,15 @@ def test_message_cost_flags_a_bound_violation():
     assert report.message_cost["fdp"] == pytest.approx(8.0)
     assert report.bound_ok is False
     assert "VIOLATED" in report.format()
+
+
+def test_message_cost_has_one_row_per_slot_channel_family():
+    report = _with_cost(
+        sends_per_period=4,
+        channel=lambda i: f"rsm.c{i // 2}" + (".rb" if i % 2 else ""),
+    )
+    assert report.message_cost == {
+        "rsm.c*": pytest.approx(2.0), "rsm.c*.rb": pytest.approx(2.0)}
 
 
 def test_cost_skipped_without_a_period_and_without_a_stable_suffix():

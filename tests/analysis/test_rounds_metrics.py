@@ -40,6 +40,15 @@ class TestRoundMetrics:
         # two fresh rounds were started after stabilization.
         assert rounds_after_system(trace, 100.0, "x") == 2
 
+    def test_round_entered_at_time_is_fresh(self):
+        # Proposing exactly when the detector stabilizes starts round 1 at
+        # that instant: it is the first fresh round, not one in flight.
+        trace = Trace()
+        for pid in (0, 1):
+            trace.record(300.0, "round", pid, algo="x", round=1)
+            trace.record(301.0, "decide", pid, algo="x", value="v", round=1)
+        assert rounds_after_system(trace, 300.0, "x") == 1
+
     def test_rounds_after_system_none_without_decision(self):
         trace = Trace()
         trace.record(1.0, "round", 0, algo="x", round=1)

@@ -3,19 +3,20 @@
 These poke at the mechanisms the integration suites exercise only
 indirectly: the NULL sentinel, phase-mark deduplication, decision
 idempotence/conflict detection, Fig. 4 late-coordinator bookkeeping, and
-round-state pruning.
+round-state pruning, and where the per-round ``round_step`` is charged.
 """
 
 import pytest
 
 from repro.broadcast import ReliableBroadcast
-from repro.consensus import ECConsensus, NULL
+from repro.consensus import ChandraTouegConsensus, ECConsensus, NULL
 from repro.consensus.ec_consensus import _NullEstimate
 from repro.errors import ProtocolError
 from repro.fd import (
     EVENTUALLY_CONSISTENT,
     OracleConfig,
     OracleFailureDetector,
+    ScriptedFailureDetector,
 )
 from repro.sim import FixedDelay, ReliableLink, World
 
@@ -144,3 +145,36 @@ class TestPruning:
             for store in (p._est_msgs, p._props, p._replies, p._coord_annc):
                 stale = [r for r in store if r < p.r - 2]
                 assert not stale, (p.pid, stale[:5], p.r)
+
+
+class TestRoundStep:
+    STEP = 0.25
+
+    @pytest.mark.parametrize("protocol, round1_ends", [
+        # p1 learns its ◇C coordinator from p0's announcement (one link
+        # delay), then nacks it at once.
+        (ECConsensus, 1.0),
+        # p1 knows the rotating coordinator p0 and nacks it on the spot.
+        (ChandraTouegConsensus, 0.0),
+    ])
+    def test_charged_before_every_round_but_the_first(
+            self, protocol, round1_ends):
+        # Everyone trusts p0 and p1, p2 also suspect it: round 1 ends
+        # undecided at p1, which is what the step exists to pace.
+        world = World(n=3, seed=0, default_link=ReliableLink(FixedDelay(1.0)))
+        protos = []
+        for pid in world.pids:
+            fd = world.attach(
+                pid, ScriptedFailureDetector(lambda p, t: ({0}, 0)))
+            rb = world.attach(pid, ReliableBroadcast(channel="consensus.rb"))
+            protos.append(
+                world.attach(pid, protocol(fd, rb, round_step=self.STEP)))
+        world.start()
+        for p in protos:
+            p.propose(p.pid)
+        world.run(until=round1_ends + 2 * self.STEP)
+        entered = {
+            e.get("round"): e.time for e in world.trace.select(kind="round", pid=1)
+        }
+        assert entered[1] == 0.0  # on propose: no step
+        assert entered[2] == round1_ends + self.STEP

@@ -113,11 +113,12 @@ def test_closed_loop_run_acks_and_records_latency():
 
 
 def test_open_loop_sheds_when_demand_exceeds_the_pool():
-    # 2 clients at 200/s against a ~1-command-per-slot service: most
-    # ticks find no free client and must be counted as shed, not queued.
+    # 2 closed-loop clients get ≈ 500-700 commands/s from this service;
+    # at 8000/s, over 10× that, most ticks find no free client and must
+    # be counted as shed, not queued.
     report, _ = load_test(
         lambda addrs: LoadGenerator(
-            addrs, clients=2, mode="open", rate=200.0, duration=1.0,
+            addrs, clients=2, mode="open", rate=8000.0, duration=1.0,
             request_timeout=10.0, seed=1,
         )
     )

@@ -29,6 +29,7 @@ from repro.net.codec import (
 from repro.net import mpack
 from repro.sim.message import Message
 from repro.svc.protocol import Reply, Request, encode_frame, read_frame
+from tests.net.test_codec import STRING_SET, payload_cases
 
 JSON = JsonCodec()
 MSGPACK = MsgpackCodec()
@@ -46,7 +47,7 @@ PAYLOADS = [
     ("EST", 3, "value", 7),
     ("PING", {0: (5, 10.0), 1: (6, 12.5), 2: (1, 0.0)}),
     frozenset({1, 2, 4}),
-    {"nested": [(1, 2), {3: frozenset({"a", "b"})}]},
+    STRING_SET,
     ("PROP", 2, NULL, -1),
     {(0, 1): "pair-keyed"},
     [],
@@ -60,7 +61,7 @@ PAYLOADS = [
 ]
 
 
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", payload_cases(PAYLOADS), ids=repr)
 def test_cross_codec_payload_parity(payload):
     via_json = JSON.decode_payload(JSON.encode_payload(payload))
     via_msgpack = MSGPACK.decode_payload(MSGPACK.encode_payload(payload))
@@ -68,7 +69,7 @@ def test_cross_codec_payload_parity(payload):
     assert type(via_msgpack) is type(via_json) is type(payload)
 
 
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", payload_cases(PAYLOADS), ids=repr)
 def test_cross_codec_message_parity(payload):
     msg = Message(
         src=1, dst=2, channel="rsm.c3", payload=payload,
@@ -191,7 +192,7 @@ def test_wire_preferences_track_extension():
     not msgpack_extension_available(),
     reason="C msgpack extension not installed; pure fallback in use",
 )
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", payload_cases(PAYLOADS), ids=repr)
 def test_pure_and_ext_are_byte_interchangeable(payload):
     import msgpack  # noqa: F401  (guarded by skipif)
 

@@ -228,6 +228,33 @@ class TestProcessWiring:
         assert late.messages == [(0, "x")]
         assert proc.pending_channels == []
 
+    def test_detach_silences_the_component_and_retires_its_channel(
+            self, world):
+        comp = world.attach(1, Recorder())
+        world.start()
+        fired = []
+        comp.periodically(1.0, lambda: fired.append("tick"))
+        comp.set_timer(2.5, lambda: fired.append("timer"))
+
+        def task():
+            yield Sleep(2.0)
+            fired.append("task")
+
+        comp.spawn(task())
+        world.run(until=1.5)
+        assert fired == ["tick"]
+        proc = world.process(1)
+        proc.detach(comp)
+        assert "rec" not in proc.components
+        world.network.send(0, 1, "rec", "late")
+        world.run(until=10.0)
+        assert fired == ["tick"] and comp.messages == []
+        assert proc.pending_channels == []
+        assert [e.get("reason") for e in world.trace.select(kind="drop")] == [
+            "retired"]
+        assert world.metrics.value(
+            "messages_dropped_total", reason="retired") == 1
+
     def test_parked_flush_after_companion_subscription(self, world):
         """The race that motivated the deferred flush: a broadcast-style
         component and its subscriber attached back to back must both see a
