@@ -5,7 +5,8 @@ failure detector.
 Builds a 5-process partially synchronous system, deploys the full
 message-passing ◇C stack of the paper (leader-based Ω + ring ◇S suspect
 lists, combined), runs the ◇C-consensus algorithm of Figs. 3–4 on top, and
-prints what happened — including a mid-run crash of the elected leader.
+prints what happened — including a mid-run crash of the elected leader —
+and ASCII timelines of leadership and rounds.
 
 Run:  python examples/quickstart.py
 """
@@ -18,6 +19,7 @@ from repro import (
     extract_outcome,
     require_consensus,
 )
+from repro.analysis import leader_timeline, round_timeline
 from repro.workloads import partially_synchronous_link
 
 N = 5
@@ -62,7 +64,14 @@ def main() -> None:
     leaders = {d.pid: d.trusted() for d in detectors if not d.crashed}
     print(f"final leaders: {leaders}")
 
-    # 6. Machine-checked correctness: all four Uniform Consensus properties.
+    # 6. Who led, and which round each process was in, over the first 400
+    #    time units: the crash of p0 at 120 hands leadership to p1.
+    print()
+    print(leader_timeline(world.trace, channel="fd", width=64, end=400.0))
+    print()
+    print(round_timeline(world.trace, "ec", width=64, end=400.0))
+
+    # 7. Machine-checked correctness: all four Uniform Consensus properties.
     outcome = extract_outcome(world.trace, "ec")
     results = require_consensus(outcome, world.correct_pids)
     print(f"consensus properties: {results}")

@@ -33,7 +33,6 @@ from .qos import (
     qos_report,
     transformation_bound,
 )
-from .report import collect_results, render_report
 from .stats import Summary, geometric_mean, summarize
 from .timeline import leader_timeline, round_timeline, suspicion_timeline
 
@@ -63,8 +62,6 @@ __all__ = [
     "qos_report",
     "transformation_bound",
     "Summary",
-    "collect_results",
-    "render_report",
     "leader_timeline",
     "round_timeline",
     "suspicion_timeline",

@@ -2,27 +2,15 @@
 
 Commands:
 
-``demo``
-    A narrated end-to-end run: ◇C stack, consensus, a leader crash, and
-    ASCII timelines of leadership and rounds.
 ``consensus``
     Run one consensus algorithm under configurable adversity and print the
     outcome, properties, and round timeline.
-``compare-fd``
-    The E3/E8 side-by-side: message cost and detection latency of every
-    detector construction.
-``validate``
-    A randomized correctness battery (E9 style) over all algorithms.
-``experiments``
-    List the reproduced experiments and the benchmark regenerating each.
-``report``
-    Print every stored experiment table in one document.
 ``cluster``
     The live-runtime demo: host the unchanged ◇C + ◇C→◇P + consensus stack
     on real asyncio transports (loopback/UDP/TCP on localhost), kill the
     elected leader mid-run, reach a decision anyway, and print the same
-    trace-derived timelines, property checks, and QoS tables the simulator
-    commands print.  With ``--duration``, ``--crash PID:TIME`` or
+    trace-derived timelines, property checks, and QoS tables a simulator
+    run yields.  With ``--duration``, ``--crash PID:TIME`` or
     ``--scenario FILE`` it runs a fully scripted scenario instead.
 ``node``
     Run exactly ONE node of a multi-process cluster in this process,
@@ -34,7 +22,14 @@ Commands:
     subprocess per pid, delivers scheduled ``kill -9`` crashes, waits for
     quiescence, merges the shipped JSONL traces, and prints the property
     verdicts — the paper's crash-stop model enforced by the OS.
-
+``kv``
+    The replicated KV service (:mod:`repro.svc`): ``serve`` boots an
+    in-process rsm cluster behind TCP frontends; ``get`` / ``put`` /
+    ``bench-client`` are clients of a running one.
+``load``
+    Open/closed-loop load (:mod:`repro.load`) at a running service
+    (``--connect``) or at a self-hosted ``--proc N`` cluster that plays a
+    fault schedule while it is loaded.
 ``scenario``
     Declarative fault schedules (:mod:`repro.scenario`): ``gen`` compiles
     a seeded randomized nemesis schedule to canonical JSON (same seed ⇒
@@ -65,6 +60,9 @@ over :mod:`repro.scenario`: it resolves one ``Scenario`` (explicit flag >
 document > rule), and ``cluster_for`` / ``run_scenario`` / ``render_run``
 build, drive, judge and print it — see ``docs/scenarios.md``, "How a run
 is sized and judged".
+
+The paper's experiments are not CLI commands: ``benchmarks/`` regenerates
+each table (index in DESIGN.md §3) and ``examples/`` narrates the runs.
 """
 
 from __future__ import annotations
@@ -74,99 +72,23 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from .analysis import (
-    channel_message_count,
-    check_consensus,
-    detection_latency,
-    extract_outcome,
-    leader_timeline,
-    round_timeline,
-)
-from .broadcast import ReliableBroadcast
+from .analysis import check_consensus, extract_outcome, round_timeline
 from .cluster.config import add_config_flags, config_from_args
-from .consensus import ALGORITHMS, attach_consensus, propose_all
-from .fd import (
-    EVENTUALLY_CONSISTENT,
-    HeartbeatEventuallyPerfect,
-    LeaderBasedOmega,
-    OracleConfig,
-    OracleFailureDetector,
-    RingDetector,
-    attach_ec_stack,
-)
-from .sim import World, crash_at
-from .transform import CToPTransformation
-from .workloads import consensus_run, partially_synchronous_link, wan_link
+from .consensus import ALGORITHMS
+from .sim import crash_at
+from .workloads import consensus_run, wan_link
 
 __all__ = ["main"]
 
-_EXPERIMENTS = [
-    ("E1", "detector class properties (Fig. 1 / Def. 1)",
-     "bench_e1_class_properties.py"),
-    ("E2", "<>C -> <>P transformation, Theorem 1", "bench_e2_transformation.py"),
-    ("E3", "periodic FD message cost (Sec. 4)", "bench_e3_fd_message_cost.py"),
-    ("E4", "phases per round (Sec. 5.4)", "bench_e4_phases_per_round.py"),
-    ("E5", "messages per round (Sec. 5.4)", "bench_e5_messages_per_round.py"),
-    ("E6", "rounds after stabilization (Thm. 3)",
-     "bench_e6_rounds_after_stability.py"),
-    ("E7", "deciding despite nacks (Sec. 5.4)", "bench_e7_nack_tolerance.py"),
-    ("E8", "crash-detection latency (Sec. 4)", "bench_e8_detection_latency.py"),
-    ("E9", "consensus correctness battery (Thm. 2)",
-     "bench_e9_consensus_validation.py"),
-    ("E10", "end-to-end full message-passing stack",
-     "bench_e10_end_to_end.py"),
-    ("A1", "merged Phase 0/1 ablation", "bench_a1_merged_phase01.py"),
-    ("A2", "accuracy ablation <>S vs Omega", "bench_a2_accuracy_ablation.py"),
-    ("A3", "adaptive timeout ablation", "bench_a3_adaptive_timeouts.py"),
-    ("A4", "leader stability ablation", "bench_a4_leader_stability.py"),
-    ("N1", "live runtime across transports (repro.net)",
-     "bench_n1_live_transports.py"),
-    ("N2", "live QoS: E3/E8 on the real runtime vs simulator",
-     "bench_n2_live_qos.py"),
-    ("N3", "replicated KV service throughput (repro.svc)",
-     "bench_n3_throughput.py"),
-]
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    world = World(n=args.n, seed=args.seed,
-                  default_link=partially_synchronous_link(gst=40.0))
-    detectors = attach_ec_stack(world, suspects="ring", initial_timeout=10.0)
-    protocols = []
-    for pid in world.pids:
-        rb = world.attach(pid, ReliableBroadcast(channel="consensus.rb"))
-        from .consensus import ECConsensus
-        protocols.append(world.attach(pid, ECConsensus(detectors[pid], rb)))
-    world.start()
-    propose_all(protocols)
-    world.schedule_crash(0, 120.0)
-    world.run(until=1500.0)
-    print(leader_timeline(world.trace, channel="fd", width=64, end=400.0))
-    print()
-    print(round_timeline(world.trace, "ec", width=64, end=400.0))
-    print()
-    for protocol in protocols:
-        state = (f"decided {protocol.decision!r} (round "
-                 f"{protocol.decision_round})" if protocol.decided
-                 else "crashed undecided")
-        print(f"  p{protocol.pid}: {state}")
-    outcome = extract_outcome(world.trace, "ec")
-    print("properties:", check_consensus(outcome, world.correct_pids))
-    return 0
-
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
-    crashes = crash_at(*(
-        (int(spec.split(":")[0]), float(spec.split(":")[1]))
-        for spec in args.crash
-    )) if args.crash else None
     run = consensus_run(
         args.algo,
         n=args.n,
         seed=args.seed,
         stabilize_time=args.stabilize,
         pre_behavior="erratic" if args.stabilize else "ideal",
-        crashes=crashes,
+        crashes=crash_at(*_parse_crash_specs(args.crash)),
         link=wan_link() if args.wan else None,
     ).run(until=args.until)
     print(round_timeline(run.world.trace, args.algo, width=64))
@@ -179,80 +101,6 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
     results = check_consensus(outcome, run.world.correct_pids)
     print("properties:", results)
     return 0 if all(results.values()) and run.decided else 1
-
-
-def _cmd_compare_fd(args: argparse.Namespace) -> int:
-    n, period = args.n, 5.0
-    crash_time, end, window = 150.0, 2500.0, 1200.0
-
-    def measure(attach):
-        world = World(n=n, seed=args.seed,
-                      default_link=partially_synchronous_link(gst=50.0))
-        channel = attach(world)
-        victim = n // 2
-        world.schedule_crash(victim, crash_time)
-        world.run(until=end)
-        msgs = channel_message_count(world.trace, channel, after=window)
-        per_period = msgs / ((end - window) / period)
-        latency = detection_latency(world.trace, victim, crash_time,
-                                    world.correct_pids, channel=channel)
-        return per_period, latency
-
-    def fig2(world):
-        for pid in world.pids:
-            src = world.attach(pid, OracleFailureDetector(
-                EVENTUALLY_CONSISTENT, OracleConfig(pre_behavior="ideal"),
-                channel="fd.c"))
-            world.attach(pid, CToPTransformation(
-                src, send_period=period, alive_period=period, channel="fdp"))
-        return "fdp"
-
-    rows = [
-        ("all-to-all <>P", lambda w: (w.attach_all(
-            lambda pid: HeartbeatEventuallyPerfect(period=period)), "fd")[1]),
-        ("ring <>S/<>P", lambda w: (w.attach_all(
-            lambda pid: RingDetector(period=period)), "fd")[1]),
-        ("leader-based Omega", lambda w: (w.attach_all(
-            lambda pid: LeaderBasedOmega(period=period)), "fd")[1]),
-        ("<>C -> <>P (Fig. 2)", fig2),
-    ]
-    print(f"{'detector':24s} {'msgs/period':>12s} {'latency':>9s}")
-    for name, attach in rows:
-        per_period, latency = measure(attach)
-        lat = f"{latency:.1f}" if latency is not None else "n/a"
-        print(f"{name:24s} {per_period:12.1f} {lat:>9s}")
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    import random
-
-    from .sim.failures import CrashEvent, CrashSchedule
-
-    failures = 0
-    for algo in ALGORITHMS:
-        for seed in range(args.runs):
-            rng = random.Random(seed * 31 + 7)
-            n = rng.choice([3, 5, 7])
-            victims = rng.sample(range(n), rng.randint(0, (n - 1) // 2))
-            crashes = CrashSchedule(
-                CrashEvent(pid, rng.uniform(0, 150)) for pid in victims
-            )
-            run = consensus_run(
-                algo, n=n, seed=seed,
-                stabilize_time=rng.choice([0.0, 100.0]),
-                pre_behavior="erratic",
-                crashes=crashes, link=wan_link(),
-            ).run(until=8000.0)
-            outcome = extract_outcome(run.world.trace, algo)
-            results = check_consensus(outcome, run.world.correct_pids)
-            ok = all(results.values()) and run.decided
-            if not ok:
-                failures += 1
-                print(f"FAIL {algo} seed={seed}: {results}")
-        print(f"{algo}: {args.runs} runs checked")
-    print("all good" if failures == 0 else f"{failures} failures")
-    return 0 if failures == 0 else 1
 
 
 def _parse_crash_specs(specs) -> list:
@@ -558,12 +406,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     return _report(result)
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    if args.scenario_command == "gen":
-        return _cmd_scenario_gen(args)
-    return _cmd_scenario_run(args)
-
-
 def _parse_connect(spec: str) -> list:
     """Parse ``HOST:PORT[,HOST:PORT...]`` into ``(host, port)`` pairs."""
     from .errors import ConfigurationError
@@ -684,9 +526,12 @@ def _cmd_kv_bench_client(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
+    from .errors import ConfigurationError
     from .load import percentile
     from .svc import KVClient, ServiceUnavailable
 
+    if args.ops < 1:
+        raise ConfigurationError(f"--ops must be >= 1, got {args.ops}")
     addrs = _parse_connect(args.connect)
 
     async def bench() -> list:
@@ -718,14 +563,6 @@ def _cmd_kv_bench_client(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kv(args: argparse.Namespace) -> int:
-    if args.kv_command == "serve":
-        return _cmd_kv_serve(args)
-    if args.kv_command == "bench-client":
-        return _cmd_kv_bench_client(args)
-    return _cmd_kv_op(args)
-
-
 def _cmd_load(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -745,11 +582,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
         )
 
     if args.connect is not None:
-        if args.scenario is not None:
-            print("error: --scenario needs a --proc cluster to inject "
-                  "faults into (an already-running service is not ours "
-                  "to break)", file=sys.stderr)
-            return 2
+        for flag in ("scenario", "crash", "merge_out"):
+            if getattr(args, flag):
+                print(f"error: --{flag.replace('_', '-')} needs a --proc "
+                      "cluster (an already-running service is not ours to "
+                      "break or merge)", file=sys.stderr)
+                return 2
         report = asyncio.run(make_generator(_parse_connect(args.connect)).run())
         print(report.render())
         return 0 if report.acked > 0 else 1
@@ -876,32 +714,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis import render_report
-
-    print(render_report())
-    return 0
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    print("Reproduced experiments (run: pytest benchmarks/ --benchmark-only)")
-    for exp_id, description, bench in _EXPERIMENTS:
-        print(f"  {exp_id:3s} {description:45s} benchmarks/{bench}")
-    return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint.cli import run_from_args
-
-    return run_from_args(args)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def _shared_cluster_options() -> argparse.ArgumentParser:
     """Parent parser for the options every cluster-running subcommand
     shares.
@@ -971,11 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="narrated end-to-end run")
-    demo.add_argument("-n", type=int, default=5)
-    demo.add_argument("--seed", type=int, default=7)
-    demo.set_defaults(func=_cmd_demo)
-
     cons = sub.add_parser("consensus", help="run one consensus algorithm")
     cons.add_argument("algo", choices=sorted(ALGORITHMS))
     cons.add_argument("-n", type=int, default=5)
@@ -987,21 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--wan", action="store_true", help="WAN delays")
     cons.add_argument("--until", type=float, default=4000.0)
     cons.set_defaults(func=_cmd_consensus)
-
-    cmp_fd = sub.add_parser("compare-fd", help="detector cost/latency table")
-    cmp_fd.add_argument("-n", type=int, default=8)
-    cmp_fd.add_argument("--seed", type=int, default=5)
-    cmp_fd.set_defaults(func=_cmd_compare_fd)
-
-    val = sub.add_parser("validate", help="randomized correctness battery")
-    val.add_argument("--runs", type=int, default=5)
-    val.set_defaults(func=_cmd_validate)
-
-    exps = sub.add_parser("experiments", help="list reproduced experiments")
-    exps.set_defaults(func=_cmd_experiments)
-
-    rep = sub.add_parser("report", help="print stored experiment tables")
-    rep.set_defaults(func=_cmd_report)
 
     shared = _shared_cluster_options()
 
@@ -1095,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         kserve, "period", "seed", "codec", "ship_to", "max_batch",
         "pipeline_depth",
     )
-    kserve.set_defaults(func=_cmd_kv, seed=7)
+    kserve.set_defaults(func=_cmd_kv_serve, seed=7)
 
     def _kv_client_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--connect", required=True,
@@ -1112,14 +904,14 @@ def build_parser() -> argparse.ArgumentParser:
     kget = kv_sub.add_parser("get", help="read one key (through the log)")
     kget.add_argument("key")
     _kv_client_options(kget)
-    kget.set_defaults(func=_cmd_kv)
+    kget.set_defaults(func=_cmd_kv_op)
 
     kput = kv_sub.add_parser("put", help="write one key (exactly-once)")
     kput.add_argument("key")
     kput.add_argument("value",
                       help="JSON when it parses, raw string otherwise")
     _kv_client_options(kput)
-    kput.set_defaults(func=_cmd_kv)
+    kput.set_defaults(func=_cmd_kv_op)
 
     kbench = kv_sub.add_parser(
         "bench-client",
@@ -1128,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     _kv_client_options(kbench)
     kbench.add_argument("--ops", type=int, default=100,
                         help="how many sequential commands to run")
-    kbench.set_defaults(func=_cmd_kv)
+    kbench.set_defaults(func=_cmd_kv_bench_client)
 
     load = sub.add_parser(
         "load",
@@ -1254,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sgen.add_argument("--out", metavar="FILE.json", default=None,
                       help="write the document here instead of stdout")
-    sgen.set_defaults(func=_cmd_scenario, file=None)
+    sgen.set_defaults(func=_cmd_scenario_gen, file=None)
     srun = scen_sub.add_parser(
         "run",
         parents=[gen_opts],
@@ -1282,26 +1074,25 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ship traces (JSONL file or directory; the "
                            "workdir for --runtime proc)")
     add_config_flags(srun, "stack", "codec", "ship_to")
-    srun.set_defaults(func=_cmd_scenario)
-    scen.set_defaults(func=_cmd_scenario)
+    srun.set_defaults(func=_cmd_scenario_run)
 
     trc = sub.add_parser(
         "trace",
         help="merge / inspect / validate shipped JSONL trace files",
     )
-    from .obs.cli import add_trace_arguments
+    from .obs import cli as trace_cli
 
-    add_trace_arguments(trc)
-    trc.set_defaults(func=_cmd_trace)
+    trace_cli.add_trace_arguments(trc)
+    trc.set_defaults(func=trace_cli.run_from_args)
 
     lint = sub.add_parser(
         "lint",
         help="AST determinism & protocol-safety analyzer (repro.lint)",
     )
-    from .lint.cli import add_lint_arguments
+    from .lint import cli as lint_cli
 
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
+    lint_cli.add_lint_arguments(lint)
+    lint.set_defaults(func=lint_cli.run_from_args)
     return parser
 
 

@@ -100,20 +100,3 @@ class TestTotalOrder:
             for t in tobs
         )
 
-
-class TestReport:
-    def test_render_report_with_results(self, tmp_path):
-        from repro.analysis import render_report
-
-        (tmp_path / "e1_class_properties.txt").write_text("TABLE-E1\n")
-        (tmp_path / "zz_custom.txt").write_text("TABLE-CUSTOM\n")
-        out = render_report(tmp_path)
-        assert "TABLE-E1" in out
-        assert "TABLE-CUSTOM" in out
-        assert out.index("TABLE-E1") < out.index("TABLE-CUSTOM")
-
-    def test_render_report_empty(self, tmp_path):
-        from repro.analysis import render_report
-
-        out = render_report(tmp_path / "nonexistent")
-        assert "pytest benchmarks/" in out

@@ -265,23 +265,11 @@ class TestCommands:
             build_parser().parse_args(
                 ["load", "--proc", "3", "--transport", "loopback"])
 
-    def test_experiments_lists_all(self, capsys):
-        assert main(["experiments"]) == 0
-        out = capsys.readouterr().out
-        for exp in ("E1", "E5", "E9", "A4", "N3"):
-            assert exp in out
-
     def test_cluster_rsm_rejects_the_adaptive_path(self, capsys):
         # The adaptive (run-until-stable) flow has no proposal script; an
         # rsm deployment without --duration/--crash/--virtual is an error.
         assert main(["cluster", "--stack", "rsm"]) == 2
         assert "scripted" in capsys.readouterr().err
-
-    def test_demo_runs_and_decides(self, capsys):
-        assert main(["demo", "-n", "4", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "leader timeline" in out
-        assert "'termination': True" in out
 
     def test_consensus_success_exit_code(self, capsys):
         assert main(["consensus", "ec", "-n", "3", "--seed", "1"]) == 0
@@ -295,21 +283,41 @@ class TestCommands:
         ])
         assert code == 0
 
-    def test_validate_small(self, capsys):
-        assert main(["validate", "--runs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "all good" in out
+    @pytest.mark.parametrize("spec", ["1.5", "x:2"])
+    def test_consensus_bad_crash_spec_exits_2(self, spec, capsys):
+        assert main(["consensus", "ec", "--crash", spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --crash spec {spec!r}; expected PID:TIME, "
+            "e.g. 0:2.5\n")
 
-    def test_compare_fd(self, capsys):
-        assert main(["compare-fd", "-n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 2" in out
+    def test_kv_bench_client_rejects_zero_ops_before_connecting(
+            self, capsys, monkeypatch):
+        import repro.svc
 
-    def test_report(self, capsys):
-        assert main(["report"]) == 0
-        out = capsys.readouterr().out
-        # Either stored tables or the how-to-generate hint.
-        assert "experiment" in out.lower()
+        def no_client(*args, **kwargs):
+            raise AssertionError("connected for an invalid --ops")
+
+        monkeypatch.setattr(repro.svc, "KVClient", no_client)
+        assert main(["kv", "bench-client", "--connect", "127.0.0.1:9",
+                     "--ops", "0"]) == 2
+        assert capsys.readouterr().err == "error: --ops must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("flag", [
+        ["--scenario", "nem.json"],
+        ["--crash", "0:1"],
+        ["--merge-out", "out.jsonl"],
+    ], ids=lambda flag: flag[0])
+    def test_load_connect_rejects_proc_only_flags(self, flag, capsys,
+                                                  monkeypatch):
+        import repro.load
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("offered load with a --proc-only flag")
+
+        monkeypatch.setattr(repro.load, "LoadGenerator", no_load)
+        assert main(["load", "--connect", "127.0.0.1:9"] + flag) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag[0]} needs a --proc cluster")
 
     def test_scenario_gen_is_deterministic(self, capsys):
         argv = ["scenario", "gen", "--nodes", "3", "--seed", "7"]

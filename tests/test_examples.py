@@ -20,6 +20,12 @@ EXAMPLES = sorted(
 # skips them.
 SLOW_EXAMPLES = {"partition_and_recovery", "proc_cluster"}
 
+#: Output an example must print beyond "something": the quickstart is the
+#: one place the leader and round timelines are shown.
+EXPECTED_OUTPUT = {
+    "quickstart": ("leader timeline (channel 'fd'", "rounds of 'ec'"),
+}
+
 
 @pytest.mark.parametrize(
     "example",
@@ -41,6 +47,8 @@ def test_example_runs(example):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "example produced no output"
+    for text in EXPECTED_OUTPUT.get(example.stem, ()):
+        assert text in result.stdout, text
 
 
 def test_example_inventory():

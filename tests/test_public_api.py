@@ -13,7 +13,6 @@ from repro.analysis import (
     FDRecord,
     PropertyCheck,
     QoSReport,
-    collect_results,
 )
 from repro.cluster import STACKS, TRANSPORTS
 from repro.lint import all_rules
@@ -145,13 +144,11 @@ class TestReexportIntegrity:
         import repro.analysis.consensus_properties as cp
         import repro.analysis.fd_properties as fdp
         import repro.analysis.qos as qos
-        import repro.analysis.report as report
 
         assert ConsensusOutcome is cp.ConsensusOutcome
         assert FDRecord is fdp.FDRecord
         assert PropertyCheck is fdp.PropertyCheck
         assert QoSReport is qos.QoSReport
-        assert collect_results is report.collect_results
         for result_type in (ConsensusOutcome, PropertyCheck, QoSReport):
             assert dataclasses.is_dataclass(result_type)
 
