@@ -452,7 +452,7 @@ def _cmd_kv_serve(args: argparse.Namespace) -> int:
     async def serve() -> None:
         cluster = LocalCluster(
             n=args.nodes, transport=args.transport, trace_out=args.trace_out,
-            seed=config.seed, codec=config.codec, ship_to=config.ship_to,
+            seed=config.seed, ship_to=config.ship_to,
         )
         cluster.deploy_standard_stack(**config.to_dict())
         await cluster.start()
@@ -764,7 +764,7 @@ def _shared_cluster_options() -> argparse.ArgumentParser:
              "run's defaults")
     add_config_flags(
         group, "metrics_interval", "ship_to", "max_batch", "pipeline_depth",
-        "seed", "period", "codec",
+        "seed", "period",
     )
     # No --period default: an explicit flag must be told apart from the
     # --scenario document's period (see Scenario.resolved).
@@ -884,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ship the cluster trace (JSONL file or "
                              "directory)")
     add_config_flags(
-        kserve, "period", "seed", "codec", "ship_to", "max_batch",
+        kserve, "period", "seed", "ship_to", "max_batch",
         "pipeline_depth",
     )
     kserve.set_defaults(func=_cmd_kv_serve, seed=7)
@@ -1073,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--trace-out", metavar="PATH", default=None,
                       help="ship traces (JSONL file or directory; the "
                            "workdir for --runtime proc)")
-    add_config_flags(srun, "stack", "codec", "ship_to")
+    add_config_flags(srun, "stack", "ship_to")
     srun.set_defaults(func=_cmd_scenario_run)
 
     trc = sub.add_parser(

@@ -9,7 +9,7 @@ some of them, and judges the run:
   for every substrate — and :func:`standard_verdicts`, the shared
   postmortem;
 * :mod:`~repro.cluster.config` — :class:`NodeConfig`, the one frozen,
-  validated value of what a node runs (stack, period, timeouts, codec,
+  validated value of what a node runs (stack, period, timeouts, seed,
   ...), which every substrate, the address book and the CLI share;
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`, *n*
   :class:`~repro.net.host.NodeHost`\\ s in one OS process (wall or

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..net.codec import CODECS
 from ..obs.live import parse_ship_address
 from ..types import Time
 
@@ -69,7 +68,7 @@ def _setting(default: Any, check: Optional[Callable[[str, Any], None]],
 
 @dataclass(frozen=True, kw_only=True)
 class NodeConfig:
-    """The ten settings a node consumes (see module docstring)."""
+    """The nine settings a node consumes (see module docstring)."""
 
     stack: str = _setting(
         "ring", _one_of(STACKS), flag="--stack", choices=STACKS,
@@ -87,10 +86,6 @@ class NodeConfig:
     seed: int = _setting(
         0, None, flag="--seed", type=int,
         help="rng seed of the run (fault-plan loss streams, node rngs)")
-    codec: str = _setting(
-        "auto", _one_of(CODECS), flag="--codec", choices=CODECS,
-        help="wire codec ('auto' picks msgpack when its C extension is "
-             "importable, json otherwise)")
     metrics_interval: Optional[Time] = _setting(
         None, _positive, flag="--metrics-interval", type=float,
         metavar="SECONDS",

@@ -95,7 +95,7 @@ class LocalCluster(FaultVerbs):
         transport: str = "loopback",
         clock: str = "wall",
         seed: int = 0,
-        codec: Union[Codec, str, None] = None,
+        codec: Optional[Codec] = None,
         bind_host: str = "127.0.0.1",
         trace_kinds: Optional[Iterable[str]] = None,
         trace_out: Optional[Union[str, Path]] = None,
@@ -120,12 +120,11 @@ class LocalCluster(FaultVerbs):
                 "ship_to needs a wall clock: live shipping runs on the "
                 "event loop and a virtual run has no wall epoch to rebase"
             )
-        codec_name = codec.name if isinstance(codec, Codec) else codec or "auto"
-        #: What every node runs (:class:`NodeConfig`).  ``seed``, ``codec``
-        #: and ``ship_to`` are fixed here — hosts and sinks are built in
+        #: What every node runs (:class:`NodeConfig`).  ``seed`` and
+        #: ``ship_to`` are fixed here — hosts and sinks are built in
         #: this constructor; the stack settings join them when
         #: :func:`attach_standard_stack` deploys (the defaults until then).
-        self.config = NodeConfig(seed=seed, codec=codec_name, ship_to=ship_to)
+        self.config = NodeConfig(seed=seed, ship_to=ship_to)
         super().__init__()  # the pre-start fault queue (ClusterAPI.fault)
         self.n = n
         self.transport_kind = transport
@@ -173,9 +172,7 @@ class LocalCluster(FaultVerbs):
             host_traces = [
                 TeeSink(sink, self._streaming) for sink in host_traces
             ]
-        self.codec = (
-            codec if isinstance(codec, Codec) else default_codec(codec_name)
-        )
+        self.codec = codec if codec is not None else default_codec()
         # Sink the cluster-level scenario.* narration goes through: the
         # same object node 0 traces into, so combined/per-node JSONL
         # shipping sees the fault events too (not just the MemorySink).
@@ -572,7 +569,7 @@ def attach_standard_stack(
     *settings* are :class:`NodeConfig` fields (``stack``, ``period``,
     timeouts, ...; the result is ``cluster.config`` afterwards).  An
     unknown keyword is a :class:`ConfigurationError`, and so is a
-    ``seed`` / ``codec`` / ``ship_to`` that contradicts what the cluster
+    ``seed`` / ``ship_to`` that contradicts what the cluster
     was constructed with.  Per node: leader-based Ω (``fd.omega``) + a ◇S
     suspect source (``fd.suspects``, ring or heartbeat) + the ◇C combiner
     (``fd``); the Fig. 2 ◇C→◇P transformation (``fdp``); and reliable
@@ -585,7 +582,7 @@ def attach_standard_stack(
     Returns the components per role, each a pid-ordered list (only the
     roles the chosen stack actually deploys appear as keys).
     """
-    for name in ("seed", "codec", "ship_to"):
+    for name in ("seed", "ship_to"):
         fixed = getattr(cluster.config, name)
         if settings.setdefault(name, fixed) != fixed:
             raise ConfigurationError(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..net.codec import Codec
 from ..obs.metrics import MetricsRegistry
 from ..svc.client import KVClient, ServiceUnavailable
 
@@ -154,7 +153,6 @@ class LoadGenerator:
         request_timeout: float = 30.0,
         max_attempts: int = 10,
         seed: int = 0,
-        codec: Optional[Codec] = None,
         metrics: Optional[MetricsRegistry] = None,
         client_prefix: str = "load",
     ) -> None:
@@ -177,7 +175,6 @@ class LoadGenerator:
         self.request_timeout = request_timeout
         self.max_attempts = max_attempts
         self.seed = seed
-        self.codec = codec
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.client_prefix = client_prefix
 
@@ -216,7 +213,6 @@ class LoadGenerator:
         return KVClient(
             self.addrs,
             client_id=f"{self.client_prefix}-{index}",
-            codec=self.codec,
             request_timeout=self.request_timeout,
             max_attempts=self.max_attempts,
             seed=self.seed * 100003 + index,

@@ -5,7 +5,7 @@ virtual time, this subpackage executes the *same, unchanged*
 :class:`~repro.sim.component.Component` subclasses on real asyncio event
 loops and real sockets:
 
-* :mod:`~repro.net.codec` — msgpack/JSON wire codecs that round-trip every
+* :mod:`~repro.net.codec` — the JSON wire codec that round-trips every
   payload shape the protocols produce;
 * :mod:`~repro.net.clock` — wall-clock and deterministic virtual clocks
   implementing the shared :mod:`repro.sim.api` scheduler protocol;
@@ -26,7 +26,7 @@ matrix, and ``python -m repro cluster`` for the end-to-end demo.
 """
 
 from .clock import AsyncioClock, SkewedClock, VirtualClock
-from .codec import Codec, CodecError, JsonCodec, MsgpackCodec, default_codec
+from .codec import Codec, CodecError, JsonCodec, default_codec
 from .control import FaultControlEndpoint, send_fault_command
 from ..sim.faults import FaultPlan
 from .host import NodeHost, RuntimeNetwork, RuntimeWorld
@@ -50,7 +50,6 @@ __all__ = [
     "Codec",
     "CodecError",
     "JsonCodec",
-    "MsgpackCodec",
     "default_codec",
     "FaultPlan",
     "NodeHost",

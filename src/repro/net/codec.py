@@ -11,13 +11,12 @@ runs unchanged on both substrates.
 The structural transform — the tagged recursion into JSON-safe shape — is
 :mod:`repro.obs.encode`, shared with the JSONL trace files (one transform,
 one set of tags, on the wire and on disk).  This module adds the message
-envelope and the pluggable byte serializers.  :class:`JsonCodec` is the
-dependency-free baseline; :class:`MsgpackCodec` speaks the msgpack wire
-format through the C :mod:`msgpack` extension when the host image ships it
-and through the in-repo :mod:`repro.net.mpack` fallback otherwise — both
-produce interchangeable canonical bytes, so mixed clusters agree.  Nothing
-is ever installed; the image is the source of truth for which
-implementation backs the format.
+envelope and the pluggable byte serializer behind the :class:`Codec` seam.
+:class:`JsonCodec` is the one wire format: :func:`default_codec` names it,
+and every node, frontend and client speaks it on every host, so frames and
+traces are the same bytes wherever a run happens.  :class:`MsgpackCodec`
+is a second implementation of the seam that no runtime path constructs;
+it is kept only for the performance ledger's codec drill.
 
 Broadcast-heavy senders use :meth:`Codec.encode_message_batch`: one
 payload/envelope serialization shared across every destination, with only
@@ -28,9 +27,8 @@ per instance, not once per command" contract extended down to frames.
 from __future__ import annotations
 
 import json
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
-from ..errors import ConfigurationError
 from ..obs.encode import EncodeError, from_jsonable, to_jsonable
 from ..sim.message import Message
 from . import mpack
@@ -40,10 +38,7 @@ __all__ = [
     "Codec",
     "JsonCodec",
     "MsgpackCodec",
-    "CODECS",
     "default_codec",
-    "msgpack_extension_available",
-    "wire_preferences",
 ]
 
 
@@ -232,48 +227,6 @@ class MsgpackCodec(Codec):
         return [prefix + self._dumps(msg.dst) + tail for msg in msgs]
 
 
-def msgpack_extension_available() -> bool:
-    """Whether the C :mod:`msgpack` extension is importable on this host."""
-    try:
-        import msgpack  # type: ignore[import-not-found]  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def wire_preferences() -> List[str]:
-    """Codec names this host *wants*, best first, for negotiation.
-
-    msgpack leads only when the C extension backs it — the pure-Python
-    fallback keeps the format available everywhere but is slower than
-    :mod:`json` (which is C-accelerated), so it is an interoperability
-    floor, not a preference.
-    """
-    if msgpack_extension_available():
-        return ["msgpack", "json"]
-    return ["json"]
-
-
-#: What a ``codec`` setting may say (see :func:`default_codec`).
-CODECS = ("auto", "json", "msgpack")
-
-
-def default_codec(prefer: Optional[str] = None) -> Codec:
-    """The best codec this host supports.
-
-    ``prefer="json"``/``"msgpack"`` forces a family; by default (``None``
-    or ``"auto"``) msgpack is used when the C extension is importable,
-    JSON otherwise (the pure msgpack fallback exists for interoperability
-    and tests, not speed).
-    """
-    if prefer == "json":
-        return JsonCodec()
-    if prefer == "msgpack":
-        return MsgpackCodec()
-    if prefer not in (None, "auto"):
-        raise ConfigurationError(
-            f"unknown codec {prefer!r}; pick one of {CODECS}"
-        )
-    if msgpack_extension_available():
-        return MsgpackCodec()
+def default_codec() -> Codec:
+    """The wire codec every host speaks: JSON, whatever is installed."""
     return JsonCodec()

@@ -41,7 +41,7 @@ from ..sim.process import Process
 from ..sim.rng import RandomSource
 from ..types import Channel, ProcessId, Time
 from .clock import AsyncioClock
-from .codec import Codec, CodecError, JsonCodec
+from .codec import Codec, CodecError, default_codec
 from .transport import Transport
 
 __all__ = ["RuntimeNetwork", "RuntimeWorld", "NodeHost"]
@@ -127,7 +127,7 @@ class NodeHost:
             cluster.
         clock: any :class:`~repro.sim.api.SchedulerAPI`; defaults to a
             fresh wall-clock :class:`~repro.net.clock.AsyncioClock`.
-        codec: wire codec; defaults to JSON (always available).
+        codec: wire codec; defaults to :func:`~repro.net.codec.default_codec`.
         trace: any :class:`~repro.obs.TraceSink` — a shared recorder for
             in-process clusters, a per-node :class:`~repro.obs.JsonlSink`
             (or a tee of both) for trace shipping, or ``None`` for a
@@ -157,7 +157,7 @@ class NodeHost:
         self.transport = transport
         self.plan = plan
         self.clock = clock if clock is not None else AsyncioClock()
-        self.codec = codec if codec is not None else JsonCodec()
+        self.codec = codec if codec is not None else default_codec()
         self.trace: TraceSink = trace if trace is not None else MemorySink()
         #: The node's metric store (shared with ``world.metrics``).
         self.metrics = MetricsRegistry()
@@ -174,8 +174,6 @@ class NodeHost:
         self.process = Process(pid, self.world)  # reused verbatim from sim
         self.world.network.set_deliver(self.process.deliver)
         self.world.metrics_samplers.append(self._sample_transport_metrics)
-        self.undecodable_frames = 0
-        self.misrouted_frames = 0
         transport.set_receiver(self._on_frame)
         transport.set_observer(self._on_transport_event)
 
@@ -210,12 +208,9 @@ class NodeHost:
         except CodecError:
             # A malformed datagram (bit rot, port scanner, version skew) must
             # never take the node down — count it and move on.
-            self.undecodable_frames += 1
-            self.metrics.inc("frames_undecodable_total")
             self._drop_frame("undecodable")
             return
         if msg.dst != self.pid:
-            self.misrouted_frames += 1
             self._drop_frame(
                 "misrouted", channel=msg.channel, src=msg.src, dst=msg.dst
             )

@@ -517,10 +517,6 @@ register_metric(
     doc="decoded wire bytes delivered to components, by protocol channel",
 )
 register_metric(
-    "frames_undecodable_total", "counter", (),
-    doc="received frames the codec could not decode (bit rot, port scans)",
-)
-register_metric(
     "transport_frames_sent", "gauge", (),
     doc="transport-level frames sent (sampled from the transport counters)",
 )

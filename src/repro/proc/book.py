@@ -15,7 +15,6 @@ only crashes change the picture):
       "initial_timeout": 0.12,
       "timeout_increment": 0.05,
       "seed": 0,
-      "codec": "auto",
       "duration": 6.0,
       "propose_after": 1.0,
       "nodes": [

@@ -122,7 +122,7 @@ class ProcessCluster(FaultVerbs):
             ``sys.executable``).
         settings: what every node runs — the
             :class:`~repro.cluster.config.NodeConfig` fields (``stack``,
-            ``period``, ``seed``, ``codec``, ``ship_to``, ...), validated
+            ``period``, ``seed``, ``ship_to``, ...), validated
             here, exposed as :attr:`config`, and forwarded into the
             address book every node reads.
     """

@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Union
 
 from ..errors import ConfigurationError
 from ..net.clock import AsyncioClock, SkewedClock
-from ..net.codec import default_codec
 from ..net.control import FaultControlEndpoint
 from ..net.host import NodeHost
 from ..net.stats import StatsEndpoint, parse_stats_addr
@@ -72,7 +71,6 @@ def build_node(
     host = NodeHost(
         pid, book.n, transport, plan,
         clock=clock,
-        codec=default_codec(book.codec),
         trace=trace if trace is not None else MemorySink(),
         seed=book.seed,
     )

@@ -66,7 +66,7 @@ def cluster_for(
     ``propose_after`` come from ``scenario.resolved()`` and from nowhere
     else.  *settings* are the remaining
     :class:`~repro.cluster.config.NodeConfig` fields (``stack``, ``seed``,
-    ``codec``, ...); *transport* defaults to loopback in-process and udp
+    ``ship_to``, ...); *transport* defaults to loopback in-process and udp
     across processes; *trace_out* is where traces ship (the workdir of a
     process cluster); *serve* opens the KV client ports of an ``rsm``
     process cluster.
@@ -96,7 +96,7 @@ def cluster_for(
         n=scenario.n, transport=transport or "loopback",
         clock="virtual" if runtime == "virtual" else "wall",
         trace_out=trace_out, duration=scenario.duration,
-        seed=config.seed, codec=config.codec, ship_to=config.ship_to,
+        seed=config.seed, ship_to=config.ship_to,
     )
     cluster.deploy_standard_stack(
         propose_after=scenario.propose_after, **config.to_dict())

@@ -28,10 +28,11 @@ from __future__ import annotations
 import asyncio
 import random
 import time
+import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..net.codec import Codec, default_codec, wire_preferences
+from ..net.codec import default_codec
 from .protocol import ProtocolError, Reply, Request, encode_frame, read_frame
 
 __all__ = ["KVClient", "ServiceUnavailable"]
@@ -50,7 +51,6 @@ class KVClient:
         self,
         addrs: Sequence[Address],
         client_id: str,
-        codec: Optional[Codec] = None,
         request_timeout: float = 5.0,
         max_attempts: int = 10,
         backoff_initial: float = 0.05,
@@ -62,23 +62,18 @@ class KVClient:
             raise ConfigurationError("KVClient needs at least one address")
         self.addrs: List[Address] = [(a[0], a[1]) for a in addrs]
         self.client_id = client_id
-        self.codec = codec if codec is not None else default_codec()
+        self.codec = default_codec()
         self.request_timeout = request_timeout
         self.max_attempts = max_attempts
         self.backoff_initial = backoff_initial
         self.backoff_max = backoff_max
         self.redirect_poll = redirect_poll
-        self._rng = random.Random(seed if seed is not None else hash(client_id))
+        self._rng = random.Random(
+            seed if seed is not None else zlib.crc32(client_id.encode())
+        )
         self._target = self._rng.randrange(len(self.addrs))
         self._conn: Optional[Tuple[Address, asyncio.StreamReader,
                                    asyncio.StreamWriter]] = None
-        #: Codec names this host prefers, best first (negotiation offer).
-        self._wire_prefs = wire_preferences()
-        #: The codec the *current connection* speaks (negotiation may
-        #: upgrade it past the configured default).
-        self._conn_codec: Codec = self.codec
-        #: Whether the next request on this connection opens negotiation.
-        self._negotiate_pending = False
         self._seq = 0
         self._rid = 0
         self.redirects = 0
@@ -200,21 +195,14 @@ class KVClient:
 
     async def _roundtrip(self, addr: Address, request: Request) -> Reply:
         reader, writer = await self._connect(addr)
-        if self._negotiate_pending:
-            request.codecs = list(self._wire_prefs)
-        writer.write(encode_frame(self._conn_codec, request.to_payload()))
+        writer.write(encode_frame(self.codec, request.to_payload()))
         await writer.drain()
         while True:
-            payload = await read_frame(reader, self._conn_codec)
+            payload = await read_frame(reader, self.codec)
             if payload is None:
                 raise ConnectionError("frontend closed the connection")
             reply = Reply.from_payload(payload)
             if reply.rid == request.rid:
-                self._negotiate_pending = False
-                if reply.codec is not None:
-                    # The frontend named its pick; it decodes every later
-                    # frame on this connection with it, so switch in step.
-                    self._conn_codec = default_codec(prefer=reply.codec)
                 return reply
             # Stale reply to an earlier, timed-out rid on a reused
             # connection: discard and keep reading.
@@ -230,10 +218,6 @@ class KVClient:
             await self._drop_connection()
         reader, writer = await asyncio.open_connection(addr[0], addr[1])
         self._conn = (addr, reader, writer)
-        self._conn_codec = self.codec
-        # Offer an upgrade only when this host would rather speak
-        # something better than the configured codec.
-        self._negotiate_pending = self._wire_prefs[0] != self.codec.name
         return reader, writer
 
     async def _drop_connection(self) -> None:
@@ -241,8 +225,6 @@ class KVClient:
             return
         _, _, writer = self._conn
         self._conn = None
-        self._conn_codec = self.codec
-        self._negotiate_pending = False
         writer.close()
 
     def _point_at(self, addr: Address) -> None:

@@ -32,7 +32,6 @@ import asyncio
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..net.codec import Codec, default_codec, wire_preferences
 from ..net.host import NodeHost
 from ..types import ProcessId
 from .protocol import ProtocolError, Reply, Request, read_frame, write_frame
@@ -56,7 +55,6 @@ class ServiceFrontend:
         detector: Any,
         listen_host: str = "127.0.0.1",
         port: int = 0,
-        codec: Optional[Codec] = None,
         apply_timeout: float = 30.0,
     ) -> None:
         self.host = host
@@ -64,7 +62,7 @@ class ServiceFrontend:
         self.detector = detector
         self.listen_host = listen_host
         self.port = port
-        self.codec = codec if codec is not None else host.codec
+        self.codec = host.codec
         self.apply_timeout = apply_timeout
         self.state = KVStateMachine()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -137,16 +135,14 @@ class ServiceFrontend:
             task.add_done_callback(self._conn_tasks.discard)
         self.connections += 1
         self.metrics.set("svc_connections", self.connections)
-        codec = self.codec  # per-connection; negotiation may upgrade it
         try:
             while True:
                 try:
-                    payload = await read_frame(reader, codec)
+                    payload = await read_frame(reader, self.codec)
                 except ProtocolError:
                     break  # stream out of sync; drop the connection
                 if payload is None:
                     break  # clean EOF
-                upgrade: Optional[Codec] = None
                 try:
                     request = Request.from_payload(payload)
                 except ProtocolError as exc:
@@ -154,15 +150,7 @@ class ServiceFrontend:
                     reply = Reply(rid=rid, status="error", error=str(exc))
                 else:
                     reply = await self._handle(request)
-                    if request.codecs:
-                        upgrade = self._negotiate(request.codecs, codec)
-                        if upgrade is not None:
-                            reply.codec = upgrade.name
-                # The reply goes out in the codec the request arrived in;
-                # the named upgrade takes effect from the next frame.
-                write_frame(writer, codec, reply.to_payload())
-                if upgrade is not None:
-                    codec = upgrade
+                write_frame(writer, self.codec, reply.to_payload())
                 try:
                     await writer.drain()
                 except (ConnectionError, OSError):
@@ -179,22 +167,6 @@ class ServiceFrontend:
             self.connections -= 1
             self.metrics.set("svc_connections", self.connections)
             writer.close()
-
-    def _negotiate(
-        self, offered: List[str], current: Codec
-    ) -> Optional[Codec]:
-        """The codec to upgrade this connection to, or ``None`` to stay.
-
-        Picks the client's most-preferred name this host also prefers
-        (``wire_preferences`` lists only formats that are *fast* here, so
-        a pure-msgpack host never drags a connection off C-accelerated
-        JSON just because the format exists).
-        """
-        ours = wire_preferences()
-        for name in offered:
-            if name in ours:
-                return default_codec(prefer=name) if name != current.name else None
-        return None
 
     # --------------------------------------------------------------- requests
     async def _handle(self, request: Request) -> Reply:

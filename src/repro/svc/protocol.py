@@ -20,22 +20,15 @@ Two message shapes cross the wire:
   ``redirect`` the pid (and, when known, the serve address) of the
   leader the client should retry against.
 
-**Codec negotiation.**  Every connection starts in JSON-compatible
-territory: the first request a client sends may carry ``codecs``, its
-codec names in preference order.  The frontend answers that request in
-the codec it was *received* in, names its pick in the reply's ``codec``
-field, and decodes every subsequent frame on the connection with the
-pick; the client sees the field and switches its next send the same way.
-Both sides upgrade in lockstep with no extra round trip, and either side
-omitting the field (an older peer) leaves the connection on its default
-codec — the fields are additive, so mixed versions interoperate.
+Every frame is JSON (:func:`~repro.net.codec.default_codec`) on every
+host, so a client and a frontend never have to agree on a format.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..net.codec import Codec, CodecError
 from ..net.frame import (
@@ -75,12 +68,9 @@ class Request:
     key: Optional[str] = None
     value: Any = None
     expect: Any = None
-    #: Codec names in preference order; sent on a connection's first
-    #: request to open negotiation, omitted (None) everywhere else.
-    codecs: Optional[List[str]] = None
     #: Causal-span correlation id (``"<client>.<seq>"``), minted once per
-    #: sequenced command and shared by all its retries; additive like
-    #: ``codecs``, so older peers interoperate.
+    #: sequenced command and shared by all its retries; omitted (None)
+    #: on unsequenced requests.
     span: Optional[str] = None
 
     def to_payload(self) -> Dict[str, Any]:
@@ -89,8 +79,6 @@ class Request:
             "seq": self.seq, "key": self.key, "value": self.value,
             "expect": self.expect,
         }
-        if self.codecs is not None:
-            payload["codecs"] = list(self.codecs)
         if self.span is not None:
             payload["span"] = self.span
         return payload
@@ -100,7 +88,6 @@ class Request:
         if not isinstance(payload, dict):
             raise ProtocolError(f"request frame is not a dict: {payload!r}")
         try:
-            codecs = payload.get("codecs")
             span = payload.get("span")
             return cls(
                 rid=int(payload["rid"]),
@@ -110,7 +97,6 @@ class Request:
                 key=payload.get("key"),
                 value=payload.get("value"),
                 expect=payload.get("expect"),
-                codecs=[str(c) for c in codecs] if codecs else None,
                 span=str(span) if span is not None else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -140,18 +126,12 @@ class Reply:
     error: Optional[str] = None
     leader: Optional[int] = None
     addr: Optional[Tuple[str, int]] = None
-    #: The codec name this connection speaks from the next frame on;
-    #: set only on the reply that answers a negotiating request.
-    codec: Optional[str] = None
 
     def to_payload(self) -> Dict[str, Any]:
-        payload = {
+        return {
             "rid": self.rid, "status": self.status, "result": self.result,
             "error": self.error, "leader": self.leader, "addr": self.addr,
         }
-        if self.codec is not None:
-            payload["codec"] = self.codec
-        return payload
 
     @classmethod
     def from_payload(cls, payload: Any) -> "Reply":
@@ -159,7 +139,6 @@ class Reply:
             raise ProtocolError(f"reply frame is not a dict: {payload!r}")
         try:
             addr = payload.get("addr")
-            codec = payload.get("codec")
             return cls(
                 rid=int(payload["rid"]),
                 status=str(payload["status"]),
@@ -167,7 +146,6 @@ class Reply:
                 error=payload.get("error"),
                 leader=payload.get("leader"),
                 addr=(str(addr[0]), int(addr[1])) if addr else None,
-                codec=str(codec) if codec is not None else None,
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ProtocolError(f"malformed reply frame: {exc}") from exc

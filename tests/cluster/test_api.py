@@ -137,10 +137,10 @@ def test_fault_validates_eagerly_queues_before_start_and_arms_after():
 
 # ------------------------------------------------- one validity everywhere
 def build_local(**settings):
-    # The in-process substrate fixes these three at construction.
+    # The in-process substrate fixes these two at construction.
     fixed = {
         name: settings.pop(name)
-        for name in ("seed", "codec", "ship_to") if name in settings
+        for name in ("seed", "ship_to") if name in settings
     }
     cluster = LocalCluster(n=3, **fixed)
     cluster.deploy_standard_stack(**settings)
@@ -155,7 +155,10 @@ SUBSTRATES = {
 BAD_SETTINGS = [
     dict(period=0), dict(period=-1), dict(metrics_interval=0),
     dict(initial_timeout=-3), dict(max_batch=0), dict(pipeline_depth=0),
-    dict(stack="star"), dict(codec="pickle"), dict(ship_to="nonsense"),
+    dict(stack="star"), dict(ship_to="nonsense"),
+    # A setting that no longer exists (JSON is the one wire format) is an
+    # unknown key, refused like a bad value rather than silently ignored.
+    dict(codec="pickle"),
 ]
 
 
@@ -165,7 +168,7 @@ def test_every_substrate_rejects_a_bad_setting_up_front(substrate, bad):
     """Construction alone — before any socket is bound or process spawned
     — raises, with the one validator's message on every substrate."""
     with pytest.raises(ConfigurationError) as reference:
-        NodeConfig(**bad)
+        NodeConfig.from_dict(bad)
     with pytest.raises(ConfigurationError) as raised:
         SUBSTRATES[substrate](**bad)
     assert str(raised.value) == str(reference.value)

@@ -47,10 +47,10 @@ def bad(name):
     return SAMPLES[shape(SPECS[name])][1]
 
 
-def test_exactly_the_ten_settings():
+def test_exactly_the_nine_settings():
     assert CONFIG_FIELDS == (
         "stack", "period", "initial_timeout", "timeout_increment", "seed",
-        "codec", "metrics_interval", "max_batch", "pipeline_depth", "ship_to",
+        "metrics_interval", "max_batch", "pipeline_depth", "ship_to",
     )
 
 

@@ -95,7 +95,8 @@ def test_undecodable_frame_is_counted_not_fatal():
         h.start()
     hosts[0].transport.send(1, b"\xffnot-a-frame")
     clock.run(until=1.0)
-    assert hosts[1].undecodable_frames == 1
+    assert hosts[1].metrics.value(
+        "messages_dropped_total", reason="undecodable") == 1
     assert echoes[1].heard == []
     drops = [ev for ev in hosts[1].trace.events if ev.kind == "drop"]
     assert drops and drops[0].get("reason") == "undecodable"
@@ -110,7 +111,6 @@ def test_misrouted_frame_is_counted_and_ignored():
     stray = Message(src=0, dst=5, channel="echo", payload="x", send_time=0.0)
     hosts[0].transport.send(1, JsonCodec().encode_message(stray))
     clock.run(until=1.0)
-    assert hosts[1].misrouted_frames == 1
     # Counted and visible, like the undecodable branch — never delivered.
     assert hosts[1].metrics.value(
         "messages_dropped_total", reason="misrouted") == 1

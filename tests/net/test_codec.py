@@ -1,5 +1,8 @@
 """Wire codec round-trips: every payload shape the protocols produce."""
 
+import sys
+import types
+
 import pytest
 
 from repro.consensus.ec_consensus import NULL
@@ -143,9 +146,34 @@ def test_unencodable_payload_raises_codec_error():
 
 def test_default_codec_always_available():
     assert isinstance(default_codec(), Codec)
-    assert default_codec(prefer="json").name == "json"
-    with pytest.raises(ConfigurationError):
-        default_codec(prefer="protobuf")
+    assert default_codec().name == "json"
+
+
+def test_json_is_the_one_wire_format_even_with_msgpack_importable(
+    monkeypatch,
+):
+    # A host that can import msgpack must still speak the bytes every other
+    # host speaks: nothing on the runtime path picks a format by probing.
+    from repro.cluster import LocalCluster
+    from repro.proc.book import AddressBook
+    from repro.proc.node import build_node
+    from repro.svc.client import KVClient
+    from repro.svc.protocol import Reply, Request
+
+    stand_in = types.ModuleType("msgpack")
+    stand_in.packb = lambda obj, **kw: b""
+    stand_in.unpackb = lambda data, **kw: None
+    monkeypatch.setitem(sys.modules, "msgpack", stand_in)
+
+    assert type(default_codec()) is JsonCodec
+    assert type(LocalCluster(n=2, clock="virtual").codec) is JsonCodec
+    book = AddressBook.allocate(2, transport="udp")
+    assert type(build_node(book, 0).codec) is JsonCodec
+    assert type(KVClient([("127.0.0.1", 1)], client_id="c").codec) is JsonCodec
+    request = Request(rid=1, client="c", op="put", seq=0, key="k", value=1)
+    reply = Reply(rid=1, status="ok", result={"ok": True})
+    assert "codecs" not in request.to_payload()
+    assert "codec" not in reply.to_payload()
 
 
 def test_msgpack_is_gated_not_installed():

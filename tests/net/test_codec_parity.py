@@ -20,12 +20,7 @@ import pytest
 
 from repro.consensus.ec_consensus import NULL
 from repro.consensus.multi import BATCH, NOOP
-from repro.net.codec import (
-    JsonCodec,
-    MsgpackCodec,
-    msgpack_extension_available,
-    wire_preferences,
-)
+from repro.net.codec import JsonCodec, MsgpackCodec
 from repro.net import mpack
 from repro.sim.message import Message
 from repro.svc.protocol import Reply, Request, encode_frame, read_frame
@@ -121,27 +116,26 @@ def _frame_round_trip(codec, payload_dict):
 def test_service_request_frame_parity(codec):
     request = Request(
         rid=7, client="c-1", op="cas", seq=3, key="k",
-        value={"v": [1, 2]}, expect=None, codecs=["msgpack", "json"],
+        value={"v": [1, 2]}, expect=None, span="c-1.3",
     )
     payload = _frame_round_trip(codec, request.to_payload())
     out = Request.from_payload(payload)
     assert (out.rid, out.client, out.op, out.seq) == (7, "c-1", "cas", 3)
     assert out.value == {"v": [1, 2]}
-    assert out.codecs == ["msgpack", "json"]
+    assert out.span == "c-1.3"
 
 
 @pytest.mark.parametrize("codec", (JSON, MSGPACK), ids=lambda c: c.name)
 def test_service_reply_frame_parity(codec):
     reply = Reply(
         rid=7, status="ok", result={"ok": True, "value": 9},
-        leader=2, addr=("127.0.0.1", 4001), codec="msgpack",
+        leader=2, addr=("127.0.0.1", 4001),
     )
     payload = _frame_round_trip(codec, reply.to_payload())
     out = Reply.from_payload(payload)
     assert (out.rid, out.status, out.leader) == (7, "ok", 2)
     assert out.result == {"ok": True, "value": 9}
     assert tuple(out.addr) == ("127.0.0.1", 4001)
-    assert out.codec == "msgpack"
 
 
 # ------------------------------------------------------------- known vectors
@@ -180,16 +174,8 @@ def test_pure_unpacker_rejects_trailing_and_ext():
         mpack.unpackb(b"\xcc")  # truncated uint8
 
 
-def test_wire_preferences_track_extension():
-    prefs = wire_preferences()
-    if msgpack_extension_available():
-        assert prefs == ["msgpack", "json"]
-    else:
-        assert prefs == ["json"]
-
-
 @pytest.mark.skipif(
-    not msgpack_extension_available(),
+    MSGPACK.impl != "ext",
     reason="C msgpack extension not installed; pure fallback in use",
 )
 @pytest.mark.parametrize("payload", payload_cases(PAYLOADS), ids=repr)

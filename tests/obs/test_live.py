@@ -149,7 +149,7 @@ def test_example_traces_report_the_committed_numbers(example_merge):
     online = IncrementalQoS()
     for event in example_merge.trace:
         online.observe_event(event)
-    assert online.event_count == len(example_merge.trace.events) == 333
+    assert online.event_count == len(example_merge.trace.events) == 347
 
     report = online.report()
     assert report.n == 3 and report.correct == frozenset({1, 2})
@@ -168,6 +168,7 @@ def test_example_traces_report_the_committed_numbers(example_merge):
     # leader stabilization (15.55).
     assert costed.cost_window == (pytest.approx(21.0), pytest.approx(80.55))
     assert costed.message_cost == {
+        "consensus.rb": pytest.approx(0.168, abs=5e-4),
         "fd.omega": pytest.approx(2.015, abs=5e-4),
         "fd.suspects": pytest.approx(4.030, abs=5e-4),
         "fdp": pytest.approx(3.023, abs=5e-4),
@@ -178,7 +179,7 @@ def test_example_traces_report_the_committed_numbers(example_merge):
     fine = online.report(period=0.5)
     assert fine.cost_window == (pytest.approx(16.5), pytest.approx(80.55))
     assert fine.message_cost == {
-        "consensus": pytest.approx(0.02342, abs=5e-6),
+        "consensus": pytest.approx(0.04684, abs=5e-6),
         "consensus.rb": pytest.approx(0.03123, abs=5e-6),
         "fd.omega": pytest.approx(0.20297, abs=5e-6),
         "fd.suspects": pytest.approx(0.39813, abs=5e-6),

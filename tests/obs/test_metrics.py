@@ -57,7 +57,7 @@ def test_wrong_label_set_raises():
     with pytest.raises(ConfigurationError, match="labels"):
         reg.inc("messages_sent_total")  # channel missing
     with pytest.raises(ConfigurationError, match="labels"):
-        reg.inc("frames_undecodable_total", channel="fd")  # none declared
+        reg.inc("svc_redirects_total", channel="fd")  # none declared
 
 
 def test_call_shapes_are_checked_once_and_failures_never_remembered():

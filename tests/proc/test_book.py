@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.cluster import NodeConfig
 from repro.errors import ConfigurationError
 from repro.proc import PROC_TRANSPORTS, AddressBook, NodeAddress
@@ -136,10 +137,24 @@ def test_books_written_before_node_config_reserialise_byte_identically(
 ):
     """The fixtures were written by the commit before NodeConfig existed
     (a default book, and one with every key set incl. ``ship_to`` and
-    serve/control ports): the on-disk format must not move by a byte."""
+    serve/control ports), less the ``codec`` key books no longer carry:
+    the on-disk format must not move by a byte."""
     original = FIXTURES / name
     book = AddressBook.load(original)
     assert book.save(tmp_path / name).read_bytes() == original.read_bytes()
+
+
+def test_a_book_that_still_names_a_codec_is_rejected(tmp_path, capsys):
+    # JSON is the one wire format, so ``codec`` is no longer a setting: an
+    # old book naming it is an unknown key, not a silently ignored one.
+    data = json.loads((FIXTURES / "book-default.json").read_text())
+    data["codec"] = "auto"
+    with pytest.raises(ConfigurationError, match="unknown address-book keys"):
+        AddressBook.from_dict(data)
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(data))
+    assert main(["node", "--book", str(path), "--pid", "0"]) == 2
+    assert "codec" in capsys.readouterr().err
 
 
 def test_minimal_handwritten_book_loads_with_the_defaults():

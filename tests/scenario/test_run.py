@@ -173,7 +173,7 @@ def test_scripted_cluster_computes_the_fd_verdicts_and_the_bound(capsys):
 def test_virtual_smoke_trace_and_verdict_block_match_the_parent(
         tmp_path, capsys):
     trace = tmp_path / "smoke.jsonl"
-    assert main(["scenario", "run", "--file", str(SMOKE), "--codec", "json",
+    assert main(["scenario", "run", "--file", str(SMOKE),
                  "--trace-out", str(trace)]) == 0
     out = capsys.readouterr().out
     key = "scenario run --file examples/scenarios/smoke.json (virtual): "
@@ -198,8 +198,7 @@ def test_cluster_virtual_trace_matches_the_parent_modulo_provenance(
     for name in ("a.jsonl", "b.jsonl"):
         path = tmp_path / name
         assert main(["cluster", "--transport", "loopback", "--virtual",
-                     "--nodes", "3", "--codec", "json",
-                     "--trace-out", str(path)]) == 0
+                     "--nodes", "3", "--trace-out", str(path)]) == 0
         traces.append(path.read_bytes())
     capsys.readouterr()
     assert traces[0] == traces[1]

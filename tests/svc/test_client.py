@@ -6,7 +6,11 @@ is tested without booting a cluster.
 """
 
 import asyncio
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,7 @@ class FakeFrontend:
     def __init__(self, handler):
         self.handler = handler
         self.requests = []
+        self.payloads = []
         self.server = None
         self.addr = None
 
@@ -38,6 +43,7 @@ class FakeFrontend:
             payload = await read_frame(reader, CODEC)
             if payload is None:
                 break
+            self.payloads.append(payload)
             request = Request.from_payload(payload)
             self.requests.append(request)
             replies = self.handler(request)
@@ -232,101 +238,45 @@ def test_stale_replies_are_discarded_by_rid():
     assert asyncio.run(run()) == {"ok": True, "value": "fresh"}
 
 
-# ---------------------------------------------------------------- negotiation
+# ------------------------------------------------------------ wire format
 def test_no_codec_offer_when_default_is_already_preferred():
-    # On a host whose preference list starts with the configured codec
-    # (every pure-Python host: ["json"]), requests carry no offer at all —
-    # old servers see byte-identical traffic.
+    # JSON is the one wire format, so the default is always the preferred
+    # one: no request ever offers a codec, first on a connection or later.
     async def run():
         server = await FakeFrontend(lambda r: ok(r)).start()
         client = make_client([server.addr])
         await client.get("k")
+        await client.put("k", 1)
         await client.close()
         await server.close()
-        return server.requests
+        return server.payloads
 
-    saw = asyncio.run(run())
-    if client_preferences() == ["json"]:
-        assert all(r.codecs is None for r in saw)
-
-
-def client_preferences():
-    from repro.net.codec import wire_preferences
-
-    return wire_preferences()
+    payloads = asyncio.run(run())
+    assert len(payloads) == 2
+    assert all("codecs" not in payload for payload in payloads)
 
 
-def test_negotiation_upgrades_the_connection_codec(monkeypatch):
-    # A client that would rather speak msgpack offers it on the first
-    # request of a connection; the server answers in the arrival codec,
-    # names its pick in reply.codec, and both sides switch in lockstep.
-    from repro.svc import client as client_mod
-
-    monkeypatch.setattr(
-        client_mod, "wire_preferences", lambda: ["msgpack", "json"]
+# ----------------------------------------------------------- replica order
+def test_unseeded_replica_order_does_not_follow_the_hash_seed():
+    # Without a seed the first replica a client dials is drawn from its id;
+    # that draw must be the same in every interpreter, whatever
+    # PYTHONHASHSEED says, or a run's client traffic is not reproducible.
+    script = (
+        "from repro.svc.client import KVClient\n"
+        "addrs = [('127.0.0.1', 9000 + i) for i in range(5)]\n"
+        "print([KVClient(addrs, client_id=f'c{i}')._target"
+        " for i in range(10)])\n"
     )
-    json_codec = default_codec(prefer="json")
-    msgpack_codec = default_codec(prefer="msgpack")
-    saw = []
+    src = Path(__file__).resolve().parents[2] / "src"
 
-    async def accept(reader, writer):
-        codec = json_codec
-        while True:
-            payload = await read_frame(reader, codec)
-            if payload is None:
-                break
-            request = Request.from_payload(payload)
-            saw.append((codec.name, request.codecs))
-            reply = Reply(
-                rid=request.rid, status="ok",
-                result={"ok": True, "echo": request.value},
-            )
-            if request.codecs and codec.name != "msgpack":
-                reply.codec = "msgpack"
-                writer.write(encode_frame(codec, reply.to_payload()))
-                await writer.drain()
-                codec = msgpack_codec
-                continue
-            writer.write(encode_frame(codec, reply.to_payload()))
-            await writer.drain()
-        writer.close()
+    def first_targets(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
 
-    async def run():
-        server = await asyncio.start_server(
-            accept, host="127.0.0.1", port=0
-        )
-        addr = server.sockets[0].getsockname()[:2]
-        client = make_client([addr])
-        first = await client.put("k", 1)
-        second = await client.put("k", 2)
-        conn_codec = client._conn_codec.name
-        await client.close()
-        server.close()
-        await server.wait_closed()
-        return first, second, conn_codec
-
-    first, second, conn_codec = asyncio.run(run())
-    assert first["ok"] and second["ok"]
-    assert second["echo"] == 2  # the msgpack leg really round-trips
-    assert conn_codec == "msgpack"
-    # Offer on the first request only; the second rides the upgrade.
-    assert saw == [("json", ["msgpack", "json"]), ("msgpack", None)]
-
-
-def test_frontend_negotiate_picks_first_shared_preference(monkeypatch):
-    from repro.svc import frontend as frontend_mod
-    from repro.svc.frontend import ServiceFrontend
-
-    monkeypatch.setattr(
-        frontend_mod, "wire_preferences", lambda: ["msgpack", "json"]
-    )
-    json_codec = default_codec(prefer="json")
-    pick = ServiceFrontend._negotiate(None, ["msgpack", "json"], json_codec)
-    assert pick is not None and pick.name == "msgpack"
-    # Already speaking the best shared format: stay put.
-    assert ServiceFrontend._negotiate(None, ["json"], json_codec) is None
-    # Nothing shared (unknown formats): stay put.
-    assert ServiceFrontend._negotiate(None, ["protobuf"], json_codec) is None
+    assert first_targets("1") == first_targets("2")
 
 
 # --------------------------------------------------------------------- errors

@@ -131,7 +131,7 @@ def test_wire_level_retry_is_answered_from_the_session_cache():
 
 
 def test_malformed_tag_bodies_drop_that_connection_only():
-    # Well-formed JSON/msgpack whose tagged body the transform cannot read:
+    # Well-formed JSON whose tagged body the transform cannot read:
     # each must take the ProtocolError drop-connection path, not escape the
     # connection task as a bare ValueError/TypeError.
     async def body(cluster, stacks, fronts):

@@ -5,6 +5,7 @@ like "all replicas hold identical stores"), so a zero exit code is a real
 signal, not just "didn't crash".
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -56,3 +57,26 @@ def test_example_inventory():
     names = {p.stem for p in EXAMPLES}
     assert "quickstart" in names
     assert len(names) >= 3
+
+
+def test_example_traces_regenerate_byte_identically(tmp_path):
+    """examples/traces/ is what its own regenerate.py writes: the run is
+    virtual-clock and seeded, and every host speaks the one wire format, so
+    a fresh regeneration (on a copy) reproduces the committed files."""
+    committed = pathlib.Path(__file__).parent.parent / "examples" / "traces"
+    src = committed.parent.parent / "src"
+    copy = tmp_path / "traces"
+    copy.mkdir()
+    (copy / "regenerate.py").write_bytes(
+        (committed / "regenerate.py").read_bytes())
+    result = subprocess.run(
+        [sys.executable, str(copy / "regenerate.py")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    names = sorted(p.name for p in committed.glob("node-*.jsonl"))
+    assert names == sorted(p.name for p in copy.glob("node-*.jsonl"))
+    for name in names:
+        assert (copy / name).read_bytes() == (committed / name).read_bytes(), \
+            f"{name} is stale: run examples/traces/regenerate.py"
