@@ -7,7 +7,6 @@ when popped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..types import Time
@@ -15,20 +14,26 @@ from ..types import Time
 __all__ = ["EventHandle"]
 
 
-@dataclass(order=True)
 class EventHandle:
     """A pending callback in the simulation's event heap.
 
-    Ordering is by ``(time, seq)``; ``seq`` is a monotonically increasing
-    insertion counter, so simultaneous events fire in the order they were
-    scheduled.  This is what makes runs fully deterministic.
+    The heap orders ``(time, seq, handle)`` entries; ``seq`` is a
+    monotonically increasing insertion counter, so simultaneous events fire
+    in the order they were scheduled and a handle itself is never compared.
+    This is what makes runs fully deterministic.
     """
 
-    time: Time
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+
+    def __init__(
+        self, time: Time, seq: int, callback: Callable[..., None],
+        args: tuple[Any, ...] = (),
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent; O(1)."""
@@ -38,10 +43,3 @@ class EventHandle:
     def pending(self) -> bool:
         """``True`` while the event has neither fired nor been cancelled."""
         return not self.cancelled and self.callback is not None
-
-    def _consume(self) -> tuple[Callable[..., None], tuple[Any, ...]]:
-        cb, args = self.callback, self.args
-        # Drop references so fired events do not pin their closures alive.
-        self.callback = None  # type: ignore[assignment]
-        self.args = ()
-        return cb, args

@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..types import Channel, ProcessId, Time
 
 __all__ = ["Message"]
-
-_next_id = 0
-
-
-def _fresh_id() -> int:
-    global _next_id
-    _next_id += 1
-    return _next_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +29,6 @@ class Message:
     send_time: Time
     tag: Optional[str] = None
     round: Optional[int] = None
-    msg_id: int = field(default_factory=_fresh_id)
 
     @property
     def is_self_message(self) -> bool:

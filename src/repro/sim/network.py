@@ -5,7 +5,8 @@ fault → cross → deliver**:
 
 1. *admit*: :meth:`send_many` builds one :class:`Message` per destination
    and bumps ``sent_total`` / ``sent_by_channel`` (keyed, like every
-   per-channel counter, by :func:`~repro.obs.metrics.channel_family`);
+   per-channel counter, by :func:`~repro.obs.metrics.channel_family`)
+   once per call, by the number of messages;
 2. *record*: a ``send`` trace event per destination, flagged ``loopback``
    for a self-send;
 3. *self-send or fault*: a self-send (``src == dst``) is scheduled at +0 —
@@ -113,8 +114,6 @@ class _MessagePath:
                 send_time=now, tag=tag, round=round,
             )
             msgs.append(msg)
-            self.sent_total += 1
-            self.sent_by_channel[family] = self.sent_by_channel.get(family, 0) + 1
             if trace_sends:
                 self._trace.record(
                     now, "send", src, channel=channel, src=src, dst=dst,
@@ -123,9 +122,15 @@ class _MessagePath:
             if src == dst:
                 self._scheduler.schedule(0.0, self._finish_delivery, msg)
             else:
-                self.sent_network += 1
-                self._metrics.inc("messages_sent_total", channel=family)
                 network.append(msg)
+        if msgs:
+            self.sent_total += len(msgs)
+            self.sent_by_channel[family] = (
+                self.sent_by_channel.get(family, 0) + len(msgs))
+        if network:
+            self.sent_network += len(network)
+            self._metrics.inc(
+                "messages_sent_total", len(network), channel=family)
         extra = _NO_EXTRA
         if network and self._plan.active:
             crossing, extra = [], []

@@ -4,15 +4,18 @@ This is the heart of the simulation substrate: a priority queue of timed
 callbacks with deterministic tie-breaking.  All higher layers (links,
 timers, cooperative tasks, failure schedules) reduce to ``schedule`` calls.
 
-Design notes (following the HPC guides' "make it work, keep the hot path
-lean" advice): the inner loop is a plain ``heapq`` pop with lazy deletion of
-cancelled events — no per-event object churn beyond the handle itself, and no
-dynamic dispatch in the loop.
+The heap holds ``(time, seq, handle)`` tuples.  ``seq`` is unique, so
+``heapq`` orders entries with C-level float and int comparisons and never
+reaches the handle.  :meth:`Scheduler.run` is the one loop: one inline
+``heappop`` per event, lazy deletion of cancelled entries, and the
+callback called directly — no per-event method call besides the callback.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -25,13 +28,14 @@ __all__ = ["Scheduler"]
 class Scheduler:
     """A virtual-time event loop.
 
-    Events scheduled for the same instant fire in scheduling order, which
-    (together with seeded RNG streams, see :mod:`repro.sim.rng`) makes every
-    simulation run bit-for-bit reproducible.
+    Events fire in ``(time, seq)`` order: those scheduled for the same
+    instant fire in scheduling order, which (together with seeded RNG
+    streams, see :mod:`repro.sim.rng`) makes every simulation run
+    bit-for-bit reproducible.
     """
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[Time, int, EventHandle]] = []
         self._seq = 0
         self._now: Time = 0.0
         self._events_fired = 0
@@ -51,7 +55,7 @@ class Scheduler:
     def pending_count(self) -> int:
         """Number of not-yet-fired, not-cancelled events (approximate upper
         bound: cancelled events are removed lazily)."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for e in self._heap if not e[2].cancelled)
 
     # ------------------------------------------------------------ scheduling
     def schedule_at(
@@ -66,9 +70,10 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        handle = EventHandle(time=time, seq=self._seq, callback=callback, args=args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule(
@@ -77,22 +82,16 @@ class Scheduler:
         """Schedule *callback(*args)* after *delay* time units (``delay >= 0``)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        time, seq = self._now + delay, self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, handle))
+        return handle
 
     # --------------------------------------------------------------- running
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` if the heap is empty."""
-        heap = self._heap
-        while heap:
-            handle = heapq.heappop(heap)
-            if handle.cancelled:
-                continue
-            self._now = handle.time
-            cb, args = handle._consume()
-            self._events_fired += 1
-            cb(*args)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -102,32 +101,46 @@ class Scheduler:
         """Run events until the heap drains, *until* is reached, or
         *max_events* callbacks have fired (whichever comes first).
 
-        When stopping because of *until*, simulated time is advanced to
-        *until* so subsequent relative scheduling behaves intuitively.
+        When stopping because of *until* or a drained heap, simulated time
+        is advanced to *until* so subsequent relative scheduling behaves
+        intuitively; a stop on *max_events* with entries left (cancelled
+        ones included: they leave the heap only when popped) leaves it at
+        the last event fired.
 
         Returns:
             The number of events fired by this call.
         """
+        heap, pop = self._heap, heapq.heappop
+        stop = math.inf if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
         fired = 0
-        heap = self._heap
         while heap:
-            if max_events is not None and fired >= max_events:
+            if fired >= limit:
                 return fired
-            head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
+            entry = pop(heap)
+            time, _, handle = entry
+            if handle.cancelled:
                 continue
-            if until is not None and head.time > until:
+            if time > stop:
+                heapq.heappush(heap, entry)
                 break
-            self.step()
+            self._now = time
+            callback, args = handle.callback, handle.args
+            # Drop references so fired events do not pin their closures alive.
+            handle.callback, handle.args = None, ()  # type: ignore[assignment]
+            self._events_fired += 1
             fired += 1
+            callback(*args)
         if until is not None and until > self._now:
             self._now = until
         return fired
 
     def compact(self) -> None:
         """Drop cancelled entries from the heap (housekeeping for very long
-        runs with heavy timer churn; never required for correctness)."""
-        live = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(live)
-        self._heap = live
+        runs with heavy timer churn; never required for correctness).
+
+        The heap is filtered in place, so a callback may call this while
+        :meth:`run` is draining it."""
+        heap = self._heap
+        heap[:] = [e for e in heap if not e[2].cancelled]
+        heapq.heapify(heap)

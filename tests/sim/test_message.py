@@ -20,11 +20,6 @@ class TestMessage:
         assert self.make(dst=0).is_self_message
         assert not self.make().is_self_message
 
-    def test_ids_are_unique_and_increasing(self):
-        a, b = self.make(), self.make()
-        assert a.msg_id != b.msg_id
-        assert b.msg_id > a.msg_id
-
     def test_frozen(self):
         import dataclasses
 

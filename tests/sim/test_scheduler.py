@@ -1,10 +1,10 @@
 """Tests for the discrete-event scheduler."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Scheduler
+from repro.sim import EventHandle, Scheduler
 
 
 class TestScheduling:
@@ -108,7 +108,7 @@ class TestCancellation:
             sched.schedule(1.0, lambda: None).cancel()
         sched.compact()
         assert len(sched._heap) == 1
-        assert sched._heap[0] is keep
+        assert sched._heap[0][2] is keep
 
 
 class TestRunLimits:
@@ -177,3 +177,143 @@ class TestDeterminismProperty:
         sched.schedule(0.0, tick, n)
         sched.run()
         assert times == [float(i) for i in range(n + 1)]
+
+
+class SortedListScheduler:
+    """The scheduler's rules written over a list kept sorted by
+    ``(time, seq)``.  As in the heap, a cancelled entry stays listed until
+    a drain reaches it, so "entries left" counts it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_fired = 0
+        self.entries = []
+        self.seq = 0
+
+    def schedule_at(self, time, callback, *args):
+        if time < self.now:
+            raise SimulationError("past")
+        handle = EventHandle(time, self.seq, callback, args)
+        self.seq += 1
+        self.entries.append(handle)
+        self.entries.sort(key=lambda e: (e.time, e.seq))
+        return handle
+
+    def schedule(self, delay, callback, *args):
+        if delay < 0:
+            raise SimulationError("negative")
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def step(self):
+        return self.run(max_events=1) == 1
+
+    def compact(self):
+        self.entries = [e for e in self.entries if not e.cancelled]
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while self.entries:
+            if max_events is not None and fired >= max_events:
+                return fired
+            head = self.entries[0]
+            live = not head.cancelled
+            if live and until is not None and head.time > until:
+                break
+            del self.entries[0]
+            if live:
+                self.now = head.time
+                callback, args = head.callback, head.args
+                head.callback, head.args = None, ()
+                self.events_fired += 1
+                fired += 1
+                callback(*args)
+        if until is not None and until > self.now:
+            self.now = until
+        return fired
+
+
+TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 7.0])
+ACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.5, 3.0])),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("compact"), st.none()),
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 4.0]),
+                  ACTIONS),
+        st.tuples(st.just("schedule_at"), TIMES, ACTIONS),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("step"),),
+        st.tuples(st.just("compact"),),
+        st.tuples(st.just("run"), st.none() | TIMES, st.none() | st.integers(0, 4)),
+    ),
+    max_size=40,
+)
+
+
+def drive(sched, ops):
+    """Apply *ops* to *sched*; return what was observable after each call,
+    and every handle it gave out."""
+    fired, handles, seen = [], [], []
+    add = handles.append
+
+    def fire(ident, action):
+        fired.append((ident, sched.now))
+        if action is None:
+            return
+        kind, arg = action
+        if kind == "spawn":
+            add(sched.schedule(arg, fire, len(handles), None))
+        elif kind == "compact":
+            sched.compact()
+        else:
+            handles[arg % len(handles)].cancel()
+
+    for op in ops:
+        kind = op[0]
+        try:
+            if kind == "schedule":
+                result = add(sched.schedule(op[1], fire, len(handles), op[2]))
+            elif kind == "schedule_at":
+                result = add(sched.schedule_at(op[1], fire, len(handles), op[2]))
+            elif kind == "cancel":
+                result = handles[op[1] % len(handles)].cancel() if handles else None
+            elif kind == "step":
+                result = sched.step()
+            elif kind == "compact":
+                result = sched.compact()
+            else:
+                result = sched.run(until=op[1], max_events=op[2])
+        except SimulationError:
+            result = "error"
+        seen.append((result, sched.now, sched.events_fired, list(fired)))
+    return seen, handles
+
+
+class TestDrainMatchesSortedList:
+    @given(OPS)
+    # A cancelled entry past *until* is dropped by that run, so the later
+    # max_events stop finds the heap drained and advances to its *until*.
+    @example([("schedule", 1.0, None), ("schedule", 4.0, None), ("cancel", 1),
+              ("run", 2.0, None), ("schedule", 0.5, None), ("run", 7.0, 1)])
+    def test_same_fire_order_clock_and_counts(self, ops):
+        sched = Scheduler()
+        seen, handles = drive(sched, ops)
+        assert seen == drive(SortedListScheduler(), ops)[0]
+        fired = {ident for ident, _ in seen[-1][3]} if seen else set()
+        for ident in fired:
+            handle = handles[ident]
+            assert not handle.pending
+            assert handle.callback is None and handle.args == ()
+        assert sched.pending_count == sum(h.pending for h in handles)
+
+    def test_max_events_stop_leaves_clock_at_last_event(self):
+        sched = Scheduler()
+        fired = []
+        sched.schedule(1.0, fired.append, "a")
+        sched.schedule(2.0, fired.append, "b")
+        assert sched.run(until=5.0, max_events=1) == 1
+        assert fired == ["a"]
+        assert sched.now == 1.0
