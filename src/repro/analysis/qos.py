@@ -270,22 +270,21 @@ class IncrementalQoS:
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
         if event.pid is not None:
             self._pids.add(event.pid)
+        get = event.data.get
         if kind in ("send", "deliver"):
-            src = event.get("src")
-            dst = event.get("dst")
+            src = get("src")
+            dst = get("dst")
             if src is not None:
                 self._pids.add(src)
             if dst is not None:
                 self._pids.add(dst)
-            if kind == "send" and not event.get("loopback"):
-                channel = channel_family(event.get("channel") or "")
+            if kind == "send" and not get("loopback"):
+                channel = channel_family(get("channel") or "")
                 self._sends.setdefault(channel, []).append(t)
         elif kind == "crash":
             self._crashes[event.pid] = t
-        elif kind == "fd" and event.get("channel") == self.channel:
-            self._observe_fd(
-                event.pid, t, event.get("suspected"), event.get("trusted")
-            )
+        elif kind == "fd" and get("channel") == self.channel:
+            self._observe_fd(event.pid, t, get("suspected"), get("trusted"))
         elif kind == "span.reply":
             self._span_replies += 1
 

@@ -99,13 +99,17 @@ def _causality_shifts(
     for index, trace_file in enumerate(files):
         offset = offsets[index]
         for ev in trace_file.events:
-            if ev.kind == "send" and not ev.get("loopback"):
-                key = (ev.get("channel"), ev.get("src"), ev.get("dst"),
-                       ev.get("tag"), ev.get("round"))
+            kind = ev.kind
+            if kind != "send" and kind != "deliver":
+                continue
+            get = ev.data.get
+            if kind == "send" and get("loopback"):
+                continue
+            key = (get("channel"), get("src"), get("dst"), get("tag"),
+                   get("round"))
+            if kind == "send":
                 sends.setdefault(key, []).append(ev.time + offset)
-            elif ev.kind == "deliver":
-                key = (ev.get("channel"), ev.get("src"), ev.get("dst"),
-                       ev.get("tag"), ev.get("round"))
+            else:
                 delivers.setdefault(key, []).append((ev.time + offset, index))
     shifts = [0.0] * len(files)
     for key, deliver_list in delivers.items():
@@ -162,12 +166,9 @@ def merge_traces(
         offset = offsets[index]
         for seq, ev in enumerate(trace_file.events):
             if offset:
-                ev = TraceEvent(
-                    time=ev.time + offset, kind=ev.kind, pid=ev.pid,
-                    data=ev.data,
-                )
+                ev = TraceEvent(ev.time + offset, ev.kind, ev.pid, ev.data)
             decorated.append((ev.time, index, seq, ev))
-    decorated.sort(key=lambda item: item[:3])
+    decorated.sort()  # (time, file, seq) is unique: events never compared
 
     merged = MemorySink()
     merged.extend(item[3] for item in decorated)

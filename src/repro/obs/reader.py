@@ -22,11 +22,30 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from .encode import EncodeError, from_jsonable
+from .encode import _SCALARS, EncodeError, from_jsonable
 from .events import TraceEvent
 from .sinks import JSONL_VERSION, MemorySink, TraceSink
 
 __all__ = ["TraceFile", "read_trace_file", "iter_trace_events", "as_trace"]
+
+_decoder = json.JSONDecoder()
+_decode, _scan = _decoder.decode, _decoder.scan_once
+
+
+def _load(line: str) -> Any:
+    """``json.loads(line)`` for one trace line.
+
+    A value that starts the line and ends at its newline is taken straight
+    from the scanner; any other line goes through the full decode, which
+    accepts or rejects it exactly as ``json.loads`` does.
+    """
+    try:
+        obj, end = _scan(line, 0)
+    except StopIteration:
+        return _decode(line)
+    if line[end:] in ("", "\n"):
+        return obj
+    return _decode(line)
 
 
 @dataclass
@@ -68,18 +87,18 @@ def _parse_header(line: str, where: str) -> Dict[str, Any]:
 
 
 def _parse_event(line: str, where: str, lineno: int) -> TraceEvent:
+    """One line, one decode: a line is never parsed together with another."""
     try:
-        obj = json.loads(line)
+        obj = _load(line)
+        scalars = _SCALARS
         data = {
-            key: from_jsonable(value) for key, value in obj.get("d", {}).items()
+            key: value if type(value) in scalars else from_jsonable(value)
+            for key, value in obj.get("d", {}).items()
         }
-        return TraceEvent(
-            time=float(obj["t"]),
-            kind=str(obj["k"]),
-            pid=obj.get("p"),
-            data=data,
-        )
-    except (ValueError, KeyError, TypeError, EncodeError) as exc:
+        return TraceEvent(float(obj["t"]), str(obj["k"]), obj.get("p"), data)
+    except (
+        ValueError, KeyError, TypeError, AttributeError, EncodeError
+    ) as exc:
         raise ConfigurationError(
             f"{where}:{lineno}: undecodable trace event: {exc}"
         ) from exc
@@ -101,7 +120,7 @@ def iter_trace_events(
             raise ConfigurationError(f"{where}: empty trace file (no header)")
         yield _parse_header(first, where)
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
             yield _parse_event(line, where, lineno)
 

@@ -34,13 +34,37 @@ from typing import (
 
 from ..errors import ConfigurationError
 from ..types import ProcessId, Time
-from .encode import to_jsonable
+from .encode import _SCALARS, to_jsonable
 from .events import TraceEvent
 
 __all__ = ["TraceSink", "MemorySink", "Trace", "JsonlSink", "TeeSink"]
 
 #: Trace-file format version written to (and accepted from) JSONL headers.
 JSONL_VERSION = 1
+
+
+def _compact_encoder() -> Callable[[Any], str]:
+    """``json.dumps(obj, separators=(",", ":"))`` with its set-up done once.
+
+    ``json.dumps`` with non-default separators builds a ``JSONEncoder`` per
+    call, and ``JSONEncoder.encode`` builds a C encoder per call; this
+    builds the C encoder once.  It keeps no circular-reference markers: a
+    line is a fresh tree (payload containers are rebuilt by
+    :func:`~repro.obs.encode.to_jsonable`), and an encode that raises part
+    way would leave stale markers behind in a shared encoder.
+    """
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:  # an interpreter without the C accelerator
+        return encoder.encode
+    chunks = make(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, False, False, True,
+    )
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+_encode = _compact_encoder()
 
 
 class TraceSink:
@@ -188,8 +212,11 @@ class JsonlSink(TraceSink):
     monotonic clocks **at trace time zero**; the offline merger rebases
     per-node event times onto a common epoch from these.  Each following
     line is one event: ``{"t": <time>, "k": <kind>, "p": <pid>,
-    "d": {<key>: <tagged value>, ...}}`` with payload values passed
-    through :func:`~repro.obs.encode.to_jsonable`.
+    "d": {<key>: <tagged value>, ...}}`` with non-scalar payload values
+    passed through :func:`~repro.obs.encode.to_jsonable`.  Every line is
+    one call of a single module-level compact encoder, built once and
+    reused across events; :meth:`record_event` writes from the event's
+    payload without re-packing it.
 
     The file is opened line-buffered, so every event is flushed as soon as
     it is written — a ``kill -9``'d node loses at most the event being
@@ -250,7 +277,7 @@ class JsonlSink(TraceSink):
             "epoch_wall": self.epoch_wall,
             "epoch_mono": self.epoch_mono,
         }
-        self._file.write(json.dumps(header, separators=(",", ":")) + "\n")
+        self._file.write(_encode(header) + "\n")
         self._header_written = True
 
     # ------------------------------------------------------------ recording
@@ -258,23 +285,33 @@ class JsonlSink(TraceSink):
         self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
     ) -> None:
         kinds = self._kinds
-        if kinds is not None and kind not in kinds:
-            return
+        if kinds is None or kind in kinds:
+            self._write(time, kind, pid, data)
+
+    def record_event(self, event: TraceEvent) -> None:
+        kinds = self._kinds
+        if kinds is None or event.kind in kinds:
+            self._write(event.time, event.kind, event.pid, event.data)
+
+    def _write(
+        self, time: Time, kind: str, pid: Optional[ProcessId],
+        data: Dict[str, Any],
+    ) -> None:
         if self._closed:
             return
         if not self._header_written:
             self._write_header()
-        line = {
+        scalars = _SCALARS
+        self._file.write(_encode({
             "t": time,
             "k": kind,
             "p": pid,
-            "d": {key: to_jsonable(value) for key, value in data.items()},
-        }
-        self._file.write(json.dumps(line, separators=(",", ":")) + "\n")
+            "d": {
+                key: value if type(value) in scalars else to_jsonable(value)
+                for key, value in data.items()
+            },
+        }) + "\n")
         self.events_written += 1
-
-    def record_event(self, event: TraceEvent) -> None:
-        self.record(event.time, event.kind, event.pid, **event.data)
 
     def wants(self, kind: str) -> bool:
         return not self._closed and (self._kinds is None or kind in self._kinds)

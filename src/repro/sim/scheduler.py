@@ -103,9 +103,9 @@ class Scheduler:
 
         When stopping because of *until* or a drained heap, simulated time
         is advanced to *until* so subsequent relative scheduling behaves
-        intuitively; a stop on *max_events* with entries left (cancelled
-        ones included: they leave the heap only when popped) leaves it at
-        the last event fired.
+        intuitively.  A stop on *max_events* does the same exactly when no
+        live event at or before *until* remains; otherwise it leaves the
+        clock at the last event fired.
 
         Returns:
             The number of events fired by this call.
@@ -116,7 +116,12 @@ class Scheduler:
         fired = 0
         while heap:
             if fired >= limit:
-                return fired
+                # Cancelled entries on top do not count as events left.
+                while heap and heap[0][2].cancelled:
+                    pop(heap)
+                if heap and heap[0][0] <= stop:
+                    return fired
+                break
             entry = pop(heap)
             time, _, handle = entry
             if handle.cancelled:

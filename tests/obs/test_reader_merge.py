@@ -1,5 +1,6 @@
 """JSONL read-back, tagged payload round-trips, and the offline merger."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,48 @@ def test_reader_rejects_future_version_and_bad_events(tmp_path):
     )
     with pytest.raises(ConfigurationError, match="undecodable"):
         read_trace_file(mangled)
+
+
+HEADER = (
+    '{"trace":"repro.obs","version":1,"node":0,"epoch_wall":0,"epoch_mono":0}\n'
+)
+
+
+def test_reader_decodes_each_line_on_its_own(tmp_path):
+    # No line is valid JSON, but joined with commas they are an array of
+    # three events: a reader that parsed lines together would accept them.
+    lines = [
+        '{"t":0,"k":"a","p":0,"d":{},"z":"}',
+        '{"}',
+        '{"t":1,"k":"b","p":0,"d":{}},{"t":2,"k":"c","p":0,"d":{}}',
+    ]
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    path = tmp_path / "joined.jsonl"
+    path.write_text(HEADER + "\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"joined\.jsonl:2: "):
+        read_trace_file(path)
+
+
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '{"t":0,"k":"a","p":0,"d":[1]}',
+    '{"t":0,"k":"a","p":0,"d":{}} x',
+    '{"t":0,"k":"a","p":0,"d":{}}\f',
+])
+def test_reader_names_the_line_of_any_bad_event(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(HEADER + '{"t":0,"k":"a","p":0,"d":{}}\n' + line + "\n")
+    with pytest.raises(ConfigurationError, match=r"bad\.jsonl:3: undecodable"):
+        read_trace_file(path)
+
+
+def test_reader_accepts_what_json_accepts_around_a_line(tmp_path):
+    path = tmp_path / "spaced.jsonl"
+    path.write_text(
+        HEADER + '  {"t":0,"k":"a","p":0,"d":{}}\t\r\n \n{"t":1,"k":"b","p":0}'
+    )
+    assert [(ev.time, ev.kind) for ev in read_trace_file(path)] == [
+        (0.0, "a"), (1.0, "b")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Sinks: MemorySink queries, JSONL writer mechanics, tee fan-out."""
 
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.consensus.ec_consensus import NULL
 from repro.errors import ConfigurationError
-from repro.obs import JsonlSink, MemorySink, TeeSink, TraceEvent
+from repro.obs import JsonlSink, MemorySink, TeeSink, TraceEvent, read_trace_file
+from repro.obs.encode import to_jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,16 @@ def test_jsonl_sink_kind_filter_and_counts(tmp_path):
     assert not sink.wants("decide")  # closed sinks want nothing
 
 
+def test_jsonl_sink_writes_on_after_an_unencodable_event():
+    out = io.StringIO()
+    sink = JsonlSink(out, node=0, epoch_wall=0.0, epoch_mono=0.0)
+    with pytest.raises(TypeError):
+        sink.record(object(), "crash", 0)
+    sink.record(1.0, "crash", 0, by={"why": [1]})
+    assert out.getvalue().splitlines()[1:] == [
+        '{"t":1.0,"k":"crash","p":0,"d":{"by":{"!d":[["why",[1]]]}}}']
+
+
 def test_jsonl_sink_record_after_close_is_dropped(tmp_path):
     path = tmp_path / "t.jsonl"
     sink = JsonlSink(path, node=0)
@@ -167,3 +183,78 @@ def test_tee_record_event_and_close_propagate(tmp_path):
 def test_tee_needs_at_least_one_sink():
     with pytest.raises(ConfigurationError):
         TeeSink()
+
+
+# ---------------------------------------------------------------------------
+# JsonlSink bytes against the plain formula
+# ---------------------------------------------------------------------------
+
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text() | st.just(NULL)
+)
+HASHABLE = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+VALUES = st.recursive(
+    HASHABLE,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3)
+    | st.sets(HASHABLE, max_size=3),
+    max_leaves=10,
+)
+EVENTS = st.lists(
+    st.tuples(
+        st.floats(allow_nan=False),
+        st.text(max_size=8),
+        st.none() | st.integers(-1, 20),
+        st.dictionaries(
+            st.text(max_size=6).filter(lambda k: k not in ("time", "kind", "pid")),
+            VALUES, max_size=4,
+        ),
+    ),
+    max_size=6,
+)
+
+
+def old_line(time, kind, pid, data):
+    """What the writer put on a line before it reused one encoder."""
+    return json.dumps(
+        {"t": time, "k": kind, "p": pid,
+         "d": {key: to_jsonable(value) for key, value in data.items()}},
+        separators=(",", ":"),
+    )
+
+
+def test_compact_encoder_without_the_c_accelerator(monkeypatch):
+    from repro.obs import sinks
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    line = {"t": 1.5, "k": "fd", "p": None, "d": {"s": ["\u00e9", 2.0]}}
+    assert sinks._compact_encoder()(line) == json.dumps(
+        line, separators=(",", ":"))
+
+
+@given(EVENTS)
+def test_jsonl_lines_match_the_plain_formula_and_read_back(events):
+    by_record, by_event = io.StringIO(), io.StringIO()
+    plain = JsonlSink(by_record, node=3, epoch_wall=1.5, epoch_mono=2.5)
+    packed = JsonlSink(by_event, node=3, epoch_wall=1.5, epoch_mono=2.5)
+    for time, kind, pid, data in events:
+        plain.record(time, kind, pid, **data)
+        packed.record_event(TraceEvent(time, kind, pid, data))
+    plain.close()
+    packed.close()
+    text = by_record.getvalue()
+    assert by_event.getvalue() == text
+    lines = text.splitlines()
+    assert lines[1:] == [old_line(*event) for event in events]
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "t.jsonl"
+        path.write_text(text, encoding="utf-8")
+        read = read_trace_file(path).events
+    assert read == [TraceEvent(float(t), k, p, d) for t, k, p, d in events]

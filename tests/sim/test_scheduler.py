@@ -181,8 +181,9 @@ class TestDeterminismProperty:
 
 class SortedListScheduler:
     """The scheduler's rules written over a list kept sorted by
-    ``(time, seq)``.  As in the heap, a cancelled entry stays listed until
-    a drain reaches it, so "entries left" counts it."""
+    ``(time, seq)``.  A cancelled entry stays listed until a drain reaches
+    it; a ``max_events`` stop advances to *until* exactly when no live
+    entry at or before *until* is left."""
 
     def __init__(self):
         self.now = 0.0
@@ -214,7 +215,10 @@ class SortedListScheduler:
         fired = 0
         while self.entries:
             if max_events is not None and fired >= max_events:
-                return fired
+                if any(not e.cancelled and (until is None or e.time <= until)
+                       for e in self.entries):
+                    return fired
+                break
             head = self.entries[0]
             live = not head.cancelled
             if live and until is not None and head.time > until:
@@ -294,8 +298,8 @@ def drive(sched, ops):
 
 class TestDrainMatchesSortedList:
     @given(OPS)
-    # A cancelled entry past *until* is dropped by that run, so the later
-    # max_events stop finds the heap drained and advances to its *until*.
+    # The first run drops the cancelled entry past its *until*; the
+    # max_events stop then has nothing live left, so it advances to 7.0.
     @example([("schedule", 1.0, None), ("schedule", 4.0, None), ("cancel", 1),
               ("run", 2.0, None), ("schedule", 0.5, None), ("run", 7.0, 1)])
     def test_same_fire_order_clock_and_counts(self, ops):
@@ -317,3 +321,20 @@ class TestDrainMatchesSortedList:
         assert sched.run(until=5.0, max_events=1) == 1
         assert fired == ["a"]
         assert sched.now == 1.0
+
+    def test_max_events_stop_past_only_cancelled_advances_to_until(self):
+        sched = Scheduler()
+        sched.schedule(1.0, lambda: None)
+        sched.schedule(2.0, lambda: None).cancel()
+        assert sched.run(until=5.0, max_events=1) == 1
+        assert sched.now == 5.0
+
+    def test_max_events_stop_with_nothing_live_before_until_advances(self):
+        sched = Scheduler()
+        fired = []
+        sched.schedule(1.0, fired.append, "a")
+        sched.schedule(7.0, fired.append, "b")
+        assert sched.run(until=5.0, max_events=1) == 1
+        assert fired == ["a"]
+        assert sched.now == 5.0
+        assert sched.pending_count == 1
