@@ -14,7 +14,7 @@ keep them so, statically, on every PR:
   against the wire codec — :mod:`repro.lint.rules.payload`;
 * the **record-site rules** checking every ``trace.record(...)`` /
   ``self.trace(...)`` call site against the :mod:`repro.obs` event-schema
-  registry and every ``metrics.inc/set/observe(...)`` against the metric
+  registry and every ``metrics.inc/set/observe/bind(...)`` against the metric
   registry — :mod:`repro.lint.rules.records`;
 * the **protocol-flow rule** matching every message kind, service op and
   reply status produced anywhere in the program against the dispatch arms

@@ -74,6 +74,13 @@ class _RecordSiteRule(Rule):
 
     scope = ()  # the registry contract holds everywhere records are made
 
+    @staticmethod
+    def supplied(call: ast.Call) -> Optional[Set[str]]:
+        """The payload keys or labels *call* supplies as keywords
+        (``None`` under a ``**splat``)."""
+        keys = {kw.arg for kw in call.keywords}
+        return None if None in keys else keys
+
     def check_file(self, ctx, model) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -88,11 +95,10 @@ class _RecordSiteRule(Rule):
             if schema is None:
                 yield self.finding(ctx, name_node, self.unknown(name))
                 continue
-            if any(kw.arg is None for kw in node.keywords):
-                continue  # **splat: keys unknowable statically
-            problem = self.mismatch(
-                name, schema, {kw.arg for kw in node.keywords}
-            )
+            supplied = self.supplied(node)
+            if supplied is None:
+                continue  # a splat: keys unknowable statically
+            problem = self.mismatch(name, schema, supplied)
             if problem is not None:
                 yield self.finding(ctx, node, problem)
 
@@ -150,21 +156,31 @@ class MetricsRegistryRule(_RecordSiteRule):
 
     id = "metrics-registry"
     summary = (
-        "metrics.inc/set/observe(...) calls must use registered metric "
+        "metrics.inc/set/observe/bind(...) calls must use registered metric "
         "names and supply exactly each metric's declared labels"
     )
     schemas = METRIC_SCHEMAS
 
     def site(self, call, imports):
-        """``<...metrics>.inc/set/observe(name, **labels)``."""
+        """``<...metrics>.inc/set/observe(name, **labels)`` or
+        ``<...metrics>.bind(name, *label_keys)``."""
         func = call.func
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in ("inc", "set", "observe")
+            and func.attr in ("inc", "set", "observe", "bind")
             and _receiver_is(func.value, "metrics", imports)
         ):
             return _positional(call, 0)
         return None
+
+    @staticmethod
+    def supplied(call: ast.Call) -> Optional[Set[str]]:
+        """A ``bind`` names its label keys as literal arguments after the
+        metric name (``None`` if one is not a literal)."""
+        if call.func.attr != "bind":
+            return _RecordSiteRule.supplied(call)
+        keys = [k.value for k in call.args[1:] if isinstance(k, ast.Constant)]
+        return set(keys) if len(keys) == len(call.args) - 1 else None
 
     @staticmethod
     def unknown(name: str) -> str:

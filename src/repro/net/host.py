@@ -54,17 +54,17 @@ class RuntimeNetwork(_MessagePath):
     def __init__(self, host: "NodeHost") -> None:
         super().__init__(host.clock, host.trace, host.plan, host.metrics)
         self._host = host
+        self._bytes_sent = host.metrics.bind("bytes_sent_total", "channel")
 
     def _cross(self, msgs: List[Message], extra: Iterable[Time]) -> None:
         # Same-content messages: the codec encodes the shared part once.
         # Bytes count at send time; only the transport hop is held back.
         host = self._host
         frames = host.codec.encode_message_batch(msgs)
-        family = channel_family(msgs[0].channel)
+        key = (channel_family(msgs[0].channel),)
+        self._bytes_sent[key] = (
+            self._bytes_sent.get(key, 0) + sum(map(len, frames)))
         for msg, frame, held in zip(msgs, frames, extra):
-            self._metrics.inc(
-                "bytes_sent_total", amount=len(frame), channel=family
-            )
             if held > 0.0:
                 host.clock.schedule(held, host.transport.send, msg.dst, frame)
             else:
@@ -161,6 +161,8 @@ class NodeHost:
         self.trace: TraceSink = trace if trace is not None else MemorySink()
         #: The node's metric store (shared with ``world.metrics``).
         self.metrics = MetricsRegistry()
+        self._bytes_received = self.metrics.bind(
+            "bytes_received_total", "channel")
         # Per-node seed spaces: the same master seed never makes two nodes'
         # jitter streams collide, yet runs stay reproducible.
         self.world = RuntimeWorld(
@@ -215,10 +217,8 @@ class NodeHost:
                 "misrouted", channel=msg.channel, src=msg.src, dst=msg.dst
             )
             return
-        self.metrics.inc(
-            "bytes_received_total", amount=len(data),
-            channel=channel_family(msg.channel),
-        )
+        key = (channel_family(msg.channel),)
+        self._bytes_received[key] = self._bytes_received.get(key, 0) + len(data)
         self.world.network._finish_delivery(msg)
 
     def _drop_frame(self, reason: str, **fields: Any) -> None:

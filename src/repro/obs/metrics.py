@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -56,6 +57,7 @@ __all__ = [
     "aggregate_trace_kinds",
     "TraceKindStats",
     "channel_family",
+    "channel_slot",
 ]
 
 _KINDS = ("counter", "gauge", "histogram")
@@ -117,7 +119,7 @@ def known_metrics() -> Tuple[str, ...]:
     return tuple(sorted(METRIC_SCHEMAS))
 
 
-_SLOT = re.compile(r"\.c\d+\b")
+_SLOT = re.compile(r"\.c(\d+)\b")
 
 
 @lru_cache(maxsize=1024)
@@ -127,6 +129,13 @@ def channel_family(channel: str) -> str:
     label sets stay bounded however many slots a run opens; any other
     channel is its own family."""
     return _SLOT.sub(".c*", channel)
+
+
+def channel_slot(channel: str) -> Tuple[str, int]:
+    """A channel's family and slot number: ``rsm.c17.rb`` -> (``rsm.c*.rb``,
+    17); a channel without a slot number -> (itself, -1)."""
+    match = _SLOT.search(channel)
+    return channel_family(channel), int(match.group(1)) if match else -1
 
 
 #: Log-spaced (factor 2) histogram bucket upper bounds, 1e-6 .. ~8.8e6 —
@@ -161,8 +170,6 @@ class _Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        from bisect import bisect_left
-
         index = bisect_left(_BUCKET_BOUNDS, value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
@@ -208,8 +215,8 @@ class MetricsRegistry:
     operations validate the metric name and the exact label-key set, then
     index by the label *values* in schema order.  Validation runs once per
     registry and call shape (name, scalar-or-histogram, label keys in the
-    order passed); after that ``inc`` on a hot path costs two dict lookups
-    and two tuple builds.
+    order passed).  A record site that runs once per message binds its
+    series once with :meth:`bind` and then adds to it directly.
     """
 
     def __init__(self) -> None:
@@ -246,6 +253,13 @@ class MetricsRegistry:
             # site raises on every call, not just the first.
             order = self._checked[shape] = schema.labels
         return tuple([labels[key] for key in order])
+
+    def bind(self, name: str, *labels: str) -> Dict[LabelValues, float]:
+        """The series of counter (or gauge) *name* with label keys *labels*,
+        validated once, for a record site to add to directly: it is keyed
+        by the tuple of label values in schema order."""
+        self._key(name, dict.fromkeys(labels), want_histogram=False)
+        return self._scalars.setdefault(name, {})
 
     def inc(self, name: str, amount: Union[int, float] = 1, **labels: Any) -> None:
         """Add *amount* to counter (or gauge) *name* for this label set."""

@@ -44,6 +44,8 @@ class Component:
 
     #: Default channel; subclasses usually set this as a class attribute.
     channel: Channel = ""
+    #: Id of the host process, set on attach (a host's pid never changes).
+    pid: ProcessId
 
     def __init__(self, channel: Optional[Channel] = None) -> None:
         if channel is not None:
@@ -59,13 +61,9 @@ class Component:
     # -------------------------------------------------------------- wiring
     def _attach(self, process: "Process") -> None:
         self.process = process
+        self.pid = process.pid
         self.world = process.world
         self.tasks = TaskRuntime(self.world.scheduler)
-
-    @property
-    def pid(self) -> ProcessId:
-        """Id of the host process."""
-        return self.process.pid
 
     @property
     def n(self) -> int:

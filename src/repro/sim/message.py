@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import FrozenInstanceError
+from typing import Any, NamedTuple, Optional
 
 from ..types import Channel, ProcessId, Time
 
 __all__ = ["Message"]
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """A single point-to-point message.
 
     ``channel`` separates coexisting protocol components on the same process
@@ -20,6 +19,9 @@ class Message:
     and ``round`` are optional metadata mirrored into the trace so the
     analysis layer can count messages per protocol step without decoding
     payloads.
+
+    A tuple, because every message of a run is built on the send path: it
+    is cheaper to build than a frozen dataclass, and as immutable.
     """
 
     src: ProcessId
@@ -34,3 +36,6 @@ class Message:
     def is_self_message(self) -> bool:
         """``True`` for loopback messages a process sends to itself."""
         return self.src == self.dst
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")

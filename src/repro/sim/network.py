@@ -6,7 +6,10 @@ fault → cross → deliver**:
 1. *admit*: :meth:`send_many` builds one :class:`Message` per destination
    and bumps ``sent_total`` / ``sent_by_channel`` (keyed, like every
    per-channel counter, by :func:`~repro.obs.metrics.channel_family`)
-   once per call, by the number of messages;
+   once per call, by the number of messages.  The registry's
+   ``messages_sent_total`` / ``messages_delivered_total`` series are bound
+   once, at construction (:meth:`~repro.obs.metrics.MetricsRegistry.bind`),
+   so each count is one dict increment;
 2. *record*: a ``send`` trace event per destination, flagged ``loopback``
    for a self-send;
 3. *self-send or fault*: a self-send (``src == dst``) is scheduled at +0 —
@@ -75,6 +78,9 @@ class _MessagePath:
         self.delivered_total = 0
         self.dropped_total = 0
         self.sent_by_channel: Dict[Channel, int] = {}
+        self._sent = self._metrics.bind("messages_sent_total", "channel")
+        self._delivered = self._metrics.bind(
+            "messages_delivered_total", "channel")
 
     def set_deliver(self, deliver: Callable[[Message], None]) -> None:
         """Install the delivery callback (``Process.deliver``, in effect)."""
@@ -109,10 +115,7 @@ class _MessagePath:
         msgs: List[Message] = []
         network: List[Message] = []
         for dst in dsts:
-            msg = Message(
-                src=src, dst=dst, channel=channel, payload=payload,
-                send_time=now, tag=tag, round=round,
-            )
+            msg = Message(src, dst, channel, payload, now, tag, round)
             msgs.append(msg)
             if trace_sends:
                 self._trace.record(
@@ -129,8 +132,8 @@ class _MessagePath:
                 self.sent_by_channel.get(family, 0) + len(msgs))
         if network:
             self.sent_network += len(network)
-            self._metrics.inc(
-                "messages_sent_total", len(network), channel=family)
+            key = (family,)
+            self._sent[key] = self._sent.get(key, 0) + len(network)
         extra = _NO_EXTRA
         if network and self._plan.active:
             crossing, extra = [], []
@@ -163,9 +166,8 @@ class _MessagePath:
 
     def _finish_delivery(self, msg: Message) -> None:
         self.delivered_total += 1
-        self._metrics.inc(
-            "messages_delivered_total", channel=channel_family(msg.channel)
-        )
+        key = (channel_family(msg.channel),)
+        self._delivered[key] = self._delivered.get(key, 0) + 1
         if self._trace.wants("deliver"):
             self._trace.record(
                 self._scheduler.now, "deliver", msg.dst,

@@ -10,9 +10,10 @@ which is the standard asynchronous-crash semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
+from ..obs.metrics import channel_slot
 from ..types import Channel, ProcessId, Time
 from .component import Component
 from .message import Message
@@ -39,9 +40,14 @@ class Process:
         # instance per replicated-log slot), and a fast replica can send on
         # a new channel before a slow one has created it.
         self._pending: Dict[Channel, List[Message]] = {}
-        # Channels whose component was detached: a message arriving on one
-        # later is dropped, never parked (nobody will claim it again).
-        self._retired: Set[Channel] = set()
+        # Retired channels: a message arriving on one later is dropped,
+        # never parked (nobody will claim it again).  Kept as the highest
+        # detached slot per channel family (``rsm.c*.rb`` -> 17), so its
+        # size does not grow with the slots a run opens.  A low-water mark
+        # is exact because slots are detached in apply order
+        # (``consensus.multi``) and a slot below the mark is never opened
+        # again; a channel without a slot number is its own family, slot -1.
+        self._retired: Dict[Channel, int] = {}
 
     # -------------------------------------------------------------- wiring
     def attach(self, component: Component) -> Component:
@@ -79,7 +85,8 @@ class Process:
         component.on_detach()
         del self.components[component.channel]
         self._order.remove(component)
-        self._retired.add(component.channel)
+        family, slot = channel_slot(component.channel)
+        self._retired[family] = max(slot, self._retired.get(family, slot))
 
     def _flush_pending(self, component: Component) -> None:
         for msg in self._pending.pop(component.channel, []):
@@ -135,7 +142,8 @@ class Process:
             return
         component = self.components.get(msg.channel)
         if component is None:
-            if msg.channel in self._retired:
+            family, slot = channel_slot(msg.channel)
+            if slot <= self._retired.get(family, -2):
                 self._drop(msg, "retired")
                 return
             # Hold the message until a component claims the channel (see

@@ -134,7 +134,7 @@ class TaskRuntime:
         pokes (a resumed task delivering a loopback that pokes us again) are
         flattened into the current pass.
         """
-        if self.stopped or self._poking:
+        if self.stopped or self._poking or not self._tasks:
             return
         self._poking = True
         try:

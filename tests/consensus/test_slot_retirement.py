@@ -7,7 +7,7 @@ import tracemalloc
 from repro.cluster import LocalCluster
 from repro.consensus import ReplicatedStateMachine
 from repro.fd import EVENTUALLY_CONSISTENT, OracleFailureDetector
-from repro.sim import FixedDelay, ReliableLink, World
+from repro.sim import Component, FixedDelay, ReliableLink, World
 
 
 class Serial:
@@ -116,3 +116,22 @@ def test_late_relay_on_a_retired_slot_is_dropped_not_parked():
     assert all(not world.processes[pid].pending_channels for pid in world.pids)
     assert all(
         "rsm.c0" not in world.processes[pid].components for pid in world.pids)
+
+
+def test_retirement_state_does_not_grow_with_retired_slots():
+    world = World(n=2, seed=0, default_link=ReliableLink(FixedDelay(1.0)))
+    world.start()
+    proc = world.process(1)
+    for slot in range(10_000):  # released in apply order, as the rsm does
+        for channel in (f"rsm.c{slot}", f"rsm.c{slot}.rb"):
+            proc.detach(proc.attach(Component(channel)))
+        if slot == 10:
+            size = len(proc._retired)
+    assert len(proc._retired) == size == 2
+    world.network.send(0, 1, "rsm.c5.rb", "late relay")
+    world.network.send(0, 1, "rsm.c10000.rb", "next slot")
+    world.run(until=5.0)
+    drops = world.trace.select(kind="drop")
+    assert [(d.get("channel"), d.get("reason")) for d in drops] == [
+        ("rsm.c5.rb", "retired")]
+    assert proc.pending_channels == ["rsm.c10000.rb"]

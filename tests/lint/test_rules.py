@@ -64,6 +64,13 @@ def test_good_fixture_is_clean_under_all_rules(rule_id, bad, count, good):
     assert result.exit_code == 0
 
 
+def test_bind_sites_are_checked_like_updates():
+    bad = lint_paths([FIXTURES / "bad_metrics_bind.py"])
+    assert {f.rule for f in bad.findings} == {"metrics-registry"}
+    assert len(bad.findings) == 3
+    assert lint_paths([FIXTURES / "good_metrics_bind.py"]).findings == []
+
+
 def test_findings_carry_location_and_render(tmp_path):
     result = lint_paths([FIXTURES / "bad_wall_clock.py"])
     finding = result.findings[0]

@@ -6,12 +6,16 @@ substrates at once in ``tests/test_message_path.py``.
 
 import pytest
 
+from repro.broadcast import ReliableBroadcast
+from repro.consensus import ECConsensus, propose_all
 from repro.errors import ConfigurationError
+from repro.fd import attach_ec_stack
 from repro.sim import (
     Component,
     CrashEvent,
     CrashSchedule,
     DeadLink,
+    FairLossyLink,
     FixedDelay,
     ReliableLink,
     World,
@@ -19,6 +23,8 @@ from repro.sim import (
     no_crashes,
     random_crashes,
 )
+from repro.transform import CToPTransformation
+from repro.workloads import partially_synchronous_link
 
 
 class Sink(Component):
@@ -152,3 +158,69 @@ class TestCrashSchedules:
         import random
         with pytest.raises(ConfigurationError):
             random_crashes(random.Random(0), 3, 3, (0.0, 1.0))
+
+
+def _series(label, values):
+    return [{"labels": {label: key}, "value": value}
+            for key, value in sorted(values.items())]
+
+
+#: The registry and path counters of the run below, pinned so a change to
+#: how the message path counts must reproduce them field for field.
+GOLDEN_COUNTERS = {
+    "sent_total": 963,
+    "sent_network": 960,
+    "delivered_total": 936,
+    "dropped_total": 9,
+    "sent_by_channel": {
+        "fd.omega": 184, "fd.suspects": 407, "fdp": 339,
+        "consensus": 17, "consensus.rb": 16,
+    },
+}
+GOLDEN_SNAPSHOT = {
+    "messages_sent_total": _series("channel", {
+        "consensus": 14, "consensus.rb": 16, "fd.omega": 184,
+        "fd.suspects": 407, "fdp": 339}),
+    "messages_delivered_total": _series("channel", {
+        "consensus": 17, "consensus.rb": 16, "fd.omega": 176,
+        "fd.suspects": 397, "fdp": 330}),
+    "messages_dropped_total": _series("reason", {"crashed": 128, "link": 9}),
+    "fd_suspicion_flips_total": _series("channel", {
+        "fd": 32, "fd.omega": 10, "fd.suspects": 37, "fdp": 10}),
+    "fd_leader_changes_total": _series("channel", {
+        "fd": 15, "fd.omega": 15, "fd.suspects": 20}),
+    "fd_timeout_adaptations_total": _series("channel", {
+        "fd.omega": 3, "fd.suspects": 12, "fdp": 5}),
+    "fd_suspected_size": _series("channel", {
+        "fd": 1, "fd.omega": 1, "fd.suspects": 1, "fdp": 1}),
+    "consensus_proposals_total": _series("algo", {"ec": 4}),
+    "consensus_rounds_total": _series("algo", {"ec": 7}),
+    "consensus_decisions_total": _series("algo", {"ec": 4}),
+}
+
+
+def test_paper_stack_metrics_golden():
+    """Ring + Omega -> <>C, Fig. 2 <>C -> <>P and one consensus at n=5, with
+    a crash and a lossy link out of the crashed process."""
+    world = World(n=5, seed=3, default_link=partially_synchronous_link(
+        gst=20.0, pre_max=10.0))
+    world.network.set_link(0, 1, FairLossyLink(
+        ReliableLink(FixedDelay(1.0)), deliver_every=3))
+    detectors = attach_ec_stack(
+        world, suspects="ring", period=2.0, initial_timeout=5.0)
+    protocols = []
+    for pid in world.pids:
+        world.attach(pid, CToPTransformation(
+            detectors[pid], send_period=2.0, alive_period=2.0,
+            initial_timeout=5.0, channel="fdp"))
+        rb = world.attach(pid, ReliableBroadcast(channel="consensus.rb"))
+        protocols.append(world.attach(pid, ECConsensus(detectors[pid], rb)))
+    world.start()
+    world.schedule_crash(0, 10.0)
+    world.run(until=40.0)
+    propose_all([p for p in protocols if not p.crashed])
+    world.run(until=100.0)
+    net = world.network
+    assert {name: getattr(net, name) for name in GOLDEN_COUNTERS} \
+        == GOLDEN_COUNTERS
+    assert world.metrics.snapshot() == GOLDEN_SNAPSHOT
