@@ -5,9 +5,10 @@ Two clocks cover the two ways the runtime is used:
 
 * :class:`AsyncioClock` — wall time.  ``now`` is seconds since the clock
   started (so traces from a live run have the same "starts at 0" shape as
-  simulated ones) and ``schedule`` maps to ``loop.call_later``.  Components'
-  timers, periodic tasks, and ``Sleep`` directives all become real asyncio
-  timers with no component-code changes.
+  simulated ones), ``schedule`` maps to ``loop.call_later`` and
+  ``schedule_every`` to a handle that re-arms its own ``call_later`` after
+  each fire.  Components' timers, periodic tasks, and ``Sleep`` directives
+  all become real asyncio timers with no component-code changes.
 * :class:`VirtualClock` — a thin veneer over the simulator's deterministic
   :class:`~repro.sim.scheduler.Scheduler`.  Used with the loopback transport
   it makes an entire multi-node *runtime* cluster (host adapters, codec,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Optional
 
-from ..errors import SimulationError
+from ..errors import ConfigurationError, SimulationError
 from ..sim.scheduler import Scheduler
 from ..types import Time
 
@@ -46,6 +47,10 @@ class AsyncioTimerHandle:
         """Prevent the callback from firing.  Idempotent."""
         self.cancelled = True
         self._handle.cancel()
+
+    # A repeating timer's ``stop``; wall time counts no events, so its
+    # ``disarm`` (the simulator's dead tick) is a cancel too.
+    stop = disarm = cancel
 
 
 class AsyncioClock:
@@ -93,6 +98,24 @@ class AsyncioClock:
             raise SimulationError(f"negative delay {delay}")
         return AsyncioTimerHandle(self.loop.call_later(delay, callback, *args))
 
+    def schedule_every(
+        self, period: Time, callback: Callable[[], None]
+    ) -> AsyncioTimerHandle:
+        """Run ``callback()`` every *period* seconds until ``stop()``:
+        each fire re-arms the same handle with ``call_later(period)`` after
+        the callback, like the simulator's run loop."""
+        if period <= 0:
+            raise ConfigurationError(f"period must be positive, got {period}")
+        loop = self.loop
+
+        def fire() -> None:
+            callback()
+            if not timer.cancelled:
+                timer._handle = loop.call_later(period, fire)
+
+        timer = AsyncioTimerHandle(loop.call_later(period, fire))
+        return timer
+
     def schedule_at(
         self, time: Time, callback: Callable[..., None], *args: Any
     ) -> AsyncioTimerHandle:
@@ -112,10 +135,11 @@ class SkewedClock:
     proxy over a :class:`VirtualClock` is still bit-for-bit deterministic.
     Relative scheduling delegates unchanged (a frozen-rate skew model: the
     node's clock is *displaced*, not *faster*, matching a one-shot NTP-style
-    step).  Absolute scheduling translates the skewed target back into the
-    inner timeline; a target the forward-skewed node believes is already
-    past fires immediately, exactly what a real clock jump does to pending
-    deadline math.
+    step); so does ``schedule_every``, through ``__getattr__``.  Absolute
+    scheduling translates the skewed target back into the inner timeline;
+    a target the forward-skewed node believes is already past fires
+    immediately, exactly what a real clock jump does to pending deadline
+    math.
 
     Everything else (``rebase``, ``loop``, ``is_virtual``, the scheduler
     drain methods of a virtual inner clock) passes through untouched.

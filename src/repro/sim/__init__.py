@@ -16,7 +16,7 @@ second implementation.
 from ..obs.events import TraceEvent
 from ..obs.sinks import Trace
 from .api import NetworkAPI, ProcessAPI, SchedulerAPI, WorldAPI, stream_for
-from .component import Component, Periodic
+from .component import Component
 from .delays import (
     DelayModel,
     ExponentialDelay,
@@ -24,7 +24,7 @@ from .delays import (
     SpikeDelay,
     UniformDelay,
 )
-from .events import EventHandle
+from .events import EventHandle, Periodic
 from .failures import (
     CrashEvent,
     CrashSchedule,

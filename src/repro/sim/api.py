@@ -87,6 +87,14 @@ class SchedulerAPI(Protocol):
         """Run ``callback(*args)`` at absolute *time* (not in the past)."""
         ...
 
+    def schedule_every(
+        self, period: Time, callback: Callable[[], None]
+    ) -> TimerHandleAPI:
+        """Run ``callback()`` every *period* (``> 0``), first after one
+        period.  The handle's ``stop()`` ends it; ``disarm()`` ends it but
+        lets the queued tick fire once more, as a no-op."""
+        ...
+
 
 @runtime_checkable
 class NetworkAPI(Protocol):

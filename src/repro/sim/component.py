@@ -29,14 +29,14 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..types import Channel, ProcessId, Time
-from .events import EventHandle
+from .events import EventHandle, Periodic
 from .tasks import TaskGen, TaskRuntime, Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import Process
     from .world import World
 
-__all__ = ["Component", "Periodic"]
+__all__ = ["Component"]
 
 
 class Component:
@@ -203,13 +203,11 @@ class Component:
         if not self.tasks.stopped:
             callback(*args)
 
-    def periodically(
-        self, period: Time, callback: Callable[[], None], jitter: float = 0.0
-    ) -> "Periodic":
-        """Run *callback* every *period* (± uniform *jitter*) until stopped."""
-        timer = Periodic(self, period, callback, jitter)
-        timer.start()
-        return timer
+    def periodically(self, period: Time, callback: Callable[[], None]) -> Periodic:
+        """Run *callback* every *period*, first one period from now, until
+        the returned handle's ``stop()``, a crash or a detach (the queued
+        tick then fires once more, as a no-op)."""
+        return self.tasks.every(period, callback)
 
     def spawn(self, gen: TaskGen, name: str = "task") -> Task:
         """Start a cooperative task (see :mod:`repro.sim.tasks`)."""
@@ -231,52 +229,3 @@ class Component:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pid = self.process.pid if self.process is not None else "?"
         return f"<{type(self).__name__} channel={self.channel!r} pid={pid}>"
-
-
-class Periodic:
-    """A repeating timer bound to a component (stops on crash or detach)."""
-
-    def __init__(
-        self,
-        component: Component,
-        period: Time,
-        callback: Callable[[], None],
-        jitter: float = 0.0,
-    ) -> None:
-        if period <= 0:
-            raise ConfigurationError(f"period must be positive, got {period}")
-        if jitter < 0 or jitter >= period:
-            raise ConfigurationError("jitter must satisfy 0 <= jitter < period")
-        self._component = component
-        self.period = period
-        self.callback = callback
-        self.jitter = jitter
-        self._handle: Optional[EventHandle] = None
-        self._running = False
-
-    def start(self) -> None:
-        """Begin firing; the first tick happens after one period."""
-        if self._running:
-            return
-        self._running = True
-        self._arm()
-
-    def stop(self) -> None:
-        """Stop firing.  Safe to call multiple times."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _arm(self) -> None:
-        delay = self.period
-        if self.jitter:
-            delay += self._component.rng.uniform(-self.jitter, self.jitter)
-        self._handle = self._component.world.scheduler.schedule(delay, self._tick)
-
-    def _tick(self) -> None:
-        if not self._running or self._component.tasks.stopped:
-            return
-        self.callback()
-        if self._running and not self._component.tasks.stopped:
-            self._arm()

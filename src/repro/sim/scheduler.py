@@ -9,18 +9,21 @@ The heap holds ``(time, seq, handle)`` tuples.  ``seq`` is unique, so
 reaches the handle.  :meth:`Scheduler.run` is the one loop: one inline
 ``heappop`` per event, lazy deletion of cancelled entries, and the
 callback called directly — no per-event method call besides the callback.
+A repeating event (:meth:`Scheduler.schedule_every`) is re-armed by the
+same loop, so a periodic tick is one pop and one push of the same handle.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from typing import Any, Callable, Optional
 
-from ..errors import SimulationError
+from ..errors import ConfigurationError, SimulationError
 from ..types import Time
-from .events import EventHandle
+from .events import EventHandle, Periodic
 
 __all__ = ["Scheduler"]
 
@@ -36,7 +39,7 @@ class Scheduler:
 
     def __init__(self) -> None:
         self._heap: list[tuple[Time, int, EventHandle]] = []
-        self._seq = 0
+        self._seqs = itertools.count()
         self._now: Time = 0.0
         self._events_fired = 0
 
@@ -70,10 +73,8 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, handle))
+        handle = EventHandle(callback, args)
+        heapq.heappush(self._heap, (time, next(self._seqs), handle))
         return handle
 
     def schedule(
@@ -82,10 +83,20 @@ class Scheduler:
         """Schedule *callback(*args)* after *delay* time units (``delay >= 0``)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        time, seq = self._now + delay, self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, handle))
+        time = self._now + delay
+        handle = EventHandle(callback, args)
+        heapq.heappush(self._heap, (time, next(self._seqs), handle))
+        return handle
+
+    def schedule_every(self, period: Time, callback: Callable[[], None]) -> Periodic:
+        """Run *callback()* every *period*, first after one period, until
+        the handle's ``stop()``.  :meth:`run` re-arms the handle right
+        after each fire (see :class:`~repro.sim.events.Periodic`)."""
+        if period <= 0:
+            raise ConfigurationError(f"period must be positive, got {period}")
+        handle = Periodic(callback)
+        handle.period = period
+        heapq.heappush(self._heap, (self._now + period, next(self._seqs), handle))
         return handle
 
     # --------------------------------------------------------------- running
@@ -94,9 +105,7 @@ class Scheduler:
         return self.run(max_events=1) == 1
 
     def run(
-        self,
-        until: Optional[Time] = None,
-        max_events: Optional[int] = None,
+        self, until: Optional[Time] = None, max_events: Optional[int] = None
     ) -> int:
         """Run events until the heap drains, *until* is reached, or
         *max_events* callbacks have fired (whichever comes first).
@@ -107,10 +116,14 @@ class Scheduler:
         live event at or before *until* remains; otherwise it leaves the
         clock at the last event fired.
 
+        A repeating event goes back on the heap right after its callback
+        returns, at ``(time + period, next seq)``, unless the callback
+        stopped or disarmed it.
+
         Returns:
             The number of events fired by this call.
         """
-        heap, pop = self._heap, heapq.heappop
+        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
         stop = math.inf if until is None else until
         limit = sys.maxsize if max_events is None else max_events
         fired = 0
@@ -127,15 +140,24 @@ class Scheduler:
             if handle.cancelled:
                 continue
             if time > stop:
-                heapq.heappush(heap, entry)
+                push(heap, entry)
                 break
             self._now = time
-            callback, args = handle.callback, handle.args
-            # Drop references so fired events do not pin their closures alive.
-            handle.callback, handle.args = None, ()  # type: ignore[assignment]
             self._events_fired += 1
             fired += 1
-            callback(*args)
+            period = handle.period
+            if period is None:
+                callback, args = handle.callback, handle.args
+                # Drop references so fired events do not pin their closures
+                # alive.
+                handle.callback, handle.args = None, ()  # type: ignore[assignment]
+                callback(*args)
+            else:
+                handle.callback()
+                if handle.period is not None and not handle.cancelled:
+                    push(heap, (time + period, next(self._seqs), handle))
+                else:  # stopped or disarmed by its own callback
+                    handle.callback = None  # type: ignore[assignment]
         if until is not None and until > self._now:
             self._now = until
         return fired

@@ -30,7 +30,7 @@ from typing import Callable, Generator, List, Optional, Union
 
 from ..errors import TaskError
 from ..types import Time
-from .events import EventHandle
+from .events import EventHandle, Periodic
 from .scheduler import Scheduler
 
 __all__ = ["Sleep", "WaitUntil", "Task", "TaskRuntime"]
@@ -87,11 +87,13 @@ class Task:
 
 
 class TaskRuntime:
-    """Runs the cooperative tasks of one component."""
+    """Runs the cooperative tasks of one component, and owns its repeating
+    timers."""
 
     def __init__(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
         self._tasks: List[Task] = []
+        self._timers: List[Periodic] = []
         #: ``True`` once :meth:`stop` has run.
         self.stopped = False
         self._poking = False
@@ -106,10 +108,25 @@ class TaskRuntime:
         self._advance(task)
         return task
 
+    def every(self, period: Time, callback: Callable[[], None]) -> Periodic:
+        """Run *callback* every *period* until :meth:`stop` (see
+        :meth:`~repro.sim.scheduler.Scheduler.schedule_every`)."""
+        timer = self._scheduler.schedule_every(period, callback)
+        if self.stopped:
+            timer.disarm()
+        else:
+            self._timers.append(timer)
+        return timer
+
     def stop(self) -> None:
         """Kill all tasks (the owning process crashed, or the component was
-        detached)."""
+        detached).  Each repeating timer's queued tick still fires once, as
+        a no-op, and is not re-armed (:meth:`Periodic.disarm`)."""
         self.stopped = True
+        for timer in self._timers:
+            timer.disarm()
+        # A kept timer's callback is bound to the component: a cycle.
+        self._timers.clear()
         for task in self._tasks:
             if task._sleep_handle is not None:
                 task._sleep_handle.cancel()

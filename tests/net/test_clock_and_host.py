@@ -171,3 +171,42 @@ def test_asyncio_clock_hosts_echo():
         assert echoes[0].heard == [(1, "pong")]
 
     asyncio.run(scenario())
+
+
+def test_asyncio_periodic_stops_on_crash_detach_and_own_stop():
+    async def scenario():
+        clock = AsyncioClock()
+        host = _pair(clock)[0]
+        crashed, detached, own = (
+            host.attach(Component(name)) for name in ("a", "b", "c"))
+        clock.rebase()
+        host.start()
+        ticks = {"a": 0, "b": 0, "c": 0}
+
+        def counter(name):
+            def tick():
+                ticks[name] += 1
+            return tick
+
+        def tick_once():
+            ticks["c"] += 1
+            own_timer.stop()
+
+        crashed.periodically(0.01, counter("a"))
+        detached.periodically(0.01, counter("b"))
+        own_timer = own.periodically(0.01, tick_once)
+        with pytest.raises(ConfigurationError):
+            own.periodically(0.0, tick_once)
+        await asyncio.sleep(0.05)
+        assert ticks["a"] >= 1 and ticks["b"] >= 1 and ticks["c"] == 1
+        host.process.detach(detached)
+        before = dict(ticks)
+        await asyncio.sleep(0.05)
+        assert ticks["a"] > before["a"]
+        assert (ticks["b"], ticks["c"]) == (before["b"], 1)
+        host.crash()
+        before = dict(ticks)
+        await asyncio.sleep(0.05)
+        assert ticks == before
+
+    asyncio.run(scenario())

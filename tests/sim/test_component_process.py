@@ -136,16 +136,6 @@ class TestTimers:
         comp = world.attach(0, Recorder())
         with pytest.raises(ConfigurationError):
             comp.periodically(0.0, lambda: None)
-        with pytest.raises(ConfigurationError):
-            comp.periodically(1.0, lambda: None, jitter=1.0)
-
-    def test_periodic_jitter_within_bounds(self, world):
-        comp = world.attach(0, Recorder())
-        ticks = []
-        comp.periodically(2.0, lambda: ticks.append(comp.now), jitter=0.5)
-        world.run(until=30.0)
-        gaps = [b - a for a, b in zip([0.0] + ticks, ticks)]
-        assert all(1.5 <= g <= 2.5 for g in gaps)
 
 
 class TestProcessCrash:

@@ -224,3 +224,6 @@ def test_paper_stack_metrics_golden():
     assert {name: getattr(net, name) for name in GOLDEN_COUNTERS} \
         == GOLDEN_COUNTERS
     assert world.metrics.snapshot() == GOLDEN_SNAPSHOT
+    # The crash at 10.0 leaves each of pid 0's timers one dead tick.
+    assert world.scheduler.events_fired == 2990
+    assert world.now == 100.0

@@ -1,10 +1,13 @@
 """Tests for the discrete-event scheduler."""
 
+import functools
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.errors import SimulationError
-from repro.sim import EventHandle, Scheduler
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim import EventHandle, Periodic, Scheduler
+from repro.sim.tasks import TaskRuntime
 
 
 class TestScheduling:
@@ -194,10 +197,10 @@ class SortedListScheduler:
     def schedule_at(self, time, callback, *args):
         if time < self.now:
             raise SimulationError("past")
-        handle = EventHandle(time, self.seq, callback, args)
+        handle = EventHandle(callback, args)
+        self.entries.append((time, self.seq, handle))
         self.seq += 1
-        self.entries.append(handle)
-        self.entries.sort(key=lambda e: (e.time, e.seq))
+        self.entries.sort(key=lambda e: e[:2])
         return handle
 
     def schedule(self, delay, callback, *args):
@@ -205,27 +208,32 @@ class SortedListScheduler:
             raise SimulationError("negative")
         return self.schedule_at(self.now + delay, callback, *args)
 
+    def schedule_every(self, period, callback):
+        if period <= 0:
+            raise ConfigurationError("period")
+        return ReArmingTimer(self, period, callback)
+
     def step(self):
         return self.run(max_events=1) == 1
 
     def compact(self):
-        self.entries = [e for e in self.entries if not e.cancelled]
+        self.entries = [e for e in self.entries if not e[2].cancelled]
 
     def run(self, until=None, max_events=None):
         fired = 0
         while self.entries:
             if max_events is not None and fired >= max_events:
-                if any(not e.cancelled and (until is None or e.time <= until)
-                       for e in self.entries):
+                if any(not h.cancelled and (until is None or t <= until)
+                       for t, _, h in self.entries):
                     return fired
                 break
-            head = self.entries[0]
+            time, _, head = self.entries[0]
             live = not head.cancelled
-            if live and until is not None and head.time > until:
+            if live and until is not None and time > until:
                 break
             del self.entries[0]
             if live:
-                self.now = head.time
+                self.now = time
                 callback, args = head.callback, head.args
                 head.callback, head.args = None, ()
                 self.events_fired += 1
@@ -236,19 +244,72 @@ class SortedListScheduler:
         return fired
 
 
+class ReArmingTimer:
+    """A repeating timer as one-shot events: each tick runs the callback,
+    then schedules the next tick with ``schedule(period)``.  After
+    ``disarm()`` the queued tick still fires, doing nothing, and schedules
+    no other."""
+
+    def __init__(self, sched, period, callback):
+        self.sched, self.period, self.callback = sched, period, callback
+        self.running, self.armed = True, True
+        self.handle = sched.schedule(period, self._tick)
+
+    def _tick(self):
+        if self.running and self.armed:
+            self.callback()
+            if self.running and self.armed:
+                self.handle = self.sched.schedule(self.period, self._tick)
+
+    def cancel(self):
+        self.running = False
+        self.handle.cancel()
+
+    stop = cancel
+
+    def disarm(self):
+        self.armed = False
+
+
+class TimerList:
+    """A task runtime's rule for its repeating timers: stopping it disarms
+    each, and a timer made after the stop is disarmed at once."""
+
+    def __init__(self, sched):
+        self.sched, self.timers, self.stopped = sched, [], False
+
+    def every(self, period, callback):
+        timer = self.sched.schedule_every(period, callback)
+        if self.stopped:
+            timer.disarm()
+        else:
+            self.timers.append(timer)
+        return timer
+
+    def stop(self):
+        self.stopped = True
+        for timer in self.timers:
+            timer.disarm()
+
+
 TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 7.0])
 ACTIONS = st.one_of(
     st.none(),
     st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.5, 3.0])),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
     st.tuples(st.just("compact"), st.none()),
+    st.tuples(st.just("stop_self"), st.none()),
+    st.tuples(st.just("stop_runtime"), st.none()),
 )
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 4.0]),
                   ACTIONS),
         st.tuples(st.just("schedule_at"), TIMES, ACTIONS),
+        st.tuples(st.just("every"), st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                  ACTIONS),
         st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("stop_runtime"),),
         st.tuples(st.just("step"),),
         st.tuples(st.just("compact"),),
         st.tuples(st.just("run"), st.none() | TIMES, st.none() | st.integers(0, 4)),
@@ -257,9 +318,10 @@ OPS = st.lists(
 )
 
 
-def drive(sched, ops):
+def drive(sched, ops, runtime):
     """Apply *ops* to *sched*; return what was observable after each call,
-    and every handle it gave out."""
+    and every handle it gave out.  Repeating timers belong to *runtime*, as
+    a component's do; ``stop_runtime`` stops it (a crash)."""
     fired, handles, seen = [], [], []
     add = handles.append
 
@@ -272,6 +334,10 @@ def drive(sched, ops):
             add(sched.schedule(arg, fire, len(handles), None))
         elif kind == "compact":
             sched.compact()
+        elif kind == "stop_self":
+            handles[ident].cancel()
+        elif kind == "stop_runtime":
+            runtime.stop()
         else:
             handles[arg % len(handles)].cancel()
 
@@ -282,16 +348,24 @@ def drive(sched, ops):
                 result = add(sched.schedule(op[1], fire, len(handles), op[2]))
             elif kind == "schedule_at":
                 result = add(sched.schedule_at(op[1], fire, len(handles), op[2]))
+            elif kind == "every":
+                tick = functools.partial(fire, len(handles), op[2])
+                result = add(runtime.every(op[1], tick))
             elif kind == "cancel":
                 result = handles[op[1] % len(handles)].cancel() if handles else None
+            elif kind == "stop_runtime":
+                result = runtime.stop()
             elif kind == "step":
                 result = sched.step()
             elif kind == "compact":
                 result = sched.compact()
             else:
-                result = sched.run(until=op[1], max_events=op[2])
-        except SimulationError:
-            result = "error"
+                until, limit = op[1], op[2]
+                if until is None and limit is None:
+                    limit = 60  # a live repeating timer never drains
+                result = sched.run(until=until, max_events=limit)
+        except (ConfigurationError, SimulationError) as exc:
+            result = type(exc).__name__
         seen.append((result, sched.now, sched.events_fired, list(fired)))
     return seen, handles
 
@@ -302,16 +376,49 @@ class TestDrainMatchesSortedList:
     # max_events stop then has nothing live left, so it advances to 7.0.
     @example([("schedule", 1.0, None), ("schedule", 4.0, None), ("cancel", 1),
               ("run", 2.0, None), ("schedule", 0.5, None), ("run", 7.0, 1)])
+    # A repeating timer, a one-shot at its second tick (2.0) cancelling
+    # it, then a timer stopping itself on its first tick.
+    @example([("every", 1.0, None), ("schedule", 2.0, ("cancel", 0)),
+              ("every", 0.5, ("stop_self", None)), ("run", 7.0, None)])
+    # A one-shot stops the runtime at 1.0, the same instant as the timer's
+    # first tick but queued after it: the tick at 2.0 is a dead fire.
+    @example([("every", 1.0, None), ("schedule", 1.0, ("stop_runtime", None)),
+              ("run", 7.0, None)])
+    # A timer that stops the runtime from its own callback: no dead fire;
+    # a timer made on the stopped runtime: exactly one.
+    @example([("every", 2.5, ("stop_runtime", None)), ("run", 7.0, None),
+              ("every", 0.5, None), ("run", None, None)])
+    # A tick that schedules an event one period ahead: the event fires
+    # before the next tick, which is re-armed after the callback.
+    @example([("every", 0.5, ("spawn", 0.5)), ("run", 2.0, None)])
+    # A second runtime stop leaves a timer made after the first, and
+    # already dead-fired, alone.
+    @example([("stop_runtime",), ("every", 0.5, None), ("step",),
+              ("stop_runtime",)])
     def test_same_fire_order_clock_and_counts(self, ops):
         sched = Scheduler()
-        seen, handles = drive(sched, ops)
-        assert seen == drive(SortedListScheduler(), ops)[0]
+        seen, handles = drive(sched, ops, TaskRuntime(sched))
+        oracle = SortedListScheduler()
+        assert seen == drive(oracle, ops, TimerList(oracle))[0]
         fired = {ident for ident, _ in seen[-1][3]} if seen else set()
         for ident in fired:
             handle = handles[ident]
-            assert not handle.pending
-            assert handle.callback is None and handle.args == ()
+            if not isinstance(handle, Periodic):
+                assert not handle.pending
+                assert handle.callback is None and handle.args == ()
         assert sched.pending_count == sum(h.pending for h in handles)
+
+    def test_runtime_stop_gives_exactly_one_dead_fire(self):
+        sched = Scheduler()
+        runtime = TaskRuntime(sched)
+        ticks = []
+        runtime.every(1.0, lambda: ticks.append(sched.now))
+        sched.schedule(2.5, runtime.stop)
+        assert sched.run(until=10.0) == 4  # ticks at 1 and 2, stop, dead 3
+        assert ticks == [1.0, 2.0]
+        late = runtime.every(1.0, lambda: ticks.append("late"))
+        assert sched.run(until=20.0) == 1 and ticks == [1.0, 2.0]
+        assert not late.pending and sched.pending_count == 0
 
     def test_max_events_stop_leaves_clock_at_last_event(self):
         sched = Scheduler()
