@@ -136,8 +136,9 @@ def profiled(run: Callable[..., object], *args: object) -> pstats.Stats:
 
 def event_mix(title: str, stats: pstats.Stats, fired: int,
               ticks: Set[Tuple[str, int, str]]) -> str:
-    """Every callee of ``Scheduler.run`` but its heap calls, with its call
-    count from there: one call per fired event."""
+    """Every Python callee of ``Scheduler.run``, with its call count from
+    there: one call per fired event.  Built-ins the loop calls itself
+    (heap push/pop, ``next`` on the sequence counter) are not events."""
     loop = next(key for key in stats.stats
                 if key[0].endswith("scheduler.py") and key[2] == "run")
     kinds = {"_noop": "dead tick", "_finish_delivery": "delivery",
@@ -146,7 +147,7 @@ def event_mix(title: str, stats: pstats.Stats, fired: int,
         ((callers[loop][1], "timer tick" if key in ticks
           else kinds.get(key[2], "other"), key)
          for key, (*_, callers) in stats.stats.items()
-         if loop in callers and "_heapq." not in key[2]),
+         if loop in callers and key[0] != "~"),
         reverse=True,
     )
     if sum(row[0] for row in rows) != fired:

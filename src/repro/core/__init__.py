@@ -46,7 +46,6 @@ from ..fd import (
     EVENTUALLY_WEAK,
     FailureDetector,
     FDClass,
-    HeartbeatCounterDetector,
     HeartbeatEventuallyPerfect,
     LeaderBasedOmega,
     OMEGA,
@@ -110,7 +109,6 @@ __all__ = [
     "EVENTUALLY_WEAK",
     "FailureDetector",
     "FDClass",
-    "HeartbeatCounterDetector",
     "HeartbeatEventuallyPerfect",
     "LeaderBasedOmega",
     "OMEGA",

@@ -2,7 +2,7 @@
 implementations (all-to-all heartbeat ◇P, ring ◇S/◇P, leader-based Ω, and
 ◇C compositions)."""
 
-from .base import FailureDetector, first_non_suspected
+from .base import FailureDetector, TimeoutDetector, first_non_suspected
 from .classes import (
     ALL_CLASSES,
     EVENTUALLY_CONSISTENT,
@@ -16,7 +16,6 @@ from .classes import (
 )
 from .eventually_consistent import CombinedDetector, attach_ec_stack
 from .heartbeat import HeartbeatEventuallyPerfect
-from .heartbeat_counter import HeartbeatCounterDetector
 from .leader_based import LeaderBasedOmega
 from .oracle import (
     OracleConfig,
@@ -29,6 +28,7 @@ from .stable_leader import StableLeaderOmega
 
 __all__ = [
     "FailureDetector",
+    "TimeoutDetector",
     "first_non_suspected",
     "FDClass",
     "PERFECT",
@@ -42,7 +42,6 @@ __all__ = [
     "CombinedDetector",
     "attach_ec_stack",
     "HeartbeatEventuallyPerfect",
-    "HeartbeatCounterDetector",
     "LeaderBasedOmega",
     "OracleConfig",
     "OracleFailureDetector",

@@ -12,54 +12,21 @@ eventual strong accuracy, hence ◇P.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from ..errors import ConfigurationError
-from ..types import ProcessId, Time
-from .base import FailureDetector
+from ..types import ProcessId
+from .base import TimeoutDetector
 
 __all__ = ["HeartbeatEventuallyPerfect"]
 
 _ALIVE = "ALIVE"
 
 
-class HeartbeatEventuallyPerfect(FailureDetector):
-    """All-to-all heartbeat implementation of ◇P (see module docstring).
-
-    Parameters:
-        period: heartbeat send period (η).
-        initial_timeout: starting timeout applied to every peer.
-        timeout_increment: added to a peer's timeout on every false
-            suspicion (the adaptation step of the partial-synchrony proof).
-        check_period: how often timeouts are evaluated (defaults to
-            ``period / 2``).
-    """
-
-    def __init__(
-        self,
-        period: Time = 5.0,
-        initial_timeout: Time = 12.0,
-        timeout_increment: Time = 5.0,
-        check_period: Optional[Time] = None,
-        channel: str = "fd",
-    ) -> None:
-        super().__init__(channel)
-        if period <= 0 or initial_timeout <= 0 or timeout_increment < 0:
-            raise ConfigurationError("heartbeat parameters must be positive")
-        self.period = period
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
-        self.check_period = check_period if check_period is not None else period / 2
-        self._last_heard: Dict[ProcessId, Time] = {}
-        self._timeout: Dict[ProcessId, Time] = {}
+class HeartbeatEventuallyPerfect(TimeoutDetector):
+    """All-to-all heartbeat implementation of ◇P (see module docstring);
+    ``period`` is the heartbeat send period (η), the other parameters are
+    :class:`~repro.fd.base.TimeoutDetector`'s."""
 
     # ------------------------------------------------------------ life cycle
     def on_start(self) -> None:
-        now = self.now
-        for q in range(self.n):
-            if q != self.pid:
-                self._last_heard[q] = now
-                self._timeout[q] = self.initial_timeout
         super().on_start()
         self._beat()
         self.periodically(self.period, self._beat)
@@ -76,22 +43,11 @@ class HeartbeatEventuallyPerfect(FailureDetector):
         self._last_heard[src] = self.now
         if src in self._suspected:
             # False suspicion: retract and widen the timeout (Task 4 logic).
-            self._timeout[src] += self.timeout_increment
-            self.metrics.inc("fd_timeout_adaptations_total", channel=self.channel)
+            self._widen(src)
             self._set_output(suspected=self._suspected - {src})
 
     # ------------------------------------------------------------ monitoring
     def _check(self) -> None:
-        now = self.now
-        overdue = {
-            q
-            for q, heard in self._last_heard.items()
-            if q not in self._suspected and now - heard > self._timeout[q]
-        }
+        overdue = self._overdue(self._suspected)
         if overdue:
             self._set_output(suspected=self._suspected | overdue)
-
-    # ---------------------------------------------------------- introspection
-    def timeout_of(self, q: ProcessId) -> Time:
-        """Current adaptive timeout for peer *q* (for tests/benchmarks)."""
-        return self._timeout[q]

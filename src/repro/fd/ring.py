@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..errors import ConfigurationError
-from ..types import ProcessId, Time
-from .base import FailureDetector, first_non_suspected
+from ..types import ProcessId
+from .base import TimeoutDetector, first_non_suspected
 
 __all__ = ["RingDetector"]
 
@@ -36,36 +35,18 @@ _PONG = "PONG"
 _Entry = Tuple[int, bool]
 
 
-class RingDetector(FailureDetector):
-    """Ring-polling failure detector with knowledge piggybacking."""
+class RingDetector(TimeoutDetector):
+    """Ring-polling failure detector with knowledge piggybacking.
 
-    def __init__(
-        self,
-        period: Time = 5.0,
-        initial_timeout: Time = 12.0,
-        timeout_increment: Time = 5.0,
-        check_period: Optional[Time] = None,
-        channel: str = "fd",
-    ) -> None:
-        super().__init__(channel)
-        if period <= 0 or initial_timeout <= 0 or timeout_increment < 0:
-            raise ConfigurationError("ring parameters must be positive")
-        self.period = period
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
-        self.check_period = check_period if check_period is not None else period / 2
-        self._knowledge: Dict[ProcessId, _Entry] = {}
-        self._timeout: Dict[ProcessId, Time] = {}
-        self._last_pong: Dict[ProcessId, Time] = {}
-        self._target: Optional[ProcessId] = None
-        self._watch_start: Time = 0.0
+    Only the predecessor being polled is watched; it is heard from by its
+    ``PONG``."""
+
+    _knowledge: Dict[ProcessId, _Entry]
+    _target: Optional[ProcessId] = None
 
     # ------------------------------------------------------------ life cycle
     def on_start(self) -> None:
-        for q in range(self.n):
-            self._knowledge[q] = (0, False)
-            if q != self.pid:
-                self._timeout[q] = self.initial_timeout
+        self._knowledge = dict.fromkeys(range(self.n), (0, False))
         self._retarget()
         self._publish()
         super().on_start()
@@ -101,7 +82,8 @@ class RingDetector(FailureDetector):
                 break
         if new_target != self._target:
             self._target = new_target
-            self._watch_start = self.now
+            if new_target is not None:
+                self._restart(new_target)
 
     def _poll(self) -> None:
         if self._target is not None:
@@ -109,10 +91,7 @@ class RingDetector(FailureDetector):
 
     def _check(self) -> None:
         target = self._target
-        if target is None:
-            return
-        reference = max(self._last_pong.get(target, 0.0), self._watch_start)
-        if self.now - reference > self._timeout[target]:
+        if target is not None and self._expired(target):
             self._suspect(target)
 
     # ------------------------------------------------------------- knowledge
@@ -129,10 +108,7 @@ class RingDetector(FailureDetector):
         """Direct evidence that *q* is alive."""
         if self._knowledge[q][1]:
             self._bump(q, False)
-            self._timeout[q] = self._timeout.get(q, self.initial_timeout) + (
-                self.timeout_increment
-            )
-            self.metrics.inc("fd_timeout_adaptations_total", channel=self.channel)
+            self._widen(q)
             self._retarget()
             self._publish()
 
@@ -162,14 +138,10 @@ class RingDetector(FailureDetector):
         if kind == _PING:
             self.send(src, (_PONG, dict(self._knowledge)), tag="pong")
         elif kind == _PONG:
-            self._last_pong[src] = self.now
+            self._last_heard[src] = self.now
 
     # ---------------------------------------------------------- introspection
     @property
     def target(self) -> Optional[ProcessId]:
         """The predecessor currently being monitored (tests/benchmarks)."""
         return self._target
-
-    def timeout_of(self, q: ProcessId) -> Time:
-        """Current adaptive timeout for *q*."""
-        return self._timeout[q]

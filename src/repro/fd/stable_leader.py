@@ -35,11 +35,10 @@ difference against :class:`~repro.fd.leader_based.LeaderBasedOmega`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..errors import ConfigurationError
-from ..types import ProcessId, Time
-from .base import FailureDetector
+from ..types import ProcessId
+from .base import TimeoutDetector
 
 __all__ = ["StableLeaderOmega"]
 
@@ -47,36 +46,15 @@ _LEADER_ALIVE = "S-LEADER-ALIVE"
 _ACCUSE = "ACCUSE"
 
 
-class StableLeaderOmega(FailureDetector):
+class StableLeaderOmega(TimeoutDetector):
     """Accusation-counter Ω with stable leadership (see module docstring)."""
 
-    def __init__(
-        self,
-        period: Time = 5.0,
-        initial_timeout: Time = 12.0,
-        timeout_increment: Time = 5.0,
-        check_period: Optional[Time] = None,
-        channel: str = "fd",
-    ) -> None:
-        super().__init__(channel)
-        if period <= 0 or initial_timeout <= 0 or timeout_increment < 0:
-            raise ConfigurationError("stable-leader parameters must be positive")
-        self.period = period
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
-        self.check_period = check_period if check_period is not None else period / 2
-        self._counter: Dict[ProcessId, int] = {}
-        self._last_heard: Dict[ProcessId, Time] = {}
-        self._timeout: Dict[ProcessId, Time] = {}
-        self._watch_start: Time = 0.0
-        self.leader_changes = 0  # introspection for the stability ablation
+    _counter: Dict[ProcessId, int]
+    leader_changes = 0  # introspection for the stability ablation
 
     # ------------------------------------------------------------ life cycle
     def on_start(self) -> None:
-        for q in range(self.n):
-            self._counter[q] = 0
-            if q != self.pid:
-                self._timeout[q] = self.initial_timeout
+        self._counter = dict.fromkeys(range(self.n), 0)
         self._publish(initial=True)
         super().on_start()
         self._beat()
@@ -109,15 +87,15 @@ class StableLeaderOmega(FailureDetector):
         leader = self._current_leader()
         if leader == self.pid:
             return
-        reference = max(self._last_heard.get(leader, 0.0), self._watch_start)
-        if self.now - reference > self._timeout[leader]:
+        if self._expired(leader):
             # Accuse the silent leader; the merge demotes it locally at once
-            # and at everyone else via gossip.
+            # and at everyone else via gossip.  Its timeout grows, but an
+            # accusation is not a premature suspicion, so it is not counted.
             accused_count = self._counter[leader]
             self._merge(leader, accused_count)
             self.broadcast((_ACCUSE, leader, accused_count), tag="accuse")
             self._timeout[leader] += self.timeout_increment
-            self._watch_start = self.now
+            self._restart(self._current_leader())
             self._publish()
 
     def _merge(self, q: ProcessId, accused_count: int) -> None:
@@ -136,8 +114,9 @@ class StableLeaderOmega(FailureDetector):
             _, accused, accused_count = payload  # type: ignore[misc]
             old_leader = self._current_leader()
             self._merge(accused, accused_count)
-            if self._current_leader() != old_leader:
-                self._watch_start = self.now
+            leader = self._current_leader()
+            if leader != old_leader:
+                self._restart(leader)
             self._publish()
 
     # ---------------------------------------------------------- introspection

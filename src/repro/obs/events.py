@@ -253,10 +253,6 @@ register_event_kind(
     doc="uniform reliable broadcast delivered a message",
 )
 register_event_kind(
-    "hb-counter", required=("peer", "value"),
-    doc="a heartbeat-counter detector bumped its counter for a peer",
-)
-register_event_kind(
     "net.peer_unreachable", required=("peer",), optional=("attempts", "dropped"),
     doc="a transport exhausted its bounded reconnect attempts to a peer and "
         "dropped that peer's queued frames (retries resume on new traffic)",

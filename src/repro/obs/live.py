@@ -181,7 +181,7 @@ class StreamingSink(TraceSink):
 
     # ------------------------------------------------------------ recording
     def record(
-        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
+        self, time: Time, kind: str, pid: Optional[ProcessId], /, **data: Any
     ) -> None:
         if self._closed:
             return

@@ -71,7 +71,7 @@ class TraceSink:
     """Structural base class of every trace sink (see module docstring)."""
 
     def record(
-        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
+        self, time: Time, kind: str, pid: Optional[ProcessId], /, **data: Any
     ) -> None:
         """Record one observation (subject to this sink's filters)."""
         raise NotImplementedError
@@ -114,7 +114,7 @@ class MemorySink(TraceSink):
 
     # ------------------------------------------------------------- recording
     def record(
-        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
+        self, time: Time, kind: str, pid: Optional[ProcessId], /, **data: Any
     ) -> None:
         """Append one event (subject to the kind filter and master switch)."""
         kinds = self._kinds
@@ -282,7 +282,7 @@ class JsonlSink(TraceSink):
 
     # ------------------------------------------------------------ recording
     def record(
-        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
+        self, time: Time, kind: str, pid: Optional[ProcessId], /, **data: Any
     ) -> None:
         kinds = self._kinds
         if kinds is None or kind in kinds:
@@ -341,7 +341,7 @@ class TeeSink(TraceSink):
         self.sinks = tuple(sinks)
 
     def record(
-        self, time: Time, kind: str, pid: Optional[ProcessId], **data: Any
+        self, time: Time, kind: str, pid: Optional[ProcessId], /, **data: Any
     ) -> None:
         for sink in self.sinks:
             sink.record(time, kind, pid, **data)

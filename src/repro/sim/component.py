@@ -214,7 +214,7 @@ class Component:
         return self.tasks.spawn(gen, name=f"{self.channel}@{self.pid}:{name}")
 
     # --------------------------------------------------------------- tracing
-    def trace(self, kind: str, **data: Any) -> None:
+    def trace(self, kind: str, /, **data: Any) -> None:
         """Record a trace event attributed to this process."""
         sink = self.world.trace
         if sink.wants(kind):

@@ -82,7 +82,7 @@ class ServiceFrontend:
     def metrics(self):
         return self.host.metrics
 
-    def trace(self, kind: str, **data: Any) -> None:
+    def trace(self, kind: str, /, **data: Any) -> None:
         sink = self.host.trace
         if sink.wants(kind):
             sink.record(self.host.clock.now, kind, self.host.pid, **data)

@@ -36,10 +36,10 @@ Engineering notes kept faithful to the proof:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
-from ..fd.base import FailureDetector
+from ..fd.base import FailureDetector, TimeoutDetector
 from ..types import ProcessId, Time
 
 __all__ = ["CToPTransformation"]
@@ -48,8 +48,11 @@ _ALIVE = "I-AM-ALIVE"
 _SUSPECTS = "SUSPECTS"
 
 
-class CToPTransformation(FailureDetector):
-    """◇P built from the leader elected by a local ◇C/Ω source (Fig. 2)."""
+class CToPTransformation(TimeoutDetector):
+    """◇P built from the leader elected by a local ◇C/Ω source (Fig. 2).
+
+    The watched period is *alive_period* (Φ): ``period`` is Φ, and the
+    timeout parameters are :class:`~repro.fd.base.TimeoutDetector`'s."""
 
     def __init__(
         self,
@@ -61,35 +64,23 @@ class CToPTransformation(FailureDetector):
         check_period: Optional[Time] = None,
         channel: str = "fdp",
     ) -> None:
-        super().__init__(channel)
-        if min(send_period, alive_period, initial_timeout) <= 0:
-            raise ConfigurationError("periods and timeouts must be positive")
-        if timeout_increment < 0:
-            raise ConfigurationError("timeout increment must be >= 0")
+        super().__init__(
+            alive_period, initial_timeout, timeout_increment, check_period, channel
+        )
+        if send_period <= 0:
+            raise ConfigurationError("send_period must be positive")
         self.c_source = c_source
         self.send_period = send_period
-        self.alive_period = alive_period
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
-        self.check_period = (
-            check_period if check_period is not None else alive_period / 2
-        )
         self._local_list: set[ProcessId] = set()
-        self._last_alive: Dict[ProcessId, Time] = {}
-        self._delta: Dict[ProcessId, Time] = {}
         self._was_leader = False
 
     # ------------------------------------------------------------ life cycle
     def on_start(self) -> None:
-        for q in range(self.n):
-            if q != self.pid:
-                self._delta[q] = self.initial_timeout
-                self._last_alive[q] = self.now
         super().on_start()
         self.c_source.subscribe(self._on_source_change)
         self._was_leader = self._is_leader()
         self.periodically(self.send_period, self._task1_send_list)
-        self.periodically(self.alive_period, self._task2_send_alive)
+        self.periodically(self.period, self._task2_send_alive)
         self.periodically(self.check_period, self._task3_check)
 
     def _is_leader(self) -> bool:
@@ -99,9 +90,8 @@ class CToPTransformation(FailureDetector):
         leader_now = self._is_leader()
         if leader_now and not self._was_leader:
             # Freshness clocks restart on leadership acquisition.
-            now = self.now
-            for q in self._last_alive:
-                self._last_alive[q] = now
+            for q in self._last_heard:
+                self._restart(q)
             # ... and the output becomes the own list again: Tasks 3/4
             # publish only when that list changes, so without this the
             # list adopted under the previous leader could stay forever.
@@ -125,24 +115,19 @@ class CToPTransformation(FailureDetector):
     def _task3_check(self) -> None:
         if not self._is_leader():
             return
-        now = self.now
-        changed = False
-        for q, heard in self._last_alive.items():
-            if q not in self._local_list and now - heard > self._delta[q]:
-                self._local_list.add(q)
-                changed = True
-        if changed:
+        overdue = self._overdue(self._local_list)
+        if overdue:
+            self._local_list |= overdue
             self._publish()
 
     # --------------------------------------------------------- Tasks 4 and 5
     def on_message(self, src: ProcessId, payload: object) -> None:
         if payload == _ALIVE:
-            self._last_alive[src] = self.now
+            self._last_heard[src] = self.now
             if src in self._local_list:
                 # Task 4: false suspicion — retract and widen the timeout.
                 self._local_list.discard(src)
-                self._delta[src] += self.timeout_increment
-                self.metrics.inc("fd_timeout_adaptations_total", channel=self.channel)
+                self._widen(src)
                 if self._is_leader():
                     self._publish()
             return
@@ -155,6 +140,5 @@ class CToPTransformation(FailureDetector):
     def _publish(self) -> None:
         self._set_output(suspected=frozenset(self._local_list))
 
-    def delta_of(self, q: ProcessId) -> Time:
-        """Current adaptive timeout Δp(q) (introspection for tests/benches)."""
-        return self._delta[q]
+    #: Current adaptive timeout Δp(q), the paper's name for ``timeout_of``.
+    delta_of = TimeoutDetector.timeout_of

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.consensus.ec_consensus import NULL
 from repro.errors import ConfigurationError
@@ -213,7 +213,8 @@ EVENTS = st.lists(
         st.text(max_size=8),
         st.none() | st.integers(-1, 20),
         st.dictionaries(
-            st.text(max_size=6).filter(lambda k: k not in ("time", "kind", "pid")),
+            # record()'s own parameter names are ordinary payload keys.
+            st.sampled_from(["self", "time", "kind", "pid"]) | st.text(max_size=6),
             VALUES, max_size=4,
         ),
     ),
@@ -240,6 +241,8 @@ def test_compact_encoder_without_the_c_accelerator(monkeypatch):
 
 
 @given(EVENTS)
+@example(events=[(0.0, "", None, {"self": []})])
+@example(events=[(1.0, "fd", 2, {"time": 3.0, "kind": "x", "pid": None})])
 def test_jsonl_lines_match_the_plain_formula_and_read_back(events):
     by_record, by_event = io.StringIO(), io.StringIO()
     plain = JsonlSink(by_record, node=3, epoch_wall=1.5, epoch_mono=2.5)
