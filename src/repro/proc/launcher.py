@@ -21,7 +21,8 @@ The launcher is the multi-process implementation of the unified
    line on killed nodes), merges them on a common time base via
    :func:`repro.obs.merge.merge_traces`, and injects a synthetic
    ``crash`` event per kill — victims cannot record their own death, but
-   the property checkers need the failure pattern — so
+   the property checkers need the failure pattern — and ends the stream
+   where the first node to finish its run stopped, so
    :meth:`verdicts` judges the run with exactly the code that judges
    in-process clusters.
 
@@ -468,12 +469,15 @@ class ProcessCluster(FaultVerbs):
         A ``kill -9`` victim cannot record its own death, so the launcher
         injects one ``crash`` event per kill at the kill's wall time
         rebased onto the merged time base — the property checkers then
-        see the same failure-pattern shape an in-process run records.
+        see the same failure-pattern shape an in-process run records.  The
+        stream ends where the first node to finish its run stopped
+        (:meth:`_common_horizon`).
         """
         if self._trace_cache is not None:
             return self._trace_cache
         report = self.merge_report()
-        events = list(report.trace)
+        horizon = self._common_horizon(report)
+        events = [ev for ev in report.trace if ev.time <= horizon]
         base = min(f.epoch_wall for f in report.files)
         for pid, wall in self._kill_walls.items():
             events.append(
@@ -511,6 +515,28 @@ class ProcessCluster(FaultVerbs):
         merged.extend(events)
         self._trace_cache = merged
         return merged
+
+    def _common_horizon(self, report: MergeReport) -> float:
+        """When the first node that ran to the end of its duration stopped.
+
+        Every node runs ``duration`` from its *own* start, and the nodes
+        start as far apart as their interpreters take to import — often
+        more than a timeout.  A node that has finished falls silent like a
+        crashed one, so the nodes still running rightly begin to suspect
+        it; those suspicions say when the run ended, not how the detector
+        behaved.  The merged stream is therefore cut at the last event of
+        the first node to exit 0 (``inf`` before :meth:`stop`, or when no
+        node exited cleanly).
+        """
+        finished = {
+            pid for pid, status in self.exit_statuses.items() if status == 0
+        }
+        ends = [
+            trace_file.events[-1].time + report.offsets[str(trace_file.node)]
+            for trace_file in report.files
+            if trace_file.node in finished and trace_file.events
+        ]
+        return min(ends, default=float("inf"))
 
     def save_merged(self, path: Union[str, Path]) -> Path:
         """Write the merged stream (synthetic ``crash`` events included)

@@ -141,6 +141,41 @@ def test_wait_quiescent_requires_start(tmp_path):
     asyncio.run(drive())
 
 
+def test_merged_stream_ends_when_the_first_finished_node_stopped(tmp_path):
+    """Each node runs its duration from its own start, so the first to
+    start stops first; the others timing it out after that is the end of
+    the run, not a detector mistake, and is cut from the merged stream."""
+    cluster = ProcessCluster(3, workdir=tmp_path)
+    # (pid, wall start, event times on its own clock): p0 and p1 both ran
+    # to t=1.0, p1 starting 0.3 s later; p2 was killed at its t=0.2.
+    for pid, epoch, times in (
+        (0, 100.0, (0.5, 1.0)), (1, 100.3, (0.5, 1.0)), (2, 100.1, (0.2,)),
+    ):
+        sink = JsonlSink(
+            cluster.trace_files[pid], node=pid, epoch_wall=epoch,
+            epoch_mono=epoch,
+        )
+        for time in times:
+            sink.record(time, "round", pid, algo="ec", round=1)
+        sink.close()
+    cluster.exit_statuses.update({0: 0, 1: 0, 2: -signal.SIGKILL})
+    merged = [(ev.pid, round(ev.time, 6)) for ev in cluster.traces().events]
+    assert merged == [(2, 0.3), (0, 0.5), (1, 0.8), (0, 1.0)]
+
+
+def test_merged_stream_is_whole_when_no_node_finished(tmp_path):
+    cluster = ProcessCluster(2, workdir=tmp_path)
+    for pid in cluster.pids:
+        sink = JsonlSink(
+            cluster.trace_files[pid], node=pid, epoch_wall=100.0 + pid,
+            epoch_mono=0.0,
+        )
+        sink.record(0.5, "round", pid, algo="ec", round=1)
+        sink.close()
+    cluster.exit_statuses.update({0: -signal.SIGKILL, 1: -signal.SIGKILL})
+    assert len(cluster.traces().events) == 2
+
+
 def test_stop_before_start_is_a_safe_noop(tmp_path):
     cluster = ProcessCluster(2, workdir=tmp_path)
     asyncio.run(cluster.stop())
